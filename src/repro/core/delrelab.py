@@ -230,7 +230,7 @@ def _witness_rooted(ain: NTA, symbol: str) -> Optional:
     wrapped = ain.map_states(lambda q: ("base", q))
     states = set(wrapped.states) | {any_state, root_state}
     delta = dict(wrapped.delta)
-    universal = NFA.universal({any_state}).with_alphabet(states)
+    universal = NFA.universal({any_state})
     for a in ain.alphabet:
         delta[(any_state, a)] = universal
     delta[(root_state, symbol)] = universal
@@ -252,6 +252,12 @@ def typecheck_delrelab(
     *output-side* witness: a tree ``t' ∈ T'(L(A_in))`` with
     ``γ(t') ∉ L(A_out)`` (stats key ``"violating_output"``); input-side
     counterexamples for DTD schemas are available via the forward engine.
+
+    Stats key ``"product_states"`` (also an explain stat of the registered
+    engine) counts the pair states ``B_in ∩ B_out`` actually reached: the
+    product is built on demand and creates a pair only once it turns
+    productive, so it is usually far below ``|B_in.states| ×
+    |B_out.states|``.
 
     ``schema`` is a :class:`DelrelabSchema` compiled for exactly these
     schema objects (a warm session passes its own; omitted, one is built

@@ -415,11 +415,15 @@ class DelrelabEngineDef(Engine):
     def schema_variant(self, kwargs):
         return bool(kwargs.get("check_output_class", True))
 
+    def schema(self, session, variant=None):
+        # The default variant is the class-checked one, so ``Session.warm``
+        # (no options) and a default typecheck share one compiled context.
+        return super().schema(session, True if variant is None else variant)
+
     def build_schema(self, session, variant=None):
         from repro.core.delrelab import DelrelabSchema
 
-        check = True if variant is None else bool(variant)
-        return DelrelabSchema(session.sin, session.sout, check)
+        return DelrelabSchema(session.sin, session.sout, bool(variant))
 
     def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
         check = bool(kwargs.pop("check_output_class", True))

@@ -20,16 +20,19 @@ emptiness or inclusion.  This package is that primitive, implemented once:
 
 ``dfa_kernel`` / ``nfa_kernel``
     :class:`InternedDFA` (flat list transition table, ``-1`` = dead) and
-    :class:`InternedNFA` (per-state int rows), plus the DFA product /
-    inclusion / minimization and horizontal pair-product configurations of
-    the engine.  Public classes cache their interned form via
+    :class:`InternedNFA` (per-state int rows over the symbols that label
+    a transition), plus the DFA product / inclusion / minimization and
+    horizontal pair-product configurations of the engine.  Public classes
+    cache their interned form via
     ``DFA.kernel()`` / ``NFA.kernel()`` — interning happens once per
     automaton, not once per operation.
 
 ``nta_kernel``
     NTA emptiness (Proposition 4) as an incremental worklist over
     per-horizontal-NFA bitmasks, with the acyclic witness bookkeeping the
-    DAG construction needs.
+    DAG construction needs; and the same fixpoint run on a product of two
+    NTAs without building it (``productive_pairs``, behind
+    :func:`repro.tree_automata.ops.intersect`).
 
 ``reference``
     The seed object-state implementations, kept verbatim as the

@@ -31,7 +31,14 @@ class InternedNFA:
 
     def __init__(self, nfa) -> None:
         self.states: Interner = Interner.from_sorted(nfa.states)
-        self.symbols: Interner = Interner.from_sorted(nfa.alphabet)
+        # Only symbols that label a transition are interned: an unread
+        # symbol occurs in no accepted word, and horizontal automata of
+        # tree-automaton constructions declare alphabets (whole state sets)
+        # far larger than what they read.  A sorted subset keeps relative
+        # order, so shortest-word tie-breaks are those of the full alphabet.
+        self.symbols: Interner = Interner.from_sorted(
+            {symbol for row in nfa.transitions.values() for symbol in row}
+        )
         self.n_states = len(self.states)
         state_index = self.states.index
         symbol_index = self.symbols.index
@@ -47,10 +54,21 @@ class InternedNFA:
                 )
             )
         self.rows = rows
-        self.initial: Tuple[int, ...] = tuple(
-            sorted(state_index(q) for q in nfa.initial)
-        )
-        self.finals_mask: int = self.states.mask(nfa.finals)
+        self._set_endpoints(nfa.initial, nfa.finals)
+
+    def _set_endpoints(self, initial, finals) -> None:
+        state_index = self.states.index
+        self.initial: Tuple[int, ...] = tuple(sorted(state_index(q) for q in initial))
+        self.finals_mask: int = self.states.mask(finals)
+
+    def with_endpoints(self, initial, finals) -> "InternedNFA":
+        """The same interned graph with other initial and final states
+        (interners and rows are shared, not rebuilt)."""
+        derived = InternedNFA.__new__(InternedNFA)
+        derived.states, derived.symbols = self.states, self.symbols
+        derived.rows, derived.n_states = self.rows, self.n_states
+        derived._set_endpoints(initial, finals)
+        return derived
 
     # ------------------------------------------------------------------
     def allowed_mask(self, symbols=None) -> int:
@@ -136,49 +154,99 @@ class InternedNFA:
 # ----------------------------------------------------------------------
 # Horizontal pair products (tree-automaton intersection)
 # ----------------------------------------------------------------------
-def pair_product_components(left, right):
+def _pair_successors(ileft: InternedNFA, iright: InternedNFA, partners):
+    """Successor function of the pair product of two interned NFAs.
+
+    Nodes are packed ints ``l * n_right + r``; edge labels are symbol-index
+    pairs ``(u, v)``.  Only the symbol pairs ``partners`` lists are read
+    (a mapping ``left symbol -> collection of right symbols``).
+    """
+    n_right = iright.n_states
+    lrows, rrows = ileft.rows, iright.rows
+    lsym, rsym = ileft.symbols.values, iright.symbols.values
+
+    def successors(node: int):
+        l, r = divmod(node, n_right)
+        row_r = rrows[r]
+        if not row_r:
+            return
+        for u, targets_l in lrows[l]:
+            allowed = partners.get(lsym[u])
+            if not allowed:
+                continue
+            for v, targets_r in row_r:
+                if rsym[v] not in allowed:
+                    continue
+                label = (u, v)
+                for tl in targets_l:
+                    base = tl * n_right
+                    for tr in targets_r:
+                        yield base + tr, label
+
+    return successors
+
+
+def pair_product_accepts(left, right, partners) -> bool:
+    """Whether the pair product of ``left`` and ``right`` (restricted to
+    the symbol pairs in ``partners``, see :func:`_pair_successors`) accepts
+    some word; stops at the first accepting pair."""
+    ileft: InternedNFA = left.kernel()
+    iright: InternedNFA = right.kernel()
+    n_right = iright.n_states
+    lf, rf = ileft.finals_mask, iright.finals_mask
+
+    def accepting(node: int) -> bool:
+        l, r = divmod(node, n_right)
+        return bool(lf >> l & 1 and rf >> r & 1)
+
+    seeds = [l * n_right + r for l in ileft.initial for r in iright.initial]
+    engine = ProductBFS()
+    return engine.run(seeds, _pair_successors(ileft, iright, partners), accepting) is not None
+
+
+def pair_product_components(left, right, partners):
     """Reachable pair product reading *pairs* of symbols — the horizontal
     language of a product tree automaton (see
     :func:`repro.tree_automata.ops.intersect`).
 
-    Returns ``(states, table, initial, finals, alphabet)`` decoded to the
-    seed's pair-tuple representation.
+    Only the symbol pairs ``partners`` lists are read (see
+    :func:`_pair_successors`).  Returns ``(states, table, initial, finals,
+    alphabet)`` decoded to the seed's pair-tuple representation; the
+    alphabet is the set of symbol pairs the product actually reads.
     """
     ileft: InternedNFA = left.kernel()
     iright: InternedNFA = right.kernel()
     n_right = iright.n_states
-    lrows, rrows = ileft.rows, iright.rows
-    lvalue, rvalue = ileft.states.value, iright.states.value
-    lsym, rsym = ileft.symbols.value, iright.symbols.value
-
-    table: Dict[Tuple, Dict[Tuple, set]] = {}
-
-    def decode(node: int) -> Tuple[State, State]:
-        l, r = divmod(node, n_right)
-        return (lvalue(l), rvalue(r))
+    step = _pair_successors(ileft, iright, partners)
+    edges: Dict[int, Dict[Tuple[int, int], set]] = {}
 
     def successors(node: int):
-        l, r = divmod(node, n_right)
-        row_l = lrows[l]
-        row_r = rrows[r]
-        if not row_l or not row_r:
-            return
-        src = decode(node)
-        row_out = table.setdefault(src, {})
-        for u, targets_l in row_l:
-            for v, targets_r in row_r:
-                cell = row_out.setdefault((lsym(u), rsym(v)), set())
-                for tl in targets_l:
-                    base = tl * n_right
-                    for tr in targets_r:
-                        succ = base + tr
-                        cell.add(decode(succ))
-                        yield succ, None
+        row = None
+        for succ, label in step(node):
+            if row is None:
+                row = edges.setdefault(node, {})
+            row.setdefault(label, set()).add(succ)
+            yield succ, label
 
     engine = ProductBFS()
     seeds = [l * n_right + r for l in ileft.initial for r in iright.initial]
     engine.run(seeds, successors)
 
+    lvalue, rvalue = ileft.states.value, iright.states.value
+    lsym, rsym = ileft.symbols.values, iright.symbols.values
+
+    def decode(node: int) -> Tuple[State, State]:
+        l, r = divmod(node, n_right)
+        return (lvalue(l), rvalue(r))
+
+    table: Dict[Tuple, Dict[Tuple, set]] = {}
+    alphabet = set()
+    for node, row in edges.items():
+        row_out = table[decode(node)] = {}
+        for (u, v), targets in row.items():
+            symbol = (lsym[u], rsym[v])
+            alphabet.add(symbol)
+            row_out[symbol] = {decode(t) for t in targets}
     states = {decode(node) for node in engine.parents}
     lf, rf = ileft.finals_mask, iright.finals_mask
     finals = {
@@ -187,5 +255,4 @@ def pair_product_components(left, right):
         if lf >> (node // n_right) & 1 and rf >> (node % n_right) & 1
     }
     initial = {decode(node) for node in seeds}
-    alphabet = {(u, v) for u in left.alphabet for v in right.alphabet}
     return states, table, initial, finals, alphabet

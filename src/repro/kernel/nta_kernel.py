@@ -34,14 +34,11 @@ def productive_states(nta) -> Tuple[FrozenSet[State], Dict[State, Tuple[str, Tup
         infa = nfa.kernel()
         rule_id = len(rules)
         rules.append((state, symbol, infa))
-        # Index only symbols that occur on actual transitions: a state
-        # turning productive re-enqueues exactly the rules that can *read*
-        # it (horizontal alphabets are the full state set, so indexing the
-        # alphabet would re-enqueue everything and go quadratic).
-        used = {index for row in infa.rows for (index, _targets) in row}
-        value = infa.symbols.value
-        for index in used:
-            occurrences.setdefault(value(index), []).append((rule_id, index))
+        # The kernel interns only symbols that label a transition, so a
+        # state turning productive re-enqueues exactly the rules that can
+        # *read* it.
+        for index, read in enumerate(infa.symbols):
+            occurrences.setdefault(read, []).append((rule_id, index))
 
     allowed = [0] * len(rules)
     productive: set = set()
@@ -74,3 +71,87 @@ def is_empty(nta) -> bool:
     """Whether ``L(A) = ∅`` (Proposition 4(2)) on the interned kernel."""
     productive, _ = productive_states(nta)
     return not (productive & nta.finals)
+
+
+def productive_pairs(left, right) -> Dict[State, Dict[State, None]]:
+    """The productive states of the product ``left × right``, bottom-up.
+
+    Proposition 4(2)'s fixpoint run on the product without building it: a
+    rule pair ``((p, a), (q, a))`` is checked only when a pair it can read
+    turns productive (or, initially, when both sides accept ε), and its
+    check is the horizontal pair product restricted to productive pairs
+    (:func:`repro.kernel.nfa_kernel.pair_product_accepts`).  Returns the
+    productive pairs as ``partners``: ``p -> {q | (p, q) productive}``,
+    the inner dicts being ordered sets in discovery order (so products
+    and their witnesses do not depend on hash randomization).
+    """
+    from repro.kernel.nfa_kernel import pair_product_accepts
+
+    def index(nta):
+        """Rules, rule ids per symbol, and ``state -> symbol -> groups`` of
+        the rules that can read ``state``.  Rules sharing one transition
+        table (:meth:`~repro.strings.nfa.NFA.with_endpoints`) read the
+        same states and form one group, indexed once."""
+        rules = []  # (lhs state, horizontal NFA)
+        by_symbol: Dict[str, List[int]] = {}
+        groups: Dict[Tuple[str, int], List[int]] = {}
+        reads: Dict[State, Dict[str, List[List[int]]]] = {}
+        for (state, symbol), nfa in nta.delta.items():
+            rule_id = len(rules)
+            rules.append((state, nfa))
+            by_symbol.setdefault(symbol, []).append(rule_id)
+            key = (symbol, id(nfa.transitions))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
+                for read in {read for row in nfa.transitions.values() for read in row}:
+                    reads.setdefault(read, {}).setdefault(symbol, []).append(group)
+            group.append(rule_id)
+        return rules, by_symbol, reads
+
+    lrules, lby_symbol, lreads = index(left)
+    rrules, rby_symbol, rreads = index(right)
+    partners: Dict[State, Dict[State, None]] = {}
+    pending: deque = deque()
+    queued: set = set()
+
+    def accepts_epsilon(nfa) -> bool:
+        return not nfa.initial.isdisjoint(nfa.finals)
+
+    for symbol, lids in lby_symbol.items():
+        rids = [j for j in rby_symbol.get(symbol, ()) if accepts_epsilon(rrules[j][1])]
+        if not rids:
+            continue
+        for i in lids:
+            if accepts_epsilon(lrules[i][1]):
+                for j in rids:
+                    queued.add((i, j))
+                    pending.append((i, j))
+
+    while pending:
+        rule_pair = pending.popleft()
+        queued.discard(rule_pair)
+        i, j = rule_pair
+        (p, left_nfa), (q, right_nfa) = lrules[i], rrules[j]
+        if q in partners.get(p, ()):
+            continue
+        if not pair_product_accepts(left_nfa, right_nfa, partners):
+            continue
+        partners.setdefault(p, {})[q] = None
+        # Wake every rule pair that can read the new pair (p, q).
+        right_reads = rreads.get(q)
+        if not right_reads:
+            continue
+        for symbol, lgroups in lreads.get(p, {}).items():
+            rgroups = right_reads.get(symbol)
+            if not rgroups:
+                continue
+            rids = [j for group in rgroups for j in group]
+            for i2 in (i for group in lgroups for i in group):
+                done = partners.get(lrules[i2][0], ())
+                for j2 in rids:
+                    if rrules[j2][0] in done or (i2, j2) in queued:
+                        continue
+                    queued.add((i2, j2))
+                    pending.append((i2, j2))
+    return partners

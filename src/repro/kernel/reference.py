@@ -110,13 +110,17 @@ def dfa_minimize_object(dfa):
 
 
 # ----------------------------------------------------------------------
-# tree_automata/ops.py baseline
+# tree_automata/ops.py baselines
 # ----------------------------------------------------------------------
 def pair_product_nfa_object(left, right):
-    """Seed ``ops._pair_product_nfa``: object-pair BFS."""
+    """Seed ``ops._pair_product_nfa``: object-pair BFS.
+
+    The alphabet is the set of symbol pairs the product reads (the seed
+    declared ``left.alphabet × right.alphabet``; unread pairs occur in no
+    accepted word, so the language is the same).
+    """
     from repro.strings.nfa import NFA
 
-    alphabet = {(u, v) for u in left.alphabet for v in right.alphabet}
     initial = {(p, q) for p in left.initial for q in right.initial}
     states = set(initial)
     table: Dict[State, Dict[Tuple, set]] = {}
@@ -138,9 +142,30 @@ def pair_product_nfa_object(left, right):
                             states.add(target)
                             frontier.append(target)
     finals = {(p, q) for (p, q) in states if p in left.finals and q in right.finals}
+    alphabet = {symbol for row in table.values() for symbol in row}
     if not states:
         return NFA.empty_language(alphabet)
     return NFA(states, alphabet, table, initial, finals)
+
+
+def intersect_object(left, right):
+    """Seed ``ops.intersect``: the eager product over every state pair,
+    each horizontal product widened to the full pair-state alphabet."""
+    from repro.tree_automata.nta import NTA
+
+    alphabet = left.alphabet & right.alphabet
+    states = {(p, q) for p in left.states for q in right.states}
+    delta = {}
+    for (p, symbol), nfa_left in left.delta.items():
+        if symbol not in alphabet:
+            continue
+        for (q, symbol_right), nfa_right in right.delta.items():
+            if symbol_right != symbol:
+                continue
+            product = pair_product_nfa_object(nfa_left, nfa_right)
+            delta[((p, q), symbol)] = product.with_alphabet(states)
+    finals = {(p, q) for p in left.finals for q in right.finals}
+    return NTA(states, alphabet, delta, finals)
 
 
 # ----------------------------------------------------------------------

@@ -112,11 +112,17 @@ class NFA:
     def kernel(self):
         """The interned-integer view of this automaton (cached; the NFA is
         immutable, so the kernel form is computed at most once)."""
-        if self._kernel is None:
+        kernel = self._kernel
+        if kernel is None:
             from repro.kernel.nfa_kernel import InternedNFA
 
-            self._kernel = InternedNFA(self)
-        return self._kernel
+            kernel = self._kernel = InternedNFA(self)
+        elif isinstance(kernel, NFA):
+            # Made by ``with_endpoints``: derive from the source graph's kernel.
+            kernel = self._kernel = kernel.kernel().with_endpoints(
+                self.initial, self.finals
+            )
+        return kernel
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NFA):
@@ -235,6 +241,18 @@ class NFA:
         if not self.alphabet <= sigma:
             raise InvalidSchemaError("new alphabet must contain the old one")
         return NFA(self.states, sigma, self.transitions, self.initial, self.finals)
+
+    def with_endpoints(self, initial: Iterable[State], finals: Iterable[State]) -> "NFA":
+        """The same transition graph with other initial and final states.
+
+        The validated transition table is shared, not copied (automata are
+        immutable), and so is the interned kernel's graph: deriving many
+        automata from one graph is cheap.
+        """
+        nfa = NFA(self.states, self.alphabet, {}, initial, finals)
+        nfa.transitions = self.transitions
+        nfa._kernel = self  # resolved by kernel() on first use
+        return nfa
 
     # ------------------------------------------------------------------
     # Runs

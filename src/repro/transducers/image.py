@@ -219,9 +219,7 @@ def image_nta(nta: NTA, transducer: TreeTransducer) -> NTA:
                         child_states.append(members[path + (index,)])
                 if state_pos is None:
                     word = tuple(child_states)  # type: ignore[arg-type]
-                    delta[(source, node.label)] = NFA.from_word(
-                        word, b_state_set
-                    ).with_alphabet(b_state_set)
+                    delta[(source, node.label)] = NFA.from_word(word)
                 else:
                     assert leaf is not None
                     _, q_prime_t = leaf

@@ -68,9 +68,9 @@ def hash_elimination_lift(nta: NTA, hash_symbol: str = HASH) -> NTA:
         ]
 
     all_pairs = [p for pairs in pair_states.values() for p in pairs]
-    new_states = set(nta.states) | set(all_pairs)
+    new_states = frozenset(nta.states).union(all_pairs)
 
-    def extended(context: Tuple[State, str], initial, finals) -> NFA:
+    def extended(context: Tuple[State, str]) -> NFA:
         """The horizontal NFA of ``context`` over ``Q ∪ P`` with jump
         transitions for its own pair states."""
         base = contexts[context]
@@ -81,16 +81,17 @@ def hash_elimination_lift(nta: NTA, hash_symbol: str = HASH) -> NTA:
         for pair in pair_states[context]:
             _, s1, s2 = pair
             table.setdefault(s1, {}).setdefault(pair, set()).add(s2)
-        return NFA(base.states, new_states, table, initial, finals)
+        return NFA(base.states, new_states, table, base.initial, base.finals)
 
-    delta: Dict[Tuple[State, str], NFA] = {}
-    for context, base in nta.delta.items():
-        q, a = context
-        delta[(q, a)] = extended(context, base.initial, base.finals)
+    jumps = {context: extended(context) for context in contexts}
+    delta: Dict[Tuple[State, str], NFA] = {
+        context: jumps[context] for context in nta.delta
+    }
     for context, pairs in pair_states.items():
+        # A pair state's automaton is its context's, run from s₁ to s₂.
         for pair in pairs:
             _, s1, s2 = pair
-            delta[(pair, hash_symbol)] = extended(context, {s1}, {s2})
+            delta[(pair, hash_symbol)] = jumps[context].with_endpoints({s1}, {s2})
 
     # A hash-rooted tree is accepted through the root pair "0 → 1": its
     # children hedge eliminates to exactly one tree in a final state.

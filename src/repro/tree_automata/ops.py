@@ -18,39 +18,54 @@ from repro.tree_automata.nta import NTA
 State = Hashable
 
 
-def _pair_product_nfa(left: NFA, right: NFA) -> NFA:
+def _pair_product_nfa(left: NFA, right: NFA, partners) -> NFA:
     """Product of two horizontal NFAs reading *pairs* of symbols.
 
-    Accepts ``(u₁,v₁)…(u_n,v_n)`` iff ``left`` accepts ``u₁…u_n`` and
-    ``right`` accepts ``v₁…v_n`` — the horizontal language of a product tree
-    automaton whose states are pairs.  The reachable pair space is explored
-    on the interned kernel.
+    Accepts ``(u₁,v₁)…(u_n,v_n)`` iff ``left`` accepts ``u₁…u_n``,
+    ``right`` accepts ``v₁…v_n`` and every ``vᵢ ∈ partners[uᵢ]`` — the
+    horizontal language of a product tree automaton whose states are the
+    pairs ``partners`` lists.  The reachable pair space is explored on the
+    interned kernels; the alphabet is the set of pairs the product reads.
     """
     from repro.kernel.nfa_kernel import pair_product_components
 
-    states, table, initial, finals, alphabet = pair_product_components(left, right)
+    states, table, initial, finals, alphabet = pair_product_components(
+        left, right, partners
+    )
     if not states:
         return NFA.empty_language(alphabet)
     return NFA(states, alphabet, table, initial, finals)
 
 
 def intersect(left: NTA, right: NTA) -> NTA:
-    """Product automaton with ``L = L(left) ∩ L(right)``."""
-    alphabet = left.alphabet & right.alphabet
-    states = {(p, q) for p in left.states for q in right.states}
+    """Product automaton with ``L = L(left) ∩ L(right)``, built on demand.
+
+    A pair state ``(p, q)`` is created only once it turns productive,
+    bottom-up (:func:`repro.kernel.nta_kernel.productive_pairs`), so the
+    product has no useless states; each horizontal product reads only
+    productive pairs.  Unproductive pairs occur in no accepting run, so
+    the language is that of the full ``left.states × right.states``
+    product (kept as the test oracle
+    :func:`repro.kernel.reference.intersect_object`).
+    """
+    from repro.kernel.nta_kernel import productive_pairs
+
+    partners = productive_pairs(left, right)
+    states = [(p, q) for p, qs in partners.items() for q in qs]
+    right_symbols: Dict[State, list] = {}
+    for q, symbol in right.delta:
+        right_symbols.setdefault(q, []).append(symbol)
     delta: Dict[Tuple[State, str], NFA] = {}
-    for (p, symbol), nfa_left in left.delta.items():
-        if symbol not in alphabet:
-            continue
-        for (q, symbol_right), nfa_right in right.delta.items():
-            if symbol_right != symbol:
+    for p, q in states:
+        for symbol in right_symbols.get(q, ()):
+            nfa_left = left.delta.get((p, symbol))
+            if nfa_left is None:
                 continue
-            product = _pair_product_nfa(nfa_left, nfa_right)
-            # Enlarge the horizontal alphabet to the full pair state set so
-            # the NTA invariant (alphabet ⊆ states) holds.
-            delta[((p, q), symbol)] = product.with_alphabet(states)
-    finals = {(p, q) for p in left.finals for q in right.finals}
-    return NTA(states, alphabet, delta, finals)
+            product = _pair_product_nfa(nfa_left, right.delta[(q, symbol)], partners)
+            if product.finals:
+                delta[((p, q), symbol)] = product
+    finals = [(p, q) for (p, q) in states if p in left.finals and q in right.finals]
+    return NTA(states, left.alphabet & right.alphabet, delta, finals)
 
 
 def is_bottom_up_deterministic(nta: NTA) -> bool:

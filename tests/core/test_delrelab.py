@@ -4,12 +4,14 @@ import pytest
 
 from repro.errors import ClassViolationError
 from repro.core import typecheck_bruteforce, typecheck_delrelab
-from repro.core.delrelab import wrap_deleting_states
+from repro.backward.engine import typecheck_backward
+from repro.core.delrelab import DelrelabSchema, wrap_deleting_states
 from repro.schemas import DTD, dtd_to_dtac, dtd_to_nta
 from repro.transducers import TreeTransducer, image_nta
 from repro.trees import parse_tree
 from repro.trees.generate import enumerate_trees
 from repro.tree_automata.hash_elim import eliminate_hashes
+from repro.workloads import families
 
 
 @pytest.fixture
@@ -185,3 +187,24 @@ class TestRootDeletion:
         )
         self._check(root_deleter, din, dout_ok, True)
         self._check(root_deleter, din, dout_bad, False)
+
+
+class TestDemandDrivenProduct:
+    """The Theorem 20 product creates only the pairs it reaches."""
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("relabeling_family", 3), ("nd_bc_family", 6)],
+    )
+    @pytest.mark.parametrize("typechecks", [True, False])
+    def test_product_states_below_the_full_cross_product(self, family, n, typechecks):
+        transducer, din, dout, expected = getattr(families, family)(n, typechecks)
+        schema = DelrelabSchema(din, dout)
+        result = typecheck_delrelab(transducer, din, dout, schema=schema)
+        assert result.typechecks is expected
+        assert typecheck_backward(transducer, din, dout).typechecks is expected
+
+        hash_symbol = schema.free_hash_symbol(transducer.alphabet)
+        b_in = image_nta(schema.input_nta, wrap_deleting_states(transducer, hash_symbol))
+        b_out = schema.lifted_complement(hash_symbol)
+        assert result.stats["product_states"] < len(b_in.states) * len(b_out.states)

@@ -193,6 +193,19 @@ def test_retypecheck_delrelab_cold_until_compiled_then_warmed():
     assert "Theorem 20" in second.stats["retypecheck"]["reason"]
 
 
+def test_delrelab_warm_and_default_typecheck_share_one_context():
+    from repro.schemas import dtd_to_dtac, dtd_to_nta
+
+    transducer, din, dout, expected = relabeling_family(2)
+    session = repro.compile(dtd_to_nta(din), dtd_to_dtac(dout))
+    assert list(session._delrelab) == [True]
+    warmed = session._delrelab[True]
+    assert session.typecheck(transducer).typechecks == expected
+    assert session._delrelab == {True: warmed}
+    session.typecheck(transducer, method="delrelab", check_output_class=False)
+    assert set(session._delrelab) == {True, False}
+
+
 def test_retypecheck_bruteforce_stays_cold_with_its_reason():
     transducer, din, dout, expected = relabeling_family(3)
     session = repro.compile(din, dout, eager=False)

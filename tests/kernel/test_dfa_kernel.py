@@ -7,6 +7,7 @@ the seed fixed a representation (products, minimization), language-level
 equality elsewhere.
 """
 
+import itertools
 import random
 
 import pytest
@@ -83,13 +84,53 @@ def test_minimize_matches_reference(seed):
         assert dfa.accepts(word)
 
 
+def every_pair(left: NFA, right: NFA) -> dict:
+    """``partners`` admitting every symbol pair (the unrestricted product)."""
+    return {u: right.alphabet for u in left.alphabet}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pair_product_matches_reference(seed):
     rng = random.Random(seed)
     left, right = random_nfa(rng), random_nfa(rng)
-    assert _pair_product_nfa(left, right) == reference.pair_product_nfa_object(
-        left, right
-    )
+    product = _pair_product_nfa(left, right, every_pair(left, right))
+    assert product == reference.pair_product_nfa_object(left, right)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pair_product_language_is_the_cross_product_definition(seed):
+    """The product reads only the pairs it uses, but its language is that
+    of the definition over ``left.alphabet × right.alphabet``: a pair word
+    is accepted iff both projections are."""
+    rng = random.Random(seed)
+    left, right = random_nfa(rng), random_nfa(rng)
+    product = _pair_product_nfa(left, right, every_pair(left, right))
+    assert product.alphabet <= {(u, v) for u in left.alphabet for v in right.alphabet}
+    pairs = sorted(itertools.product(sorted(left.alphabet), sorted(right.alphabet)))
+    for length in range(4):
+        for word in itertools.product(pairs, repeat=length):
+            expected = left.accepts([u for u, _ in word]) and right.accepts(
+                [v for _, v in word]
+            )
+            assert product.accepts(word) == expected, word
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pair_product_restricted_to_partners(seed):
+    """With ``partners`` the product reads only the listed pairs: it
+    accepts exactly the unrestricted product's words over those pairs."""
+    rng = random.Random(seed)
+    left, right = random_nfa(rng), random_nfa(rng)
+    allowed = {(u, v) for u in left.alphabet for v in right.alphabet if rng.random() < 0.5}
+    partners = {}
+    for u, v in allowed:
+        partners.setdefault(u, set()).add(v)
+    full = _pair_product_nfa(left, right, every_pair(left, right))
+    restricted = _pair_product_nfa(left, right, partners)
+    assert restricted.alphabet <= allowed
+    for length in range(4):
+        for word in itertools.product(sorted(allowed), repeat=length):
+            assert restricted.accepts(word) == full.accepts(word), word
 
 
 @pytest.mark.parametrize("seed", SEEDS)

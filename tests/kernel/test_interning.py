@@ -82,6 +82,35 @@ class TestInternedNFA:
         assert only_a == ("a", "a")
         assert infa.some_word([]) is None
 
+    def test_interns_only_read_symbols(self):
+        """Declared symbols that label no transition are not interned; the
+        queries answer exactly as over the full alphabet."""
+        from repro.core.reachability import some_word_containing
+
+        nfa = NFA(
+            {0, 1, 2},
+            {"a", "b", "c", "unread", "zz"},
+            {0: {"a": {1}, "c": {2}}, 1: {"b": {2}}},
+            {0},
+            {2},
+        )
+        infa = nfa.kernel()
+        assert set(infa.symbols) == {"a", "b", "c"}
+        assert list(infa.symbols) == sorted(infa.symbols, key=repr)
+        # A restriction naming unread symbols returns the same word.
+        assert infa.some_word(["a", "b", "unread"]) == ("a", "b")
+        assert infa.some_word(["a", "b", "c", "unread", "zz"]) == ("c",)
+        assert infa.some_word(["unread"]) is None
+        assert nfa.some_word(["a", "b", "unread"]) == ("a", "b")
+        # No accepted word contains a symbol the automaton never reads.
+        assert some_word_containing(nfa, "unread", nfa.alphabet) is None
+        assert some_word_containing(nfa, "b", nfa.alphabet) == ("a", "b")
+        # The unrestricted mask admits every read symbol.
+        full = infa.allowed_mask(None)
+        for symbol in ("a", "b", "c"):
+            assert full >> infa.symbols.index(symbol) & 1
+        assert full == infa.allowed_mask(nfa.alphabet)
+
     def test_masks_match_object_queries(self):
         rng = random.Random(7)
         for _ in range(25):

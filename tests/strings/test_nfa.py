@@ -124,6 +124,18 @@ class TestFactories:
         assert nfa.accepts(["a", "b", "b"])
         assert nfa.is_universal()
 
+    def test_with_endpoints(self, ends_ab):
+        # From 1 to 2: exactly the word "b".
+        derived = ends_ab.with_endpoints({1}, {2})
+        assert derived.transitions is ends_ab.transitions
+        assert derived.accepts(["b"])
+        assert not derived.accepts(["a", "b"])
+        assert derived == NFA({0, 1, 2}, {"a", "b"}, ends_ab.transitions, {1}, {2})
+        # The original automaton is untouched.
+        assert ends_ab.accepts(["a", "b"])
+        with pytest.raises(InvalidSchemaError):
+            ends_ab.with_endpoints({"missing"}, {2})
+
 
 class TestQueries:
     def test_is_empty_with_restriction(self, ends_ab):
