@@ -49,7 +49,6 @@ import threading
 import time
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple, Union
-from weakref import WeakKeyDictionary
 
 from repro.errors import BudgetExceededError, ClassViolationError
 from repro.obs import explain as _explain
@@ -71,11 +70,18 @@ from repro.transducers.rhs import RhsSym
 from repro.transducers.transducer import TreeTransducer
 from repro.tree_automata.nta import NTA
 from repro.trees.tree import Tree
+from repro.util import lru_get, lru_store
 
 Schema = Union[DTD, NTA]
 
 #: Default node budget of the forward engine (mirrors ``typecheck_forward``).
 DEFAULT_MAX_PRODUCT_NODES = 500_000
+
+#: Bound on the per-session transducer memos (call-compiled transducer +
+#: analysis, and the auto-route decision), keyed by content hash like the
+#: engines' table caches (``TRANSDUCER_TABLE_LIMIT``,
+#: ``BACKWARD_TABLE_LIMIT``).
+TRANSDUCER_MEMO_LIMIT = 64
 
 # ----------------------------------------------------------------------
 # Structural footprint weights (bytes per unit)
@@ -234,15 +240,18 @@ class Session:
         # generic store instead of one attribute per engine: a new
         # registered engine needs no session change at all.
         self._schemas: Dict[Tuple[str, object], object] = {}
-        # Per-transducer memo: T -> (call-compiled T, analysis).  Weak keys
-        # so a session never pins a client's transducers in memory.
-        self._analyses: "WeakKeyDictionary[TreeTransducer, Tuple[TreeTransducer, TransducerAnalysis]]" = (
-            WeakKeyDictionary()
+        # Per-transducer memo: content hash -> (call-compiled T, analysis),
+        # an LRU of TRANSDUCER_MEMO_LIMIT entries.  Content keys let equal
+        # transducers parsed or unpickled per request share one analysis.
+        self._analyses: "OrderedDict[str, Tuple[TreeTransducer, TransducerAnalysis]]" = (
+            OrderedDict()
         )
         # Auto-route memo: content hash -> (choice, {engine: cost ms}).
         # The decision is deterministic given the (fixed) schema pair, so
         # a serving session pays the key scans once per transducer.
-        self._auto_routes: Dict[str, Tuple[str, Dict[str, float]]] = {}
+        self._auto_routes: "OrderedDict[str, Tuple[str, Dict[str, float]]]" = (
+            OrderedDict()
+        )
         # (calibrated base bytes, structural estimate at calibration) —
         # see footprint_bytes().
         self._footprint: Optional[Tuple[int, int]] = None
@@ -346,7 +355,8 @@ class Session:
     def _compiled_transducer(
         self, transducer: TreeTransducer
     ) -> Tuple[TreeTransducer, TransducerAnalysis]:
-        cached = self._analyses.get(transducer)
+        key = transducer.content_hash()
+        cached = lru_get(self._analyses, key)
         if cached is None:
             plain = transducer
             if transducer.uses_calls():
@@ -354,7 +364,7 @@ class Session:
 
                 plain = compile_calls(transducer)
             cached = (plain, analyze(plain))
-            self._analyses[transducer] = cached
+            lru_store(self._analyses, key, cached, TRANSDUCER_MEMO_LIMIT)
         return cached
 
     def analysis(self, transducer: TreeTransducer) -> TransducerAnalysis:
@@ -530,7 +540,7 @@ class Session:
         key scan per engine, never a fixpoint.
         """
         memo_key = plain.content_hash()
-        cached = self._auto_routes.get(memo_key)
+        cached = lru_get(self._auto_routes, memo_key)
         if cached is not None:
             return cached
         costs: Dict[str, float] = {}
@@ -541,7 +551,7 @@ class Session:
             if best is None or cost < costs[best]:
                 best = engine.name
         route = (best, costs)
-        self._auto_routes[memo_key] = route
+        lru_store(self._auto_routes, memo_key, route, TRANSDUCER_MEMO_LIMIT)
         return route
 
     def _apply_defaults(self, kwargs: Dict[str, object]) -> None:

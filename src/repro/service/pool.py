@@ -12,7 +12,16 @@ worker, usually once per *machine*.
 Routing: single-instance requests hash their schema pair onto a fixed
 worker (the pair stays warm in one place); batch requests and shard
 fan-outs round-robin across all workers — the two hot paths that exercise
-true parallelism.
+true parallelism.  A protocol-v2 pinned request carries transducer text;
+its worker parses each text once per pin (then the session's
+content-keyed memo analyses it once), so a repeated query costs what the
+warm query costs.
+
+Tickets: :meth:`WorkerPool.submit` only queues and returns a
+:class:`PoolTicket`; ``ticket.result()`` blocks a thread, while an event
+loop awaits ``ticket.future``.  A worker also watches its parent's
+process sentinel and exits when the parent dies, so a killed owner
+leaves no orphaned workers behind.
 
 Crash handling: a supervisor thread watches worker liveness while it
 collects results (``multiprocessing.connection.wait`` over *per-worker*
@@ -39,6 +48,8 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
@@ -54,6 +65,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.schemas.dtd import DTD
 from repro.service import protocol
+from repro.util import lru_get, lru_store
 
 
 def _wire_schema(schema):
@@ -81,8 +93,10 @@ _SENTINEL = None
 # Worker side
 # ----------------------------------------------------------------------
 #: Protocol-v2 pair registry of *this worker process*: pair digest →
-#: ``(sin, sout)``.  A pin ships the schemas to the worker once; pinned
-#: requests then carry only the digest (plus transducer text).  Entries
+#: ``(sin, sout, texts)``.  A pin ships the schemas to the worker once;
+#: pinned requests then carry only the digest (plus transducer text), and
+#: ``texts`` memoizes each parsed transducer text of the pair (an LRU of
+#: :data:`PINNED_TEXT_LIMIT`), so it is evicted together with its pin.  Entries
 #: are tiny wire clones — the heavy compiled state lives in the session
 #: registry, which evicts by bytes independently of the pins — but a
 #: service pinned to millions of pairs must not grow this without bound
@@ -92,7 +106,7 @@ _SENTINEL = None
 #: re-pin protocol — the worker answers :class:`UnknownPairError`, the
 #: server re-pins from its per-connection ``_Pin`` snapshot and retries,
 #: exactly as after a worker respawn.
-_WORKER_PAIRS: "OrderedDict[str, Tuple[object, object]]" = OrderedDict()
+_WORKER_PAIRS: "OrderedDict[str, Tuple[object, object, OrderedDict]]" = OrderedDict()
 
 #: Default bound on pinned pairs per worker (overridden per pool via the
 #: ``worker_pair_limit`` knob, transported in the worker config).
@@ -100,16 +114,33 @@ DEFAULT_WORKER_PAIR_LIMIT = 512
 
 _WORKER_PAIR_LIMIT = DEFAULT_WORKER_PAIR_LIMIT
 
+#: Bound on the parsed transducer texts memoized per pinned pair.
+PINNED_TEXT_LIMIT = 64
+
 
 def _pin_pair(pair_key: str, sin, sout) -> None:
     """Register (or refresh) a pinned pair, LRU-evicting over the limit."""
-    from repro.util import lru_store
-
     before = len(_WORKER_PAIRS) + (0 if pair_key in _WORKER_PAIRS else 1)
-    lru_store(_WORKER_PAIRS, pair_key, (sin, sout), _WORKER_PAIR_LIMIT)
+    lru_store(
+        _WORKER_PAIRS, pair_key, (sin, sout, OrderedDict()), _WORKER_PAIR_LIMIT
+    )
     evicted = before - len(_WORKER_PAIRS)
     if evicted > 0:
         _metrics.counter("repro.worker.pair_evictions").inc(evicted)
+
+
+def _pinned_transducer(sin, texts, text):
+    """The transducer of one pinned request's section ``text``, parsed
+    (and validated) on first sight and memoized in the pin's ``texts``."""
+    if not isinstance(text, str):
+        raise ProtocolError("a pinned request needs transducer section text")
+    transducer = lru_get(texts, text)
+    if transducer is None:
+        transducer = protocol.parse_transducer_section(
+            protocol.split_sections(text)[0], sin.alphabet
+        )
+        lru_store(texts, text, transducer, PINNED_TEXT_LIMIT)
+    return transducer
 
 
 def _json_result(session, transducer, json_op: str, method, base=None,
@@ -147,7 +178,6 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
     """Execute one request inside a worker process."""
     import repro
     from repro.core.session import registry_info
-    from repro.service.protocol import parse_transducer_section, split_sections
 
     cache_dir = config.get("cache_dir")
     use_kernel = bool(config.get("use_kernel", True))
@@ -204,21 +234,14 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
                 "was retried elsewhere)"
             )
         _WORKER_PAIRS.move_to_end(pair_key)  # pinned traffic keeps it warm
-        sin, sout = pair
-        transducer_text = payload.get("transducer")
-        if not isinstance(transducer_text, str):
-            raise ProtocolError("a pinned request needs 'transducer' text")
-        transducer = parse_transducer_section(
-            split_sections(transducer_text)[0], sin.alphabet
-        )
-        base = None
+        sin, sout, texts = pair
+        transducer = _pinned_transducer(sin, texts, payload.get("transducer"))
         base_text = payload.get("base")
-        if base_text is not None:
-            if not isinstance(base_text, str):
-                raise ProtocolError("'base' must be transducer section text")
-            base = parse_transducer_section(
-                split_sections(base_text)[0], sin.alphabet
-            )
+        base = (
+            None
+            if base_text is None
+            else _pinned_transducer(sin, texts, base_text)
+        )
         return _json_result(
             warm_session(sin, sout),
             transducer,
@@ -241,7 +264,11 @@ _WORKER_SPAN_NAMES = {"compute_tables": "shard_exec"}
 
 
 def _worker_main(index: int, inq, outq, config: Dict[str, object]) -> None:
-    """Worker process body: execute requests until the sentinel arrives."""
+    """Worker process body: execute requests until the sentinel arrives
+    or the parent process dies (its sentinel becomes ready: nothing would
+    read the replies, and an orphaned worker would live on forever)."""
+    from multiprocessing.connection import wait as connection_wait
+
     registry_bytes = config.get("registry_max_bytes")
     if registry_bytes is not None:
         from repro.core.session import set_registry_budget
@@ -262,7 +289,14 @@ def _worker_main(index: int, inq, outq, config: Dict[str, object]) -> None:
         from repro.obs import enable_kernel_metrics
 
         enable_kernel_metrics()
+    watched = [inq._reader]
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        watched.append(parent.sentinel)
     while True:
+        if inq._reader not in connection_wait(watched):
+            outq.cancel_join_thread()  # no reader is left to flush to
+            break
         item = inq.get()
         if item is _SENTINEL:
             break
@@ -288,40 +322,40 @@ def _worker_main(index: int, inq, outq, config: Dict[str, object]) -> None:
 # Parent side
 # ----------------------------------------------------------------------
 class PoolTicket:
-    """Handle for one in-flight pool request."""
+    """Handle for one in-flight pool request.
 
-    __slots__ = (
-        "request", "slot", "retries", "trace", "_event", "_value", "_error",
-    )
+    ``future`` is a :class:`concurrent.futures.Future` the supervisor
+    resolves, so an event loop can await it without a parked thread
+    (``asyncio.wrap_future(ticket.future)``, the TCP server's path).
+    """
+
+    __slots__ = ("request", "slot", "retries", "trace", "future")
 
     def __init__(self, request, slot: int, trace=None) -> None:
         self.request = request
         self.slot = slot
         self.retries = 0
         self.trace: Optional[Dict[str, object]] = trace
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[Dict[str, str]] = None
+        self.future: Future = Future()
 
     def _resolve(self, ok: bool, value) -> None:
-        if self._event.is_set():
-            return  # duplicate reply after a retry — first answer wins
-        if ok:
-            self._value = value
-        else:
-            self._error = value
-        self._event.set()
+        try:
+            if ok:
+                self.future.set_result(value)
+            else:
+                self.future.set_exception(protocol.error_from_info(value))
+        except InvalidStateError:
+            pass  # duplicate reply after a retry — first answer wins
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self.future.done()
 
     def result(self, timeout: Optional[float] = None):
         """Block for the result; re-raises transported errors."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("pool request still in flight")
-        if self._error is not None:
-            protocol.raise_error(self._error)
-        return self._value
+        try:
+            return self.future.result(timeout)
+        except FutureTimeoutError:
+            raise TimeoutError("pool request still in flight") from None
 
 
 class _WorkerSlot:
@@ -771,7 +805,9 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Wire-payload API (used by the server)
     # ------------------------------------------------------------------
-    def submit_payload(self, payload: Dict[str, object]) -> PoolTicket:
+    def submit_payload(
+        self, payload: Dict[str, object], trace: Optional[Dict[str, object]] = None
+    ) -> PoolTicket:
         """Dispatch one already-validated single-instance request payload.
 
         The instance is parsed *here* (so parse errors surface before a
@@ -784,16 +820,21 @@ class WorkerPool:
         op = payload.get("op")
         if op not in ("typecheck", "counterexample", "analysis", "retypecheck"):
             raise ProtocolError(f"op {op!r} is not a single-instance op")
-        return self.submit_single(payload, str(op))
+        return self.submit_single(payload, str(op), trace=trace)
 
     def submit_single(
-        self, payload: Dict[str, object], json_op: str, fanout: bool = False
+        self,
+        payload: Dict[str, object],
+        json_op: str,
+        fanout: bool = False,
+        trace: Optional[Dict[str, object]] = None,
     ) -> PoolTicket:
         """Parse, route and queue one instance payload as ``json_op``.
 
         ``fanout=True`` round-robins instead of pinning to the pair's
         affine worker — the batch path, where the same warm pair exists in
-        every worker and parallelism is the point.
+        every worker and parallelism is the point.  ``trace`` is passed to
+        :meth:`submit`.
         """
         transducer, din, dout = protocol.parse_instance_payload(payload)
         method = payload.get("method", "auto")
@@ -821,6 +862,7 @@ class WorkerPool:
                 bool(payload.get("explain", False)),
             ),
             slot=None if fanout else self.route_slot(din, dout),
+            trace=trace,
         )
 
     def split_payload_many(

@@ -442,18 +442,23 @@ def error_info(exc: BaseException) -> Dict[str, str]:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
-def raise_error(info: Dict[str, object]) -> None:
-    """Re-raise a transported error as its library exception class.
+def error_from_info(info: Dict[str, object]) -> Exception:
+    """A transported error as its library exception class.
 
-    Unknown types (including arbitrary server-side crashes) surface as
+    Unknown types (including arbitrary server-side crashes) become
     :class:`ProtocolError` so clients still get one exception hierarchy.
     """
     name = str(info.get("type", "ProtocolError"))
     message = str(info.get("message", ""))
     cls = _ERROR_TYPES.get(name)
     if cls is None:
-        raise ProtocolError(f"{name}: {message}")
-    raise cls(message)
+        return ProtocolError(f"{name}: {message}")
+    return cls(message)
+
+
+def raise_error(info: Dict[str, object]) -> None:
+    """Re-raise a transported error (see :func:`error_from_info`)."""
+    raise error_from_info(info)
 
 
 # ----------------------------------------------------------------------

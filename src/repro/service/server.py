@@ -23,6 +23,12 @@ raises ``UnknownPairError``; the server transparently re-pins every
 worker and retries once.  ``set_pair`` is handled inline in the read
 loop — a pipelined bare request behind it always observes the pin.
 
+Pool hops: the event-loop thread queues each pool request itself and
+awaits the ticket's future (``asyncio.wrap_future``), which the pool's
+supervisor thread settles, so no thread is parked per request.  The
+executor runs only work that is itself synchronous: v1 instance parsing
+before submission, the sharded plan/fan-out/merge, and re-pin waits.
+
 Every response records ``elapsed_ms`` (queue wait + worker time) — the
 per-request timing the ops story needs — and ``stats`` exposes pool
 health plus per-worker session-registry detail (resident pairs, byte
@@ -418,26 +424,41 @@ class ServiceServer:
         self._slow_sink.emit(entry)
 
     # ------------------------------------------------------------------
-    async def _pool_result(self, submit, trace=None):
-        """Submit one pool request under the server-global inflight gate.
+    async def _pool_result(self, submit, parse: bool = False):
+        """Queue one pool request under the server-global inflight gate
+        and await its ticket on the event loop.
 
         The gate is acquired *before* the request enters the pool, so the
         aggregate queued work is bounded no matter how many connections
         are flooding — each then also bounded by its own ``max_inflight``.
-        ``submit()`` itself runs in the executor: payload submission
-        parses instance text (``submit_single``), and the event loop
-        thread must never block on parsing large schemas.
-
-        ``trace`` activates the request's trace context on the executor
-        thread before ``submit()`` runs, so pool submissions (which read
-        the thread-local via ``wire_context``) and any session-level
-        spans on the synchronous path inherit the wire trace ID.
+        ``submit()`` returns a :class:`~repro.service.pool.PoolTicket`
+        and passes the wire trace context to the pool explicitly.  It
+        runs on the loop thread — queueing only appends to the worker's
+        queue — unless ``parse`` says it parses instance text first (v1
+        payloads), which the executor does so the loop never blocks on a
+        large schema.  The ticket's future settles the awaited one from
+        the pool's supervisor thread through ``call_soon_threadsafe``, so
+        no thread waits on the answer (and one that arrives after the
+        loop closed is dropped).
         """
+        async with self._inflight_gate:
+            if parse:
+                loop = asyncio.get_running_loop()
+                ticket = await loop.run_in_executor(None, submit)
+            else:
+                ticket = submit()
+            return await asyncio.wrap_future(ticket.future)
+
+    async def _blocking_result(self, work, trace=None):
+        """Run synchronous request work (the sharded plan/fan-out/merge)
+        in the executor under the server-global inflight gate, with the
+        wire trace active on that thread so its session spans and shard
+        submissions join the request's trace."""
         loop = asyncio.get_running_loop()
 
         def run():
             with _trace.activate(trace):
-                return submit().result()
+                return work()
 
         async with self._inflight_gate:
             return await loop.run_in_executor(None, run)
@@ -451,17 +472,27 @@ class ServiceServer:
     PIN_RETRIES = 3
 
     async def _pinned_call(
-        self, pin: _Pin, json_op: str, payload: Dict[str, object], trace=None
+        self,
+        pin: _Pin,
+        json_op: str,
+        payload: Dict[str, object],
+        trace=None,
+        fanout: bool = False,
     ):
-        """One pinned (bare v2) request, re-pinning on a stale pair."""
+        """One pinned (bare v2) request, re-pinning on a stale pair.
+
+        ``fanout=True`` round-robins across the (broadcast-pinned)
+        workers — a bare batch item — instead of the pair's affine one.
+        """
         loop = asyncio.get_running_loop()
+        slot = None if fanout else pin.slot
         for attempt in range(self.PIN_RETRIES + 1):
             try:
                 return await self._pool_result(
                     lambda: self.pool.submit(
-                        "pinned", (pin.pair, json_op, payload), slot=pin.slot
-                    ),
-                    trace=trace,
+                        "pinned", (pin.pair, json_op, payload), slot=slot,
+                        trace=trace,
+                    )
                 )
             except UnknownPairError:
                 if attempt >= self.PIN_RETRIES:
@@ -556,18 +587,16 @@ class ServiceServer:
             message["explain"] = True
         shards = message.get("shards")
         if op == "typecheck" and shards:
-            return await self._pool_result(
-                lambda: _SyncTicket(
-                    self._typecheck_sharded, message, int(shards), pin  # type: ignore[arg-type]
-                ),
-                trace=trace,
+            return await self._blocking_result(
+                lambda: self._typecheck_sharded(message, int(shards), pin),  # type: ignore[arg-type]
+                trace,
             )
         if bare:
             return await self._pinned_call(
                 pin, op, self._bare_payload(message), trace
             )
         return await self._pool_result(
-            lambda: self.pool.submit_payload(message), trace=trace
+            lambda: self.pool.submit_payload(message, trace=trace), parse=True
         )
 
     def _server_stats(self, connections: int, inflight: int) -> Dict[str, object]:
@@ -619,9 +648,9 @@ class ServiceServer:
                 chunk = [
                     self._pool_result(
                         lambda single=single: self.pool.submit_single(
-                            single, "typecheck", fanout=True
+                            single, "typecheck", fanout=True, trace=trace
                         ),
-                        trace=trace,
+                        parse=True,
                     )
                     for single in singles[start : start + window]
                 ]
@@ -651,28 +680,11 @@ class ServiceServer:
                 payload: Dict[str, object] = {"transducer": item}
                 if method is not None:
                     payload["method"] = method
-                chunk.append(self._pinned_fanout(pin, payload, trace))
+                chunk.append(
+                    self._pinned_call(pin, "typecheck", payload, trace, fanout=True)
+                )
             results.extend(await asyncio.gather(*chunk))
         return results
-
-    async def _pinned_fanout(self, pin: _Pin, payload: Dict[str, object], trace=None):
-        """One bare batch item, round-robined across the (pinned) workers."""
-        for attempt in range(self.PIN_RETRIES + 1):
-            try:
-                return await self._pool_result(
-                    lambda: self.pool.submit(
-                        "pinned", (pin.pair, "typecheck", payload)
-                    ),
-                    trace=trace,
-                )
-            except UnknownPairError:
-                if attempt >= self.PIN_RETRIES:
-                    raise
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(
-                    None,
-                    lambda: self.pool.pin_pair(pin.pair, pin.din, pin.dout),
-                )
 
     def _typecheck_sharded(
         self, message: Dict[str, object], shards: int, pin: Optional[_Pin]
@@ -693,21 +705,6 @@ class ServiceServer:
             explain=bool(message.get("explain", False)),
         )
         return protocol.result_to_json(result)
-
-
-class _SyncTicket:
-    """Adapter: run a callable on ``ticket.result()`` so heavyweight
-    synchronous paths (the sharded fan-out) flow through the same
-    global-gate plumbing as real pool tickets."""
-
-    __slots__ = ("_fn", "_args")
-
-    def __init__(self, fn, *args) -> None:
-        self._fn = fn
-        self._args = args
-
-    def result(self, timeout=None):
-        return self._fn(*self._args)
 
 
 async def serve(

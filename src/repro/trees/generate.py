@@ -163,10 +163,14 @@ def random_tree(
 
     Random walk through the content automata, stopping at accepting states
     with probability ``stop_bias`` (raised near the depth limit).  Returns
-    ``None`` when no tree is found within ``attempts`` retries.
+    ``None`` when no tree is found within ``attempts`` retries, and at once
+    — before drawing from ``rng`` — when ``L(dtd, symbol)`` has no tree of
+    depth at most ``max_depth``.
     """
     rng = rng if rng is not None else random.Random()
     root = dtd.start if symbol is None else symbol
+    if not _has_tree_within(dtd, root, max_depth):
+        return None
 
     def sample(a: str, depth: int) -> Optional[Tree]:
         if depth > max_depth:
@@ -189,6 +193,32 @@ def random_tree(
         return None
 
     return sample(root, 1)
+
+
+def _has_tree_within(dtd, root: str, max_depth: int) -> bool:
+    """Whether ``root`` has a tree of depth at most ``max_depth``.
+
+    A minimal-height fixpoint over the content NFAs: round ``k`` admits
+    every symbol whose content accepts a word over the symbols admitted in
+    rounds before it, so a symbol is admitted in the round of its minimal
+    tree height.
+    """
+    symbols = {root, *dtd.alphabet}
+    for a in dtd.alphabet:
+        symbols |= dtd.content_nfa(a).alphabet
+    admitted: set = set()
+    for _ in range(max_depth):
+        fresh = {
+            a
+            for a in symbols - admitted
+            if not dtd.content_nfa(a).is_empty(admitted)
+        }
+        if not fresh:
+            break
+        admitted |= fresh
+        if root in admitted:
+            return True
+    return False
 
 
 def _random_word(nfa, rng: random.Random, stop_bias: float, max_len: int = 16):

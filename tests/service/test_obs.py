@@ -17,6 +17,7 @@ from repro.service.client import ServiceClient
 from repro.service.pool import WorkerPool
 from repro.service.server import serve
 from repro.workloads.families import nd_bc_family
+from repro.workloads.updates import edit_arm_pair, edit_arm_transducer
 
 
 def _spans(path):
@@ -95,6 +96,44 @@ class TestEndToEndTrace:
         import os
 
         assert all(r["pid"] != os.getpid() for r in shard_execs)
+
+    def test_pinned_queries_share_one_trace_id(self, traced_server):
+        """Bare v2 requests: each query's client wire span, server dispatch
+        span and worker pinned span carry the query's one trace ID."""
+        service, pool, trace_file = traced_server
+        din, dout = edit_arm_pair(4)
+        base = edit_arm_transducer(4)
+        edited = edit_arm_transducer(4, edited=1, variant="unsafe")
+        with ServiceClient(port=service.port) as client:
+            pair = client.pair(din, dout)
+            # A fresh root per query: an earlier test may have left a
+            # trace ID active on this thread.
+            with obs_trace.root():
+                assert pair.typecheck(base)["typechecks"] is True
+            with obs_trace.root():
+                assert pair.retypecheck(edited, base)["typechecks"] is False
+        time.sleep(0.3)  # let worker span writes land
+
+        by_trace = {}
+        for record in _spans(trace_file):
+            by_trace.setdefault(record["trace"], []).append(record)
+        queries = {
+            record["attrs"]["op"]: trace
+            for trace, records in by_trace.items()
+            for record in records
+            if record["name"] == "dispatch"
+            and record["attrs"].get("op") in ("typecheck", "retypecheck")
+        }
+        assert set(queries) == {"typecheck", "retypecheck"}
+        assert queries["typecheck"] != queries["retypecheck"]
+        import os
+
+        for op, trace in queries.items():
+            names = {record["name"] for record in by_trace[trace]}
+            assert {"wire", "dispatch", "pinned"} <= names, (op, names)
+            pinned = [r for r in by_trace[trace] if r["name"] == "pinned"]
+            assert len(pinned) == 1 and pinned[0]["pid"] != os.getpid()
+            assert pinned[0]["attrs"]["op"] == "pinned"
 
     def test_metrics_op_returns_documented_names(self, traced_server):
         service, pool, _ = traced_server

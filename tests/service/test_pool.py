@@ -1,12 +1,15 @@
 """Worker pool: N-worker vs in-process equivalence, routing, crash retry."""
 
+import collections
+import sys
+import threading
 import time
 
 import pytest
 
 import repro
 from repro.errors import ClassViolationError, ReproError, WorkerCrashError
-from repro.service.pool import WorkerPool
+from repro.service.pool import PoolTicket, WorkerPool
 from repro.workloads.families import nd_bc_batch, nd_bc_family
 from repro.workloads.random_instances import seeded_instance
 
@@ -148,3 +151,49 @@ class TestWarmSessionsInWorkers:
         assert first.typechecks == second.typechecks == expected
         assert second.stats.get("table_cache") == "hit"
         assert second.stats.get("product_nodes") == 0
+
+
+class TestTicketResolution:
+    def test_racing_replies_resolve_a_ticket_once(self):
+        """Two threads deliver competing replies (a crash retry's late
+        duplicate) while a third awaits each ticket: every ticket takes
+        one answer, every waiter is woken once, and no resolver raises."""
+        tickets = [PoolTicket(("ping", None), 0) for _ in range(20000)]
+        calls = collections.Counter()
+        start = threading.Barrier(3)
+        failures = []
+
+        def note(future):
+            calls[id(future)] += 1
+
+        def register():
+            start.wait()
+            for ticket in tickets:
+                ticket.future.add_done_callback(note)
+
+        def resolve(value):
+            start.wait()
+            try:
+                for ticket in tickets:
+                    ticket._resolve(True, value)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=register),
+                threading.Thread(target=resolve, args=("first",)),
+                threading.Thread(target=resolve, args=("second",)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert all(calls[id(ticket.future)] == 1 for ticket in tickets)
+        assert {ticket.result(timeout=0) for ticket in tickets} <= {"first", "second"}

@@ -2,6 +2,7 @@
 and size-aware worker eviction surfaced through ``stats``."""
 
 import asyncio
+import concurrent.futures
 import contextlib
 import json
 import socket
@@ -301,12 +302,16 @@ class TestRoutingParity:
 # alone let N connections queue N x max_inflight requests)
 # ----------------------------------------------------------------------
 class _FakeTicket:
-    def __init__(self, release_event):
-        self._release = release_event
+    """A ticket whose future resolves once ``release_event`` is set."""
 
-    def result(self, timeout=None):
-        assert self._release.wait(30)
-        return {"ok": True}
+    def __init__(self, release_event):
+        self.future = concurrent.futures.Future()
+
+        def resolve_on_release():
+            assert release_event.wait(30)
+            self.future.set_result({"ok": True})
+
+        threading.Thread(target=resolve_on_release, daemon=True).start()
 
 
 class _FakePool:
@@ -319,7 +324,7 @@ class _FakePool:
         self.submitted = 0
         self.release = threading.Event()
 
-    def submit_payload(self, payload):
+    def submit_payload(self, payload, trace=None):
         with self.lock:
             self.submitted += 1
         return _FakeTicket(self.release)

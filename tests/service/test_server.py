@@ -13,6 +13,7 @@ import repro
 from repro.errors import ClassViolationError, ProtocolError
 from repro.service import protocol
 from repro.service.client import ServiceClient
+from repro.service.pool import PoolTicket
 from repro.service.server import ServiceServer
 from repro.workloads.families import nd_bc_batch, nd_bc_family
 from repro.workloads.random_instances import seeded_instance
@@ -168,3 +169,34 @@ class TestServeCommand:
                 process.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 process.kill()
+
+
+class TestTicketFuture:
+    """The server awaits pool tickets through their futures, not threads."""
+
+    def test_resolution_from_another_thread_settles_the_awaiter(self):
+        async def main():
+            done, failed = PoolTicket(("ping", None), 0), PoolTicket(("ping", None), 0)
+            waits = [asyncio.wrap_future(t.future) for t in (done, failed)]
+            threading.Thread(target=done._resolve, args=(True, {"pong": True})).start()
+            threading.Thread(
+                target=failed._resolve,
+                args=(False, {"type": "ProtocolError", "message": "bad"}),
+            ).start()
+            return await asyncio.gather(*waits, return_exceptions=True)
+
+        value, error = asyncio.run(main())
+        assert value == {"pong": True}
+        assert isinstance(error, ProtocolError)
+
+    def test_resolution_after_the_loop_closed_does_not_raise(self):
+        ticket = PoolTicket(("ping", None), 0)
+
+        async def main():
+            asyncio.wrap_future(ticket.future)
+
+        asyncio.run(main())  # closes the loop with the ticket unresolved
+        ticket._resolve(
+            False, {"type": "WorkerCrashError", "message": "pool closed"}
+        )
+        assert ticket.done()
