@@ -2,8 +2,8 @@
 """Old-vs-new benchmark for the ``repro.kernel`` interned-state automata
 kernel, seeding the repo's perf trajectory.
 
-Times the seed object-state implementations (retained in
-:mod:`repro.kernel.reference` and via ``typecheck_forward(use_kernel=False)``)
+Times the seed object-state implementations (the oracles retained in
+:mod:`repro.kernel.reference`, ``typecheck_forward_object`` included)
 against the interned kernel on the ``workloads/families.py`` scaling
 families plus DFA/NTA micro-workloads, verifies every result, and writes
 ``BENCH_kernel.json`` at the repo root.
@@ -172,20 +172,21 @@ def counter_dfa(n: int, symbols: int = 3) -> DFA:
 
 
 def bench_forward(results, sizes, repeat: int) -> None:
-    """typecheck_forward: interned kernel vs the seed object fixpoint."""
+    """typecheck_forward: interned kernel vs the seed object fixpoint
+    (the oracle ``reference.typecheck_forward_object``)."""
     for name, family, n in sizes:
         transducer, din, dout, expected = family(n)
         # Warm the DTD-level caches both engines share, and verify both
         # engines give the right answer before timing anything.
-        for use_kernel in (True, False):
-            result = typecheck_forward(transducer, din, dout, use_kernel=use_kernel)
-            assert result.typechecks == expected, (name, n, use_kernel)
+        for check in (typecheck_forward, reference.typecheck_forward_object):
+            result = check(transducer, din, dout)
+            assert result.typechecks == expected, (name, n, check.__name__)
         old = best_of(
-            lambda: typecheck_forward(transducer, din, dout, use_kernel=False),
+            lambda: reference.typecheck_forward_object(transducer, din, dout),
             repeat,
         )
         new = best_of(
-            lambda: typecheck_forward(transducer, din, dout, use_kernel=True),
+            lambda: typecheck_forward(transducer, din, dout),
             repeat,
         )
         results.append(

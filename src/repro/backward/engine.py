@@ -88,7 +88,7 @@ from repro.util import lru_get, lru_store
 
 def _table_cache_metric(outcome: str) -> None:
     """Count a per-transducer table-cache probe under the registry's
-    per-engine label (plus the legacy PR 8 name, kept for one release)."""
+    per-engine label."""
     from repro.engines import get_engine
 
     get_engine('backward').record_table_cache(outcome)

@@ -2,28 +2,24 @@
 
 The second level of the compiled-session cache (the first is the in-process
 registry in :mod:`repro.core.session`): pickled schema-side kernel
-artifacts, keyed by the same schema/option *content hashes*, so a fresh
+artifacts, keyed by the same schema *content hashes*, so a fresh
 process pointed at a populated cache directory skips schema compilation
 entirely::
 
     session = repro.compile(din, dout, cache_dir="/var/cache/repro")
     session.stats["source"]   # "artifact-cache" on a hit, "fresh" otherwise
 
-Layout: one ``<key>.session.pkl`` file per ``(sin, sout, options)`` triple,
-where ``<key>`` is the SHA-256 of the schema content hashes, the options
-fingerprint and the versioning pins.  Per-transducer fixpoint-table
-snapshots live in *side files* ``<key>.tables.<transducer_hash>.pkl``
-(and backward-engine result snapshots in
-``<key>.btables.<transducer_hash>.pkl``) next to the schema blob: they
-are what actually grows over a service's
-lifetime (one complete least fixpoint per distinct transducer), so keeping
-them out of the schema blob means ``publish`` never has to rewrite the
-whole session as tables accrue, and :func:`clear` can prune table
-snapshots independently of (and before) the schema artifacts they
-accompany.  Blobs from the embedded-tables era still load — embedded
-tables are simply hydrated alongside any side files.  All files are
-written atomically (temp file + rename), so concurrent writers at worst
-both do the work once.
+Layout: one ``<key>.session.pkl`` file per ``(sin, sout)`` pair, where
+``<key>`` is the SHA-256 of the two schema content hashes and the
+versioning pins.  Per-transducer snapshots live in *side files*
+``<key>.tables.<engine>.<transducer_hash>.pkl`` next to the schema blob
+(forward fixpoint tables, backward result snapshots): they are what
+actually grows over a service's lifetime (one complete least fixpoint per
+distinct transducer), so keeping them out of the schema blob means
+``publish`` never has to rewrite the whole session as tables accrue, and
+:func:`clear` can prune table snapshots independently of (and before) the
+schema artifacts they accompany.  All files are written atomically (temp
+file + rename), so concurrent writers at worst both do the work once.
 
 Versioned invalidation: the key bakes in the library version and the
 cache/kernel format numbers, and every blob carries a header that is
@@ -54,8 +50,9 @@ from repro.util import stable_digest
 
 #: Bump when the artifact payload layout changes shape.  2: forward
 #: artifacts carry the shared fixpoint cells and the per-transducer table
-#: cache (closure-free HedgeEntry).
-CACHE_FORMAT = 2
+#: cache (closure-free HedgeEntry).  3: the key is the schema pair alone
+#: (no options fingerprint) and side files always name their engine.
+CACHE_FORMAT = 3
 
 ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -68,19 +65,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-typecheck"
 
 
-def artifact_key(sin, sout, options: Dict[str, object]) -> str:
-    """The content-hash key of a ``(sin, sout, options)`` triple.
+def artifact_key(sin, sout) -> str:
+    """The content-hash key of a ``(sin, sout)`` pair.
 
     Includes the library version and both format numbers, so upgrading the
     library (or the kernel layout) invalidates every old artifact by
     construction — old files simply stop being addressed.
     """
-    sin_fp, sout_fp, options_fp = session_key(sin, sout, options)
+    sin_fp, sout_fp = session_key(sin, sout)
     return stable_digest(
         "session-artifact",
         sin_fp,
         sout_fp,
-        options_fp,
         f"cache-format:{CACHE_FORMAT}",
         f"kernel-format:{serialize.KERNEL_FORMAT}",
         f"repro:{__version__}",
@@ -94,27 +90,10 @@ def artifact_path(cache_dir, key: str) -> Path:
 def side_file_path(
     cache_dir, key: str, engine_name: str, transducer_hash: str
 ) -> Path:
-    """The side file holding one transducer's snapshot for one engine.
-
-    Engine names carry non-hex characters, so the engine segment can
-    never be confused with a legacy ``<key>.tables.<hash>.pkl`` hash
-    segment (see :func:`_load_side_files` for the legacy mapping).
-    """
+    """The side file holding one transducer's snapshot for one engine."""
     return (
         Path(cache_dir) / f"{key}.tables.{engine_name}.{transducer_hash}.pkl"
     )
-
-
-def tables_path(cache_dir, key: str, transducer_hash: str) -> Path:
-    """The *legacy* (pre-registry) forward-table side-file name; new
-    files are written by :func:`side_file_path`, old ones still load."""
-    return Path(cache_dir) / f"{key}.tables.{transducer_hash}.pkl"
-
-
-def backward_result_path(cache_dir, key: str, transducer_hash: str) -> Path:
-    """The *legacy* (pre-registry) backward-result side-file name; new
-    files are written by :func:`side_file_path`, old ones still load."""
-    return Path(cache_dir) / f"{key}.btables.{transducer_hash}.pkl"
 
 
 def _write_atomic(directory: Path, path: Path, blob: bytes) -> None:
@@ -144,7 +123,7 @@ def save_session(session: Session, cache_dir=None) -> Path:
         cache_dir = default_cache_dir()
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    key = artifact_key(session.sin, session.sout, session.options)
+    key = artifact_key(session.sin, session.sout)
     artifacts = session.export_artifacts()
     # Per-transducer snapshots go to write-once side files so the schema
     # blob never grows per served transducer — each engine declares which
@@ -199,7 +178,7 @@ def _publish_tables(session: Session, cache_dir) -> int:
         return 0
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    key = artifact_key(session.sin, session.sout, session.options)
+    key = artifact_key(session.sin, session.sout)
     written = 0
     for engine, items in pending:
         for transducer_hash, snapshot in items:
@@ -258,12 +237,8 @@ def _hydrate_kind(
 def _load_side_files(session: Session, cache_dir, key: str) -> int:
     """Hydrate per-transducer side files into a freshly loaded session.
 
-    One directory scan buckets snapshots by owning engine.  New-format
-    names carry the engine explicitly
-    (``<key>.tables.<engine>.<hash>.pkl``); legacy pre-registry names map
-    through each engine's declared ``legacy_side_kind``
-    (``<key>.tables.<hash>.pkl`` → forward,
-    ``<key>.btables.<hash>.pkl`` → backward).  Buckets for engines the
+    One directory scan buckets snapshots by the engine their name carries
+    (``<key>.tables.<engine>.<hash>.pkl``).  Buckets for engines the
     schema pair does not support are skipped — foreign leftovers, never
     an error.  Each bucket then hydrates through :func:`_hydrate_kind`
     into the store :meth:`~repro.engines.Engine.side_store` names.
@@ -279,30 +254,15 @@ def _load_side_files(session: Session, cache_dir, key: str) -> int:
     except OSError:
         return 0
     by_name = {engine.name: engine for engine in side_engines}
-    legacy = {
-        engine.legacy_side_kind: engine
-        for engine in side_engines
-        if engine.legacy_side_kind is not None
-    }
     tables_prefix = f"{key}.tables."
     buckets: Dict[str, list] = {engine.name: [] for engine in side_engines}
     for entry in names:
-        if not entry.name.endswith(".pkl"):
+        if not (
+            entry.name.endswith(".pkl") and entry.name.startswith(tables_prefix)
+        ):
             continue
-        engine = None
-        if entry.name.startswith(tables_prefix):
-            rest = entry.name[len(tables_prefix):]
-            engine = by_name.get(rest.split(".", 1)[0])
-            if engine is None:
-                # No engine segment: a legacy `.tables.<hash>` name.
-                engine = legacy.get("tables")
-        else:
-            for kind, kind_engine in legacy.items():
-                if kind != "tables" and entry.name.startswith(
-                    f"{key}.{kind}."
-                ):
-                    engine = kind_engine
-                    break
+        rest = entry.name[len(tables_prefix):]
+        engine = by_name.get(rest.split(".", 1)[0])
         if engine is None:
             continue
         try:
@@ -334,7 +294,7 @@ def ensure_saved(session: Session, cache_dir=None) -> Path:
     """
     if cache_dir is None:
         cache_dir = default_cache_dir()
-    key = artifact_key(session.sin, session.sout, session.options)
+    key = artifact_key(session.sin, session.sout)
     path = artifact_path(cache_dir, key)
     if path.exists():
         return path
@@ -390,35 +350,23 @@ def publish(session: Session, cache_dir=None, min_interval_s: float = 30.0) -> P
     return save_session(session, cache_dir=cache_dir)
 
 
-def load_session(
-    sin,
-    sout,
-    *,
-    options: Dict[str, object],
-    cache_dir=None,
-) -> Optional[Session]:
+def load_session(sin, sout, *, cache_dir=None) -> Optional[Session]:
     """Rebuild a warm session from the cache; ``None`` on any miss.
 
     A miss is silent by design — a stale format, a version bump, a torn
     file or a foreign blob all mean "compile fresh", never an exception.
     """
-    session = _load_session(sin, sout, options=options, cache_dir=cache_dir)
+    session = _load_session(sin, sout, cache_dir=cache_dir)
     _metrics.counter(
         "repro.cache.hits" if session is not None else "repro.cache.misses"
     ).inc()
     return session
 
 
-def _load_session(
-    sin,
-    sout,
-    *,
-    options: Dict[str, object],
-    cache_dir=None,
-) -> Optional[Session]:
+def _load_session(sin, sout, *, cache_dir=None) -> Optional[Session]:
     if cache_dir is None:
         cache_dir = default_cache_dir()
-    key = artifact_key(sin, sout, options)
+    key = artifact_key(sin, sout)
     path = artifact_path(cache_dir, key)
     try:
         blob = path.read_bytes()
@@ -446,14 +394,8 @@ def _load_session(
             os.utime(path)
         except OSError:
             pass
-        session = Session.from_artifacts(
-            artifacts,
-            use_kernel=bool(options.get("use_kernel", True)),
-            max_product_nodes=int(options.get("max_product_nodes", 500_000)),
-        )
-        # Tables come from side files; blobs from the embedded-tables era
-        # carry them inline (already hydrated by from_artifacts) and the
-        # side files merge on top — the migration path is "both work".
+        session = Session.from_artifacts(artifacts)
+        # Per-transducer snapshots come from side files.
         _load_side_files(session, cache_dir, key)
         # The session's state *is* the blob's state: stamp it so publish()
         # rewrites only once it actually grows beyond what is on disk.
@@ -472,8 +414,8 @@ def clear(cache_dir=None, max_bytes: Optional[int] = None) -> int:
     oldest-``mtime``-first until the survivors fit in ``max_bytes`` —
     writes set the file's mtime and :func:`load_session` touches blobs on
     every hit, so mtime order is recency order.  Schema blobs
-    (``*.session.pkl``) and per-transducer side files (``*.tables.*.pkl``
-    forward tables, ``*.btables.*.pkl`` backward results) are
+    (``*.session.pkl``) and per-transducer side files (``*.tables.*.pkl``,
+    plus the ``*.btables.*.pkl`` files format-2 caches wrote) are
     independent LRU entries: cold table snapshots are pruned without
     touching the (much smaller, dearly recompiled) schema artifacts next
     to them.  The typechecking service bounds its cache directory this way

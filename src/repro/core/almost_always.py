@@ -26,7 +26,6 @@ def typechecks_almost_always(
     max_tuple: Optional[int] = None,
     *,
     schema: Optional[ForwardSchema] = None,
-    use_kernel: bool = True,
 ) -> bool:
     """Whether only finitely many input trees violate the output schema.
 
@@ -36,6 +35,6 @@ def typechecks_almost_always(
     warm Corollary 39 queries skip all schema-side setup.
     """
     automaton = counterexample_nta(
-        transducer, din, dout, max_tuple, schema=schema, use_kernel=use_kernel
+        transducer, din, dout, max_tuple, schema=schema
     )
     return is_finite(automaton)

@@ -74,10 +74,5 @@ def typecheck(
     # forwarded below — it must never become the registry-shared session's
     # default, or one aborted low-budget call would poison every later
     # plain call on the same schemas.
-    session = compile_session(
-        sin,
-        sout,
-        use_kernel=bool(kwargs.get("use_kernel", True)),
-        eager=False,
-    )
+    session = compile_session(sin, sout, eager=False)
     return session.typecheck(transducer, method=method, max_tuple=max_tuple, **kwargs)

@@ -41,7 +41,6 @@ def counterexample_nta(
     max_tuple: Optional[int] = None,
     *,
     schema: Optional[ForwardSchema] = None,
-    use_kernel: bool = True,
 ) -> NTA:
     """Build (the reachable part of) Lemma 14's counterexample automaton.
 
@@ -102,10 +101,7 @@ def counterexample_nta(
     # ------------------------------------------------------------------
     # Forward tables.
     # ------------------------------------------------------------------
-    engine = ForwardEngine(
-        transducer, din, dout, max_tuple,
-        use_kernel=use_kernel, schema=schema,
-    )
+    engine = ForwardEngine(transducer, din, dout, max_tuple, schema=schema)
     pairs = reachable_pairs(
         transducer, din,
         usable_cache=schema.usable_cache, word_cache=schema.word_cache,
@@ -158,7 +154,6 @@ def counterexample_nta(
         deferred = engine.deferred_tuple(P, b)
         hedge_key = engine.key_for(sigma, b, deferred)
         entry = engine.hedge_vals[hedge_key]
-        dfa = engine.out_dfa(sigma)
         dfa_in = din.content_dfa(b)
         graph_states = set(entry.nodes)
         transitions: Dict = {}
@@ -168,8 +163,8 @@ def counterexample_nta(
                 ("cfg", child_sigma, c, deferred, tau_c), set()
             ).add(dst)
         taus_by_pi: Dict[Tuple, Set] = {}
-        for pi in entry.accepted:
-            taus_by_pi[pi] = set(engine._assemble(P, b, pi, dfa))
+        for pi_flat, pi in entry.int_accepted_list:
+            taus_by_pi[pi] = engine.assembled_taus(sigma, b, P, pi_flat)
         for tau in table:
             finals = {
                 node

@@ -60,7 +60,7 @@ from repro.core.reachability import Pair, context_for, reachable_pairs
 
 def _table_cache_metric(outcome: str) -> None:
     """Count a per-transducer table-cache probe under the registry's
-    per-engine label (plus the legacy PR 8 name, kept for one release)."""
+    per-engine label."""
     from repro.engines import get_engine
 
     get_engine('forward').record_table_cache(outcome)
@@ -73,7 +73,7 @@ TRANSDUCER_TABLE_LIMIT = 64
 
 
 def canonical_cell_key(
-    sigma: Optional[str], symbol: str, P: Tuple[str, ...], use_kernel: bool
+    sigma: Optional[str], symbol: str, P: Tuple[str, ...]
 ) -> TupleKey:
     """The one canonicalization of fixpoint cell keys.
 
@@ -81,7 +81,7 @@ def canonical_cell_key(
     — the shard partitioner must produce exactly the keys the root-check
     scan will look up, so the rule lives in one place.
     """
-    if not P and use_kernel:
+    if not P:
         return (None, symbol, P)
     return (sigma, symbol, P)
 
@@ -158,14 +158,14 @@ class HedgeEntry:
     reference configurations recorded strictly earlier, which keeps the
     recursive counterexample construction well-founded.
 
-    The kernel path keeps the product graph in interned-int form — nodes
-    are flat int tuples ``(d, ℓ₁, r₁, …, ℓ_m, r_m)`` living inside a
-    *persistent* :class:`~repro.kernel.product.ProductBFS` engine, so
-    re-evaluations only propagate child behaviors added since the last
-    round instead of re-running the whole BFS.  The seed's object-level
-    ``nodes`` / ``edges`` / ``seeds`` views are decoded lazily through
-    properties — only the counterexample-NTA export ever reads those, so
-    typechecking itself never pays the decode.
+    The product graph is kept in interned-int form — nodes are flat int
+    tuples ``(d, ℓ₁, r₁, …, ℓ_m, r_m)`` living inside a *persistent*
+    :class:`~repro.kernel.product.ProductBFS` engine, so re-evaluations
+    only propagate child behaviors added since the last round instead of
+    re-running the whole BFS.  The object-level ``nodes`` / ``edges`` /
+    ``seeds`` views are decoded lazily through properties — only the
+    counterexample-NTA export ever reads those, so typechecking itself
+    never pays the decode.
 
     Entries are **closure-free** and pickle whole: the decode mapping is a
     :class:`~repro.kernel.serialize.HedgeDecoder` holding the two state
@@ -206,7 +206,7 @@ class HedgeEntry:
         self.by_currents: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         self.consumed: Dict[TupleKey, int] = {}
         self.child_keys: Tuple[TupleKey, ...] = ()
-        self.decoder = None  # HedgeDecoder on the kernel path
+        self.decoder = None  # HedgeDecoder, set at first evaluation
         self._nodes: Optional[Set[Tuple]] = None
         self._edges: Optional[List[Tuple]] = None
         self._seeds: Optional[Set[Tuple]] = None
@@ -223,13 +223,6 @@ class HedgeEntry:
     def __setstate__(self, state) -> None:
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
-
-    def reset_object(self) -> None:
-        """Start an object-path evaluation: direct object containers."""
-        self.decoder = None
-        self._nodes = set()
-        self._edges = []
-        self._seeds = set()
 
     @property
     def nodes(self) -> Set[Tuple]:
@@ -282,8 +275,7 @@ class ForwardSchema:
     * the *shared* fixpoint cells with an empty behavior tuple — their
       least fixpoint mentions no transducer state, so the persistent
       :class:`~repro.kernel.product.ProductBFS` graphs inside them are
-      reusable across engines (kernel path only; the object baseline stays
-      per-engine and per-σ, faithful to the seed).
+      reusable across engines.
 
     Standalone :func:`typecheck_forward` calls build a private instance, so
     one-shot behavior is unchanged.
@@ -299,14 +291,14 @@ class ForwardSchema:
         self.word_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         # Universal output DFAs for σ-independent cells, one per alphabet.
         self._universal: Dict[frozenset, DFA] = {}
-        # Input content DFA caches (kernel and object forms).
+        # Input content DFA caches (interned info, DFA + useful states).
         self._in_kern: Dict[str, Tuple] = {}
         self._in_useful: Dict[str, Tuple[DFA, frozenset]] = {}
         # Shared σ-independent (empty-P) fixpoint cells:
         # hedge key -> HedgeEntry; tree key -> (vals, int, order, index).
         self.shared_hedge: Dict[TupleKey, HedgeEntry] = {}
         self.shared_tree: Dict[TupleKey, Tuple[Dict, Dict, List, Dict]] = {}
-        # Per-*transducer* fixpoint tables (kernel path): transducer
+        # Per-*transducer* fixpoint tables: transducer
         # content hash -> the complete tables of a successful run, so a
         # repeated identical query skips the fixpoint entirely.  Bounded
         # LRU; entries are complete least fixpoints and stay valid even
@@ -418,6 +410,11 @@ class ForwardEngine:
     """Fixpoint engine shared by Theorem 15 typechecking, counterexample
     generation (Cor. 38) and the counterexample-NTA export (Cor. 39)."""
 
+    #: Whether σ-independent (empty-P) cells live in — and are shared
+    #: through — the schema context, and whether successful runs snapshot
+    #: into its per-transducer table cache.
+    shares_schema_cells = True
+
     def __init__(
         self,
         transducer: TreeTransducer,
@@ -425,7 +422,6 @@ class ForwardEngine:
         dout: DTD,
         max_tuple: Optional[int] = None,
         max_product_nodes: int = 500_000,
-        use_kernel: bool = True,
         schema: Optional[ForwardSchema] = None,
     ) -> None:
         if schema is None:
@@ -442,10 +438,7 @@ class ForwardEngine:
         self.productive = schema.productive
         self.max_tuple = max_tuple
         self.max_product_nodes = max_product_nodes
-        self.use_kernel = use_kernel
-        # Shared empty-P cells apply on the kernel path only: the object
-        # baseline keeps the seed's per-σ keys and per-engine state.
-        self._shared = schema if use_kernel else None
+        self._shared = schema if self.shares_schema_cells else None
         self.work = 0
 
         self._out_dfa: Dict[str, DFA] = {}
@@ -486,13 +479,12 @@ class ForwardEngine:
 
         A cell with an empty behavior tuple carries no σ-specific
         information — its only content is "does a valid tree/hedge exist" —
-        so the kernel shares it across all output symbols (σ → ``None``).
+        so it is shared across all output symbols (σ → ``None``).
         For non-deleting transducers every cell below the root checks has
         ``P = ()``, which collapses the (σ, input symbol) product to a
-        single chain.  The object path keeps the seed's per-σ keys: it is
-        the faithful baseline, not an optimized engine.
+        single chain.
         """
-        return canonical_cell_key(sigma, symbol, P, self.use_kernel)
+        return canonical_cell_key(sigma, symbol, P)
 
     def decomposition(
         self, state: str, symbol: str
@@ -532,9 +524,9 @@ class ForwardEngine:
             return
         self._registered.add(node)
         # Cells with an empty behavior tuple mention no transducer state:
-        # their least fixpoint is a function of the schemas alone, so on the
-        # kernel path they live in the schema context and are shared (with
-        # their persistent ProductBFS graphs) across engines.
+        # their least fixpoint is a function of the schemas alone, so they
+        # live in the schema context and are shared (with their persistent
+        # ProductBFS graphs) across engines.
         shared = self._shared if not key[2] else None
         if kind == "tree":
             if shared is not None:
@@ -597,19 +589,9 @@ class ForwardEngine:
                         dirty_set.add(dependent)
 
     # ------------------------------------------------------------------
-    # Evaluation — kernel path (interned ints) with the seed object path
-    # retained as the differential-testing baseline (``use_kernel=False``).
+    # Evaluation on interned ints (the object-state transcription of the
+    # same fixpoint is the differential oracle in repro.kernel.reference)
     # ------------------------------------------------------------------
-    def _eval_tree(self, key: TupleKey) -> bool:
-        if self.use_kernel:
-            return self._eval_tree_kernel(key)
-        return self._eval_tree_object(key)
-
-    def _eval_hedge(self, key: TupleKey) -> bool:
-        if self.use_kernel:
-            return self._eval_hedge_kernel(key)
-        return self._eval_hedge_object(key)
-
     # -- kernel caches --------------------------------------------------
     def _out_kernel(self, sigma: str):
         """Interned view of the (complete) output content DFA of σ."""
@@ -622,8 +604,8 @@ class ForwardEngine:
     def _segment_maps(self, sigma: str, state: str, b: str):
         """Per-segment end-state arrays: ``maps[j][x]`` is the output DFA
         state after reading segment ``j`` of ``top(rhs(state, b))`` from
-        ``x``.  Computed once per (σ, state, b) — the object path re-runs
-        the words for every (π, start) combination instead."""
+        ``x``.  Computed once per (σ, state, b), so assembling a τ never
+        re-runs a segment word."""
         key = (sigma, state, b)
         cached = self._seg.get(key)
         if cached is None:
@@ -647,7 +629,7 @@ class ForwardEngine:
         )
 
     # -- tree cells -----------------------------------------------------
-    def _eval_tree_kernel(self, key: TupleKey) -> bool:
+    def _eval_tree(self, key: TupleKey) -> bool:
         sigma, b, P = key
         if b not in self.productive:
             return False
@@ -713,69 +695,23 @@ class ForwardEngine:
         for combo in itertools.product(*per_component):
             yield tuple(v for pair in combo for v in pair)
 
-    def _eval_tree_object(self, key: TupleKey) -> bool:
-        sigma, b, P = key
-        if b not in self.productive:
-            return False
-        deferred = self.deferred_tuple(P, b)
-        hedge_key = (sigma, b, deferred)
-        self._depend(("hedge", hedge_key), ("tree", key))
-        entry = self.hedge_vals[hedge_key]
-        dfa = self.out_dfa(sigma)
-        table = self.tree_vals[key]
-        grew = False
-        for pi in entry.accepted:
-            for tau in self._assemble(P, b, pi, dfa):
-                if tau not in table:
-                    table[tau] = pi
-                    grew = True
-        if len(table) > self.max_product_nodes:
-            raise BudgetExceededError(
-                f"behavior table for {key!r} exceeded "
-                f"{self.max_product_nodes} tuples"
-            )
-        return grew
-
-    def _assemble(
-        self,
-        P: Tuple[str, ...],
-        b: str,
-        pi: Tuple[Slot, ...],
-        dfa: DFA,
-    ):
-        """All τ tuples derivable from hedge behavior π by chaining the rhs
-        segments through the (complete) output DFA — the paper's step (4)."""
-        per_component: List[List[Slot]] = []
-        offset = 0
-        for state in P:
-            segments, defers = self.decomposition(state, b)
-            k = len(defers)
-            slots = pi[offset : offset + k]
-            offset += k
-            pairs: List[Slot] = []
-            for start in dfa.states:
-                x = dfa.run(segments[0], start=start)
-                ok = True
-                for j in range(k):
-                    slot_start, slot_end = slots[j]
-                    if slot_start != x:
-                        ok = False
-                        break
-                    x = dfa.run(segments[j + 1], start=slot_end)
-                if ok:
-                    pairs.append((start, x))
-            if not pairs:
-                return
-            per_component.append(pairs)
-        yield from itertools.product(*per_component)
-
-    def _in_dfa_useful(self, a: str):
-        """The input content DFA of ``a`` with its useful-state set,
-        compiled once per schema pair."""
-        return self.schema.in_dfa_useful(a)
+    def assembled_taus(
+        self, sigma: Optional[str], b: str, P: Tuple[str, ...],
+        pi_flat: Tuple[int, ...],
+    ) -> Set[Tuple[Slot, ...]]:
+        """Every τ of tree cell ``(σ, b, P)`` derivable from the interned
+        hedge behavior ``pi_flat`` (step (4)), as object slot tuples — the
+        counterexample-NTA export's view of :meth:`_assemble_int`."""
+        idfa = self._out_kernel(sigma)
+        segdata = [self._segment_maps(sigma, state, b) for state in P]
+        decode_slots = self._decode_slots
+        return {
+            decode_slots(idfa, tau_flat)
+            for tau_flat in self._assemble_int(segdata, pi_flat, idfa.n_states)
+        }
 
     # -- hedge cells ----------------------------------------------------
-    def _eval_hedge_kernel(self, key: TupleKey) -> bool:
+    def _eval_hedge(self, key: TupleKey) -> bool:
         sigma, a, P = key
         entry = self.hedge_vals[key]
         if entry.engine is not None:
@@ -814,7 +750,8 @@ class ForwardEngine:
         engine = entry.engine
         first_eval = engine is None
         if first_eval:
-            # Seed-count guard, as in the object path.
+            # Seed-count guard: the seed count |Q_A|^m is the paper's
+            # |dout|^{2M} factor, so super-polynomial instances fail fast.
             if n_out ** m > self.max_product_nodes:
                 raise BudgetExceededError(
                     f"{n_out}^{m} behavior seeds exceed the "
@@ -918,110 +855,6 @@ class ForwardEngine:
         self.work += len(parents) - nodes_before
         # Invalidate the lazily decoded views (the graph may have grown).
         entry._nodes = entry._edges = None
-        return grew
-
-    def _eval_hedge_object(self, key: TupleKey) -> bool:
-        sigma, a, P = key
-        entry = self.hedge_vals[key]
-        dfa_in, useful_in = self._in_dfa_useful(a)
-        dfa_out = self.out_dfa(sigma)
-        m = len(P)
-
-        # Child alphabet: productive symbols on transitions between useful
-        # input-DFA states (dead/sink transitions spawn no work).
-        children = sorted(
-            {
-                c
-                for (state, c), target in dfa_in.transitions.items()
-                if c in self.productive
-                and state in useful_in
-                and target in useful_in
-            },
-            key=repr,
-        )
-        # Index each child's τ table by the required entry-state vector so a
-        # BFS node looks up exactly the matching behaviors instead of
-        # scanning the whole table (the table is |Q_A|^{2m} in the worst
-        # case; the index fans out by r-vectors only).
-        child_index: Dict[str, Dict[Tuple, List[Tuple]]] = {}
-        for c in children:
-            child_key = (sigma, c, P)
-            self._depend(("tree", child_key), ("hedge", key))
-            index: Dict[Tuple, List[Tuple]] = {}
-            for tau in self.tree_vals[child_key]:
-                ells = tuple(ell for (ell, _r) in tau)
-                index.setdefault(ells, []).append(tau)
-            child_index[c] = index
-
-        # Seed: every start vector, identity pairs.  The seed count
-        # |Q_A|^m is the paper's |dout|^{2M} factor: guard it before looping
-        # so super-polynomial instances fail fast instead of hanging.
-        if len(dfa_out.states) ** m > self.max_product_nodes:
-            raise BudgetExceededError(
-                f"{len(dfa_out.states)}^{m} behavior seeds exceed the "
-                f"product budget {self.max_product_nodes} — the instance "
-                "sits outside the tractable (fixed C·K) regime"
-            )
-        entry.reset_object()
-        nodes, edges, seeds = entry._nodes, entry._edges, entry._seeds
-        parents: Dict[Tuple, Optional[Tuple]] = {}
-        frontier: deque = deque()
-        for combo in itertools.product(sorted(dfa_out.states, key=repr), repeat=m):
-            node = (dfa_in.initial, tuple((x, x) for x in combo))
-            parents[node] = None
-            frontier.append(node)
-        nodes.update(parents)
-        seeds.update(parents)
-
-        grew = False
-
-        def note_accept(node: Tuple) -> None:
-            nonlocal grew
-            d, pairs = node
-            if d not in dfa_in.finals:
-                return
-            if pairs not in entry.accepted:
-                # Materialize the witness word now: it references only
-                # configurations that already exist (well-foundedness).
-                word: List[Tuple[str, Tuple]] = []
-                back = node
-                while True:
-                    step = parents[back]
-                    if step is None:
-                        break
-                    back, c, tau = step
-                    word.append((c, tau))
-                word.reverse()
-                entry.accepted[pairs] = tuple(word)
-                grew = True
-
-        for node in list(frontier):
-            note_accept(node)
-        while frontier:
-            node = frontier.popleft()
-            d, pairs = node
-            currents = tuple(current for (_start, current) in pairs)
-            for c in children:
-                d2 = dfa_in.transitions.get((d, c))
-                if d2 is None or d2 not in useful_in:
-                    continue
-                for tau in child_index[c].get(currents, ()):
-                    new_pairs = tuple(
-                        (slot[0], r) for slot, (_ell, r) in zip(pairs, tau)
-                    )
-                    successor = (d2, new_pairs)
-                    edges.append((node, c, tau, successor))
-                    if successor not in parents:
-                        parents[successor] = (node, c, tau)
-                        nodes.add(successor)
-                        if len(parents) > self.max_product_nodes:
-                            raise BudgetExceededError(
-                                "hedge product exceeded "
-                                f"{self.max_product_nodes} nodes"
-                            )
-                        note_accept(successor)
-                        frontier.append(successor)
-        self.work += len(parents)
         return grew
 
     # ------------------------------------------------------------------
@@ -1144,7 +977,6 @@ def forward_check_keys(
     transducer: TreeTransducer,
     din: DTD,
     schema: ForwardSchema,
-    use_kernel: bool = True,
 ) -> List[TupleKey]:
     """The canonical hedge-cell keys of every root check of ``T``.
 
@@ -1171,7 +1003,7 @@ def forward_check_keys(
             if not isinstance(node, RhsSym):
                 continue
             P = top_states(node.children)
-            key = canonical_cell_key(node.label, a, P, use_kernel)
+            key = canonical_cell_key(node.label, a, P)
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
@@ -1185,7 +1017,7 @@ def forward_check_keys(
 # behavior slot: its BFS is seeded with ``n_out^m`` identity vectors, where
 # ``n_out`` is the output DFA's state count and ``m = |P|`` — the very
 # quantity the engine's seed-count guard compares against
-# ``max_product_nodes`` (see ``_eval_hedge_kernel``).  The seed count is
+# ``max_product_nodes`` (see ``ForwardEngine._eval_hedge``).  The seed count is
 # the dominant *per-key* factor, but a shard does not evaluate its keys in
 # isolation: each key's fixpoint pulls in the whole σ-independent
 # dependency closure below its input symbol (the shared ``P = ()`` chain
@@ -1284,7 +1116,6 @@ def compute_forward_tables(
     *,
     max_tuple: Optional[int] = None,
     max_product_nodes: int = 500_000,
-    use_kernel: bool = True,
     schema: Optional[ForwardSchema] = None,
 ) -> Dict[str, object]:
     """One shard of the forward fixpoint: the cells rooted at ``keys``.
@@ -1310,8 +1141,7 @@ def compute_forward_tables(
             )
         max_tuple = max(1, analysis.copying_width * analysis.deletion_path_width)
     engine = ForwardEngine(
-        transducer, din, dout, max_tuple, max_product_nodes,
-        use_kernel=use_kernel, schema=schema,
+        transducer, din, dout, max_tuple, max_product_nodes, schema=schema
     )
     start = time.perf_counter()
     # Keys are evaluated one at a time to their (incremental) fixpoint so
@@ -1461,7 +1291,7 @@ def incremental_forward_tables(
 
     Returns ``(tables, info)`` with reuse counters, or ``None`` when the
     delta path does not apply (XPath calls, alphabet change) — callers
-    fall back to a cold run.  Kernel path only.
+    fall back to a cold run.
     """
     if transducer.uses_calls() or base_transducer.uses_calls():
         return None
@@ -1484,7 +1314,7 @@ def incremental_forward_tables(
     changed = changed_rule_states(transducer, base_transducer)
     dirty = _dirty_states(transducer, changed)
 
-    keys = forward_check_keys(transducer, din, schema, use_kernel=True)
+    keys = forward_check_keys(transducer, din, schema)
 
     # Reachability pre-walk over the *new* dependency graph: hedge
     # (σ, a, P) reads tree (σ, c, P) per child symbol c of a; tree
@@ -1524,7 +1354,7 @@ def incremental_forward_tables(
             reach_hedge.add(key)
             _idfa, _mask, child_syms = schema.in_kernel_info(a)
             for c, _index in child_syms:
-                child = canonical_cell_key(sigma, c, P, True)
+                child = canonical_cell_key(sigma, c, P)
                 if child[2] and child not in reach_tree:
                     stack.append(("tree", child))
         else:
@@ -1533,13 +1363,12 @@ def incremental_forward_tables(
             reach_tree.add(key)
             if a not in productive:
                 continue
-            supplier = canonical_cell_key(sigma, a, deferred(P, a), True)
+            supplier = canonical_cell_key(sigma, a, deferred(P, a))
             if supplier[2] and supplier not in reach_hedge:
                 stack.append(("hedge", supplier))
 
     engine = ForwardEngine(
-        transducer, din, dout, max_tuple, max_product_nodes,
-        use_kernel=True, schema=schema,
+        transducer, din, dout, max_tuple, max_product_nodes, schema=schema
     )
 
     # Pre-install the surviving cells (clean ∩ reachable ∩ base): the
@@ -1629,7 +1458,6 @@ def typecheck_forward(
     max_tuple: Optional[int] = None,
     max_product_nodes: int = 500_000,
     want_counterexample: bool = True,
-    use_kernel: bool = True,
     schema: Optional[ForwardSchema] = None,
     tables: Optional[Dict[str, object]] = None,
 ) -> TypecheckResult:
@@ -1641,17 +1469,17 @@ def typecheck_forward(
     exponential) complete procedure — :class:`BudgetExceededError` signals
     the blow-up.
 
-    ``use_kernel=False`` runs the fixpoint on the seed object-state tables
-    instead of the interned kernel — same least fixpoint, kept as the
-    differential-testing and benchmarking baseline.
+    The fixpoint runs on the interned kernel (:class:`ForwardEngine`); the
+    object-state transcription of the same least fixpoint lives in
+    :mod:`repro.kernel.reference` as the differential-testing oracle.
 
     ``schema`` is a :class:`ForwardSchema` compiled for exactly these DTD
     objects — a warm :class:`~repro.core.session.Session` passes its own so
     repeated calls skip all schema-side setup; omitted, a private one is
     built and the call behaves exactly as before.  With a shared schema the
-    kernel path also consults the per-transducer table cache: an
-    equal-content transducer seen before is answered from its stored least
-    fixpoint without running the engine (complete tables carry the verdict
+    call also consults the per-transducer table cache: an equal-content
+    transducer seen before is answered from its stored least fixpoint
+    without running the engine (complete tables carry the verdict
     regardless of the per-call budgets, so a hit bypasses
     ``max_product_nodes``).
 
@@ -1660,6 +1488,26 @@ def typecheck_forward(
     :func:`merge_forward_tables`): the fixpoint is skipped and the
     root-check scan plus counterexample construction run against them.
     """
+    return _typecheck_with(
+        ForwardEngine, transducer, din, dout, max_tuple, max_product_nodes,
+        want_counterexample, schema, tables,
+    )
+
+
+def _typecheck_with(
+    engine_cls: type,
+    transducer: TreeTransducer,
+    din: DTD,
+    dout: DTD,
+    max_tuple: Optional[int],
+    max_product_nodes: int,
+    want_counterexample: bool,
+    schema: Optional[ForwardSchema],
+    tables: Optional[Dict[str, object]],
+) -> TypecheckResult:
+    """:func:`typecheck_forward` around a given fixpoint engine class: the
+    preamble, the root-check scan, the violation search and the
+    counterexample construction, shared with the object-state oracle."""
     if transducer.uses_calls():
         from repro.xpath.compile import compile_calls
 
@@ -1683,7 +1531,7 @@ def typecheck_forward(
         "copying_width": analysis.copying_width,
         "deletion_path_width": analysis.deletion_path_width,
         "max_tuple": max_tuple,
-        "engine": "kernel" if use_kernel else "object",
+        "engine": "kernel",
     }
 
     # Empty input language: vacuously typechecks.
@@ -1728,9 +1576,8 @@ def typecheck_forward(
             stats=stats,
         )
 
-    engine = ForwardEngine(
-        transducer, din, dout, max_tuple, max_product_nodes,
-        use_kernel=use_kernel, schema=schema,
+    engine = engine_cls(
+        transducer, din, dout, max_tuple, max_product_nodes, schema=schema
     )
     pairs = reachable_pairs(
         transducer, din,
@@ -1749,12 +1596,12 @@ def typecheck_forward(
             key = engine.key_for(node.label, a, P)
             checks.append(((q, a), path, node.label, segments, P, key))
 
-    # Per-transducer table cache (kernel path, session-shared schema only:
-    # a one-shot private schema is discarded with its cache).  A hit reuses
+    # Per-transducer table cache (session-shared schema only: a one-shot
+    # private schema is discarded with its cache).  A hit reuses
     # the complete least fixpoint of a previous run of an equal-content
     # transducer, so no fixpoint work happens at all.
     table_key = None
-    if tables is None and use_kernel and shared_schema:
+    if tables is None and shared_schema and engine_cls.shares_schema_cells:
         table_key = transducer.content_hash()
         tables = schema.cached_tables(table_key)
         if tables is not None:

@@ -15,7 +15,7 @@ This module is that deployment shape as an API:
   calls — ``session.typecheck(T)``, ``session.typecheck_many(Ts)``,
   ``session.counterexample(T)``, ``session.analysis(T)`` — skip all of it.
 
-* an **in-process registry** keyed by schema/option *content hashes*
+* an **in-process registry** keyed by schema *content hashes*
   (:meth:`~repro.schemas.dtd.DTD.content_hash`), consulted by
   :func:`compile` and hence by the one-shot
   :func:`repro.core.api.typecheck` facade: calling ``typecheck`` twice with
@@ -110,10 +110,6 @@ def schema_fingerprint(schema: Schema) -> str:
     raise TypeError(f"not a schema: {schema!r}")
 
 
-def _options_fingerprint(options: Dict[str, object]) -> str:
-    return repr(sorted(options.items()))
-
-
 # ----------------------------------------------------------------------
 # Per-method kwarg validation (delegated to the engine registry)
 # ----------------------------------------------------------------------
@@ -180,8 +176,10 @@ class Session:
     to the pair (``eager=False`` defers each to first use; the facade uses
     that so one-shot calls never pay for artifacts they do not touch).  All
     per-method entry points accept the same options as the corresponding
-    ``typecheck_*`` functions; ``use_kernel`` and ``max_product_nodes``
-    default to the session-level options.
+    ``typecheck_*`` functions; ``max_product_nodes`` defaults to the
+    session-level budget.  The session's identity is the two schema
+    content hashes alone: no option changes which artifacts it compiles,
+    and the forward engine always runs the interned kernel.
 
     The public surface:
 
@@ -201,21 +199,18 @@ class Session:
         sin: Schema,
         sout: Schema,
         *,
-        use_kernel: bool = True,
         max_product_nodes: int = DEFAULT_MAX_PRODUCT_NODES,
         eager: bool = True,
     ) -> None:
         self.sin = sin
         self.sout = sout
-        self.use_kernel = use_kernel
         # The default per-call node budget.  Deliberately NOT part of the
         # session identity: no compiled artifact depends on it (shared
         # ProductBFS budgets are refreshed per call, and a budget abort
         # resets the shared cells), so retrying a BudgetExceededError with
         # a larger ``max_product_nodes`` kwarg stays warm.
         self.max_product_nodes = max_product_nodes
-        self.options: Dict[str, object] = {"use_kernel": use_kernel}
-        self.key: Tuple[str, str, str] = session_key(sin, sout, self.options)
+        self.key: Tuple[str, str] = session_key(sin, sout)
         self.stats: Dict[str, object] = {
             "source": "fresh",
             "calls": 0,
@@ -447,29 +442,29 @@ class Session:
         # ``max_tuple`` is auto's "force the forward engine" escape hatch,
         # so it is not rejected here — only explicit methods are strict.
         if self._replus_pair:
-            result = self._run_auto("replus", transducer, None, kwargs)
-            return result
+            # RE⁺ pairs route before (and without) transducer analysis.
+            return self._run_auto("replus", transducer, None, kwargs)
         plain, analysis = self._compiled_transducer(transducer)
-        if self._dtd_pair_value is not None and max_tuple is not None:
-            # The escape hatch always means the forward engine: a caller
-            # bounding the tuple width is asking for the (possibly
-            # exponential) forward run, never a routed alternative.
-            return self._run_auto("forward", plain, max_tuple, kwargs)
-        if self._dtd_pair_value is not None and analysis.in_trac:
-            # Every routable (complete, cost-modelled) engine applies:
-            # route by measurable schema shape.  Each engine's shard cost
-            # model is summed over its own check keys, weighed by its
-            # calibrated per-unit runtime, and the cheapest predicted
-            # wall time runs; an option foreign to the chosen engine
-            # (use_kernel, max_tuple above) pins the route to forward.
-            choice, costs = self._auto_choice(plain)
-            if choice != "forward" and any(
-                name not in get_engine(choice).allowed_kwargs()
-                for name in kwargs
-            ):
-                choice = "forward"
-            route_start = time.perf_counter()
-            result = self._run_auto(choice, plain, None, kwargs)
+        choice, costs = self._resolve_auto(plain, analysis, max_tuple)
+        if choice is None:
+            raise ClassViolationError(
+                "instance crosses the tractability frontier: the transducer has "
+                f"copying width {analysis.copying_width} and "
+                f"{'unbounded' if analysis.deletion_path_width is None else analysis.deletion_path_width} "
+                "deletion path width, and the schemas are "
+                f"{type(self.sin).__name__}/{type(self.sout).__name__}. "
+                "Options: restrict the transducer (Theorem 15/20), use "
+                "DTD(RE+) schemas (Theorem 37), use DTD schemas to enable "
+                "method='backward' (inverse type inference — complete for any "
+                "deterministic top-down transducer over DTDs, budget-guarded), "
+                "or pass max_tuple for a best-effort (possibly exponential) "
+                "run of the forward engine."
+            )
+        route_start = time.perf_counter()
+        result = self._run_auto(
+            choice, plain, max_tuple if choice == "forward" else None, kwargs
+        )
+        if costs:
             # Router audit: predicted vs. measured cost of this decision —
             # the data needed to re-fit the engines' ms_per_unit weights.
             record_router_decision(
@@ -484,29 +479,7 @@ class Session:
             )
             for name, cost in costs.items():
                 result.stats[f"auto_{name}_cost"] = round(cost, 3)
-            return result
-        if analysis.is_del_relab:
-            return self._run_auto("delrelab", plain, None, kwargs)
-        if self._dtd_pair_value is not None:
-            # Out of every T^{C,K}_trac over DTDs: the forward engine
-            # would raise ClassViolationError, but inverse type inference
-            # is complete for any deterministic top-down transducer over
-            # DTDs (budget-guarded), so auto falls back to it instead of
-            # refusing the instance.
-            return self._run_auto("backward", plain, None, kwargs)
-        raise ClassViolationError(
-            "instance crosses the tractability frontier: the transducer has "
-            f"copying width {analysis.copying_width} and "
-            f"{'unbounded' if analysis.deletion_path_width is None else analysis.deletion_path_width} "
-            "deletion path width, and the schemas are "
-            f"{type(self.sin).__name__}/{type(self.sout).__name__}. "
-            "Options: restrict the transducer (Theorem 15/20), use "
-            "DTD(RE+) schemas (Theorem 37), use DTD schemas to enable "
-            "method='backward' (inverse type inference — complete for any "
-            "deterministic top-down transducer over DTDs, budget-guarded), "
-            "or pass max_tuple for a best-effort (possibly exponential) "
-            "run of the forward engine."
-        )
+        return result
 
     def _run_auto(
         self,
@@ -554,10 +527,6 @@ class Session:
         lru_store(self._auto_routes, memo_key, route, TRANSDUCER_MEMO_LIMIT)
         return route
 
-    def _apply_defaults(self, kwargs: Dict[str, object]) -> None:
-        kwargs.setdefault("use_kernel", self.use_kernel)
-        kwargs.setdefault("max_product_nodes", self.max_product_nodes)
-
     # ------------------------------------------------------------------
     # Incremental re-typechecking (edit chains)
     # ------------------------------------------------------------------
@@ -582,8 +551,8 @@ class Session:
         link to link.  ``method`` accepts ``auto`` (the usual routing,
         restricted to the two complete engines), ``forward``, or
         ``backward``; anything that the delta path cannot serve (cold
-        base, non-DTD pair, ``use_kernel=False``, blown budgets, XPath
-        calls, alphabet/behavior-shape changes) falls back to a plain
+        base, non-DTD pair, blown budgets, XPath calls,
+        alphabet/behavior-shape changes) falls back to a plain
         cold check, reported in ``stats["retypecheck_mode"]``.
 
         ``explain=True`` attaches a :class:`repro.obs.explain.QueryReport`
@@ -634,14 +603,12 @@ class Session:
             }
             return result
 
-        if kwargs.get("use_kernel") is False:
-            return cold("object path requested")
         plain, analysis = self._compiled_transducer(transducer)
 
         # Resolve auto exactly as _typecheck's policy would, so the
         # resolved engine (and hence the reported mode) matches the run.
         if method == "auto":
-            resolved = self._resolve_auto(plain, analysis, max_tuple, kwargs)
+            resolved, _costs = self._resolve_auto(plain, analysis, max_tuple)
             if resolved is None:
                 # Frontier-crossing instance: the cold call raises the
                 # same ClassViolationError a plain typecheck would.
@@ -758,28 +725,33 @@ class Session:
         plain: TreeTransducer,
         analysis: TransducerAnalysis,
         max_tuple: Optional[int],
-        kwargs: Dict[str, object],
-    ) -> Optional[str]:
-        """The engine ``method="auto"`` resolves to for this instance
-        (mirrors ``_typecheck``'s ladder), or ``None`` when auto would
-        refuse it (the tractability frontier)."""
+    ) -> Tuple[Optional[str], Dict[str, float]]:
+        """``(engine, predicted costs)`` that ``method="auto"`` resolves
+        to for this instance — the one routing ladder behind
+        :meth:`typecheck` and :meth:`retypecheck` — or ``(None, {})``
+        when auto refuses it (the tractability frontier).  The costs are
+        non-empty exactly when the cost router chose the engine."""
         if self._replus_pair:
-            return "replus"
+            return "replus", {}
         if self._dtd_pair_value is not None and max_tuple is not None:
-            return "forward"
+            # The escape hatch always means the forward engine: a caller
+            # bounding the tuple width is asking for the (possibly
+            # exponential) forward run, never a routed alternative.
+            return "forward", {}
         if self._dtd_pair_value is not None and analysis.in_trac:
-            choice, _costs = self._auto_choice(plain)
-            if choice != "forward" and any(
-                name not in get_engine(choice).allowed_kwargs()
-                for name in kwargs
-            ):
-                choice = "forward"
-            return choice
+            # Every routable (complete, cost-modelled) engine applies:
+            # route by measurable schema shape (see _auto_choice).
+            return self._auto_choice(plain)
         if analysis.is_del_relab:
-            return "delrelab"
+            return "delrelab", {}
         if self._dtd_pair_value is not None:
-            return "backward"
-        return None
+            # Out of every T^{C,K}_trac over DTDs: the forward engine
+            # would raise ClassViolationError, but inverse type inference
+            # is complete for any deterministic top-down transducer over
+            # DTDs (budget-guarded), so auto falls back to it instead of
+            # refusing the instance.
+            return "backward", {}
+        return None, {}
 
     def typecheck_many(
         self,
@@ -857,44 +829,6 @@ class Session:
                 scope.counters, scope.gauges
             )
             return tables
-
-    def forward_check_keys(self, transducer: TreeTransducer) -> List[Tuple]:
-        """The hedge-cell keys of ``T``'s root checks (shard units)."""
-        return self.check_keys(transducer, "forward")
-
-    def compute_forward_tables(
-        self,
-        transducer: TreeTransducer,
-        keys,
-        *,
-        max_tuple: Optional[int] = None,
-        max_product_nodes: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """One shard of ``T``'s forward fixpoint against the warm pair
-        (see :meth:`compute_shard_tables`)."""
-        return self.compute_shard_tables(
-            transducer, keys, "forward",
-            max_tuple=max_tuple, max_product_nodes=max_product_nodes,
-        )
-
-    def backward_check_keys(self, transducer: TreeTransducer) -> List[str]:
-        """The input symbols of ``T``'s backward product cells (shard
-        units — one per reachable input symbol)."""
-        return self.check_keys(transducer, "backward")
-
-    def compute_backward_tables(
-        self,
-        transducer: TreeTransducer,
-        keys,
-        *,
-        max_product_nodes: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """One shard of ``T``'s backward fixpoint against the warm pair
-        (see :meth:`compute_shard_tables`)."""
-        return self.compute_shard_tables(
-            transducer, keys, "backward",
-            max_product_nodes=max_product_nodes,
-        )
 
     def shard_method(
         self,
@@ -1072,18 +1006,6 @@ class Session:
                 )
             plan_span.set(method=method, keys=len(keys), shards=len(partitions))
         engine.validate_kwargs(kwargs)
-        if engine.kernel_sensitive and (
-            "use_kernel" in kwargs
-            and bool(kwargs["use_kernel"]) != self.use_kernel
-        ):
-            # Shard keys were canonicalized with the session's engine; an
-            # engine flip here would look the merged cells up under
-            # different keys.  The option is session-level for sharding.
-            raise TypeError(
-                "typecheck_sharded always runs the session's engine "
-                f"(use_kernel={self.use_kernel}); build a "
-                "Session(use_kernel=...) for the other engine"
-            )
         snapshots = _call_compute_shards(compute_shards, partitions, method)
         # Per-shard kernel counters ride the snapshots under a key the
         # mergers ignore; pop them before merging so the explain report
@@ -1179,8 +1101,7 @@ class Session:
             din, dout = self._dtd_pair()
             plain, _analysis = self._compiled_transducer(transducer)
             return counterexample_nta(
-                plain, din, dout, max_tuple,
-                schema=self.forward_schema(), use_kernel=self.use_kernel,
+                plain, din, dout, max_tuple, schema=self.forward_schema()
             )
 
     def typechecks_almost_always(
@@ -1193,8 +1114,7 @@ class Session:
             din, dout = self._dtd_pair()
             plain, _analysis = self._compiled_transducer(transducer)
             return typechecks_almost_always(
-                plain, din, dout, max_tuple,
-                schema=self.forward_schema(), use_kernel=self.use_kernel,
+                plain, din, dout, max_tuple, schema=self.forward_schema()
             )
 
     # ------------------------------------------------------------------
@@ -1343,14 +1263,12 @@ class Session:
         cls,
         artifacts: Dict[str, object],
         *,
-        use_kernel: bool = True,
         max_product_nodes: int = DEFAULT_MAX_PRODUCT_NODES,
     ) -> "Session":
         """Rebuild a warm session from :meth:`export_artifacts` output."""
         session = cls(
             artifacts["sin"],
             artifacts["sout"],
-            use_kernel=use_kernel,
             max_product_nodes=max_product_nodes,
             eager=False,
         )
@@ -1379,7 +1297,7 @@ class Session:
 # pinned to thousands of pairs actually runs out of.  Hit/miss/eviction
 # counters and the resident footprints are exposed via
 # :func:`registry_info` (and through the service's ``stats`` op).
-_REGISTRY: "OrderedDict[Tuple[str, str, str], Session]" = OrderedDict()
+_REGISTRY: "OrderedDict[Tuple[str, str], Session]" = OrderedDict()
 _REGISTRY_LOCK = threading.RLock()
 _REGISTRY_LIMIT = 32
 _DEFAULT_REGISTRY_BYTES = 256 * 1024 * 1024
@@ -1407,7 +1325,7 @@ _REGISTRY_MAX_BYTES: Optional[int] = _registry_bytes_from_env()
 _REGISTRY_STATS: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def _registry() -> "OrderedDict[Tuple[str, str, str], Session]":
+def _registry() -> "OrderedDict[Tuple[str, str], Session]":
     return _REGISTRY
 
 
@@ -1441,13 +1359,9 @@ def _evict_over_budget(registry: "OrderedDict") -> None:
     _metrics.gauge("repro.session.registry.bytes", policy="sum").set(total)
 
 
-def session_key(sin: Schema, sout: Schema, options: Dict[str, object]):
-    """The registry/cache key of a schema pair: content hashes + options."""
-    return (
-        schema_fingerprint(sin),
-        schema_fingerprint(sout),
-        _options_fingerprint(options),
-    )
+def session_key(sin: Schema, sout: Schema) -> Tuple[str, str]:
+    """The registry/cache key of a schema pair: its two content hashes."""
+    return (schema_fingerprint(sin), schema_fingerprint(sout))
 
 
 def clear_registry() -> None:
@@ -1490,14 +1404,13 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     sin: Schema,
     sout: Schema,
     *,
-    use_kernel: bool = True,
     eager: bool = True,
     cache_dir=None,
     reuse: bool = True,
 ) -> Session:
     """Compile — or transparently reuse — a :class:`Session` for a pair.
 
-    Lookup order: the in-process registry (keyed by schema/option content
+    Lookup order: the in-process registry (keyed by schema content
     hashes, LRU-bounded), then the on-disk artifact cache when ``cache_dir``
     is given (see :mod:`repro.cache`), then a fresh build (which is stored
     in both).  ``reuse=False`` bypasses the registry entirely (used by cold
@@ -1510,8 +1423,7 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     individual call — the warm retry-after-``BudgetExceededError`` pattern.
     A non-default session-wide budget needs a private ``Session(...)``.
     """
-    options = {"use_kernel": use_kernel}
-    key = session_key(sin, sout, options)
+    key = session_key(sin, sout)
     session = None
     registry = _registry()
     if reuse:
@@ -1532,11 +1444,9 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     if session is None and cache_dir is not None:
         from repro import cache as artifact_cache
 
-        session = artifact_cache.load_session(
-            sin, sout, options=options, cache_dir=cache_dir
-        )
+        session = artifact_cache.load_session(sin, sout, cache_dir=cache_dir)
     if session is None:
-        session = Session(sin, sout, use_kernel=use_kernel, eager=eager)
+        session = Session(sin, sout, eager=eager)
     if cache_dir is not None:
         from repro import cache as artifact_cache
 

@@ -21,11 +21,9 @@ NTA(NFA) backward lift, macro tree transducers) is one subclass plus one
 * ``cached_tables`` / ``incremental_tables`` / ``saturate_tables`` back
   ``Session.retypecheck``'s warm edit chains (``incremental = True``);
 * ``export_state`` / ``restore_state`` and the side-file declarations
-  (``side_field``, ``legacy_side_kind``) plug the engine into the
+  (``side_field``, ``side_strip_fields``) plug the engine into the
   artifact cache: blob sections are keyed by engine name and side files
-  are ``<key>.tables.<engine>.<thash>.pkl`` (pre-registry names —
-  ``<key>.tables.<thash>.pkl`` forward, ``<key>.btables.<thash>.pkl``
-  backward — still load).
+  are ``<key>.tables.<engine>.<thash>.pkl``.
 
 Engines are stateless singletons: all per-pair compiled state lives in
 the owning :class:`~repro.core.session.Session` (keyed by
@@ -90,19 +88,12 @@ class Engine:
     schema_slot: str = ""
     #: Calibrated wall-milliseconds per shard-cost unit (auto router).
     ms_per_unit: Optional[float] = None
-    #: Pre-registry side-file kind (``"tables"`` / ``"btables"``) whose
-    #: files hydrate into this engine; ``None`` for engines that never
-    #: had legacy side files.
-    legacy_side_kind: Optional[str] = None
     #: Payload field of this engine's side files (``None``: the engine
     #: persists no per-transducer side files).
     side_field: Optional[str] = None
     #: Artifact-blob fields relocated to side files by ``publish`` (the
     #: blob ships them empty so it never grows per served transducer).
     side_strip_fields: Tuple[str, ...] = ()
-    #: Shard keys depend on the session's kernel-vs-object engine choice
-    #: (``use_kernel`` is session-level for sharded runs).
-    kernel_sensitive: bool = False
     #: ``stats["retypecheck"]["reason"]`` when retypecheck falls back to a
     #: schema-warm (non-incremental) run of this engine.
     no_incremental_reason: str = "engine has no incremental tables"
@@ -155,10 +146,6 @@ class Engine:
     #: explain report's per-engine section (subclasses extend).
     explain_stat_keys: tuple = ("product_nodes", "work", "budget")
 
-    def metric_name(self, suffix: str) -> str:
-        """The canonical metric name ``repro.<engine>.<suffix>``."""
-        return f"repro.{self.name}.{suffix}"
-
     def explain_stats(self, stats) -> dict:
         """The engine-specific slice of a result's stats for the explain
         report (``repro.obs.explain``) — registration is all it takes for
@@ -168,18 +155,12 @@ class Engine:
         }
 
     def record_table_cache(self, outcome: str) -> None:
-        """Count one per-transducer table-cache probe (``hit``/``miss``).
-
-        Emits the registry-driven per-engine label
-        ``repro.table_cache.{hits,misses}{engine=<name>}`` plus, for one
-        release, the legacy hardcoded name
-        ``repro.<engine>.table_cache.{hits,misses}`` PR 8 shipped.
-        """
+        """Count one per-transducer table-cache probe (``hit``/``miss``)
+        as ``repro.table_cache.{hits,misses}{engine=<name>}``."""
         from repro.obs import metrics as _metrics
 
         suffix = "hits" if outcome == "hit" else "misses"
         _metrics.counter(f"repro.table_cache.{suffix}", engine=self.name).inc()
-        _metrics.counter(self.metric_name(f"table_cache.{suffix}")).inc()
 
     # ------------------------------------------------------------------
     # Applicability and compilation
@@ -376,7 +357,7 @@ def method_table_markdown() -> str:
         "| `auto` | routed: RE⁺ → grammar; in-trac DTDs → the *cheaper* "
         f"of {routed} by calibrated cost models (output content-DFA sizes "
         "× copying width forward, input-DFA × behavior-monoid products "
-        "backward; `max_tuple` or a forward-only option pins forward); "
+        "backward; `max_tuple` pins forward); "
         "del-relab → Theorem 20; other DTD pairs → backward fallback "
         "instead of refusing | everything below |",
     ]

@@ -39,10 +39,8 @@ class ForwardEngineDef(Engine):
     incremental = True
     accepts_max_tuple = True
     persistent = True
-    legacy_side_kind = "tables"
     side_field = "tables"
     side_strip_fields = ("transducer_tables",)
-    kernel_sensitive = True
     # Calibrated wall-clock per forward cost unit (DFA cells of the tuple
     # fixpoint), in milliseconds — measured on the workload families
     # (BENCH_auto.json re-derives it every run): ~33µs per unit, stable
@@ -67,7 +65,7 @@ class ForwardEngineDef(Engine):
 
     def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
         din, dout = session._dtd_pair()
-        session._apply_defaults(kwargs)
+        kwargs.setdefault("max_product_nodes", session.max_product_nodes)
         if tables is not None:
             kwargs = dict(kwargs, tables=tables)
         return self.func()(
@@ -79,10 +77,7 @@ class ForwardEngineDef(Engine):
         from repro.core.forward import forward_check_keys
 
         din, _dout = session._dtd_pair()
-        return forward_check_keys(
-            transducer, din, self.schema(session),
-            use_kernel=session.use_kernel,
-        )
+        return forward_check_keys(transducer, din, self.schema(session))
 
     def key_costs(self, session, transducer, keys):
         from repro.core.forward import forward_key_costs
@@ -104,7 +99,6 @@ class ForwardEngineDef(Engine):
             transducer, din, dout, keys,
             max_tuple=max_tuple,
             max_product_nodes=max_product_nodes or session.max_product_nodes,
-            use_kernel=session.use_kernel,
             schema=self.schema(session),
         )
 
@@ -188,7 +182,6 @@ class BackwardEngineDef(Engine):
     shardable = True
     incremental = True
     persistent = True
-    legacy_side_kind = "btables"
     side_field = "result"
     side_strip_fields = ("transducer_results",)
     # ~0.2µs per backward product cell (input content-DFA states ×

@@ -35,10 +35,11 @@ emptiness or inclusion.  This package is that primitive, implemented once:
     :func:`repro.tree_automata.ops.intersect`).
 
 ``reference``
-    The seed object-state implementations, kept verbatim as the
-    differential-testing and benchmarking baseline (imported only by tests
-    and ``benchmarks/bench_kernel.py``; import it explicitly, it is not
-    re-exported here to keep this package import-cycle-free).
+    The seed object-state implementations — the forward fixpoint
+    included — kept verbatim as the differential-testing and benchmarking
+    oracle (imported only by tests and ``benchmarks/bench_kernel.py``;
+    import it explicitly, it is not re-exported here to keep this package
+    import-cycle-free).
 
 The public modules (:mod:`repro.strings.dfa`, :mod:`repro.tree_automata`,
 :mod:`repro.core.reachability`, :mod:`repro.core.forward`) keep their seed

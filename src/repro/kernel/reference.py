@@ -2,9 +2,12 @@
 
 These are the pre-kernel implementations of the operations ported to
 :mod:`repro.kernel`, preserved verbatim as the differential-testing and
-benchmarking baseline: the property suite in ``tests/kernel/`` asserts the
+benchmarking baseline: the property suites in ``tests/`` assert the
 interned kernel agrees with them, and ``benchmarks/bench_kernel.py`` times
-old vs new.  They are *not* used by the library's hot paths.
+old vs new.  That includes the whole Lemma 14 forward fixpoint on object
+states (:class:`ObjectForwardEngine`, :func:`typecheck_forward_object`).
+No library module imports this one: production code has exactly one
+forward evaluator, the interned :class:`~repro.core.forward.ForwardEngine`.
 
 Do not "optimize" this module — its value is being the slow, obviously
 faithful transcription of the paper's object-level pseudo-code.
@@ -12,8 +15,14 @@ faithful transcription of the paper's object-level pseudo-code.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+
+from repro.core.forward import ForwardEngine, Slot, TupleKey, _typecheck_with
+from repro.core.problem import TypecheckResult
+from repro.errors import BudgetExceededError
+from repro.strings.dfa import DFA
 
 State = Hashable
 Symbol = Hashable
@@ -24,8 +33,6 @@ Symbol = Hashable
 # ----------------------------------------------------------------------
 def dfa_product_object(left, right, finals: str = "both"):
     """Seed ``DFA.product``: object-tuple BFS over the pair graph."""
-    from repro.strings.dfa import DFA
-
     alphabet = left.alphabet & right.alphabet
     start = (left.initial, right.initial)
     states = {start}
@@ -58,8 +65,6 @@ def dfa_product_object(left, right, finals: str = "both"):
 
 def dfa_contains_object(big, small) -> bool:
     """Seed ``DFA.contains``: complement + NFA product + emptiness."""
-    from repro.strings.dfa import DFA
-
     small_nfa = small.to_nfa() if isinstance(small, DFA) else small
     comp = big.complement(big.alphabet | small_nfa.alphabet)
     return small_nfa.product(comp.to_nfa()).is_empty()
@@ -67,8 +72,6 @@ def dfa_contains_object(big, small) -> bool:
 
 def dfa_minimize_object(dfa):
     """Seed ``DFA.minimize``: Moore refinement over object dicts."""
-    from repro.strings.dfa import DFA
-
     completed = dfa.complete()
     reachable = completed.to_nfa().reachable_states()
     states = [q for q in completed.states if q in reachable]
@@ -242,3 +245,207 @@ def some_word_containing_object(nfa, symbol, allowed) -> Optional[Tuple[str, ...
         word.append(sym)
     word.reverse()
     return tuple(word)
+
+
+# ----------------------------------------------------------------------
+# core/forward.py baseline: the object-state Lemma 14 fixpoint
+# ----------------------------------------------------------------------
+class ObjectForwardEngine(ForwardEngine):
+    """The seed forward fixpoint on object states — the oracle the interned
+    :class:`~repro.core.forward.ForwardEngine` is differentially tested
+    (and benchmarked) against.
+
+    Same least fixpoint, computed the obvious way: per-σ cell keys (no
+    σ-independent sharing), per-engine cells (nothing lives in the schema
+    context or its table cache), object slot tuples, and a from-scratch
+    product BFS per hedge-cell evaluation.
+    """
+
+    shares_schema_cells = False
+
+    def key_for(self, sigma: str, symbol: str, P: Tuple[str, ...]) -> TupleKey:
+        return (sigma, symbol, P)
+
+    def _eval_tree(self, key: TupleKey) -> bool:
+        sigma, b, P = key
+        if b not in self.productive:
+            return False
+        deferred = self.deferred_tuple(P, b)
+        hedge_key = (sigma, b, deferred)
+        self._depend(("hedge", hedge_key), ("tree", key))
+        entry = self.hedge_vals[hedge_key]
+        dfa = self.out_dfa(sigma)
+        table = self.tree_vals[key]
+        grew = False
+        for pi in entry.accepted:
+            for tau in self._assemble(P, b, pi, dfa):
+                if tau not in table:
+                    table[tau] = pi
+                    grew = True
+        if len(table) > self.max_product_nodes:
+            raise BudgetExceededError(
+                f"behavior table for {key!r} exceeded "
+                f"{self.max_product_nodes} tuples"
+            )
+        return grew
+
+    def _assemble(
+        self,
+        P: Tuple[str, ...],
+        b: str,
+        pi: Tuple[Slot, ...],
+        dfa: DFA,
+    ):
+        """All τ tuples derivable from hedge behavior π by chaining the rhs
+        segments through the (complete) output DFA — the paper's step (4)."""
+        per_component: List[List[Slot]] = []
+        offset = 0
+        for state in P:
+            segments, defers = self.decomposition(state, b)
+            k = len(defers)
+            slots = pi[offset : offset + k]
+            offset += k
+            pairs: List[Slot] = []
+            for start in dfa.states:
+                x = dfa.run(segments[0], start=start)
+                ok = True
+                for j in range(k):
+                    slot_start, slot_end = slots[j]
+                    if slot_start != x:
+                        ok = False
+                        break
+                    x = dfa.run(segments[j + 1], start=slot_end)
+                if ok:
+                    pairs.append((start, x))
+            if not pairs:
+                return
+            per_component.append(pairs)
+        yield from itertools.product(*per_component)
+
+    def _eval_hedge(self, key: TupleKey) -> bool:
+        sigma, a, P = key
+        entry = self.hedge_vals[key]
+        dfa_in, useful_in = self.schema.in_dfa_useful(a)
+        dfa_out = self.out_dfa(sigma)
+        m = len(P)
+
+        # Child alphabet: productive symbols on transitions between useful
+        # input-DFA states (dead/sink transitions spawn no work).
+        children = sorted(
+            {
+                c
+                for (state, c), target in dfa_in.transitions.items()
+                if c in self.productive
+                and state in useful_in
+                and target in useful_in
+            },
+            key=repr,
+        )
+        # Index each child's τ table by the required entry-state vector so a
+        # BFS node looks up exactly the matching behaviors instead of
+        # scanning the whole table (the table is |Q_A|^{2m} in the worst
+        # case; the index fans out by r-vectors only).
+        child_index: Dict[str, Dict[Tuple, List[Tuple]]] = {}
+        for c in children:
+            child_key = (sigma, c, P)
+            self._depend(("tree", child_key), ("hedge", key))
+            index: Dict[Tuple, List[Tuple]] = {}
+            for tau in self.tree_vals[child_key]:
+                ells = tuple(ell for (ell, _r) in tau)
+                index.setdefault(ells, []).append(tau)
+            child_index[c] = index
+
+        # Seed: every start vector, identity pairs.  The seed count
+        # |Q_A|^m is the paper's |dout|^{2M} factor: guard it before looping
+        # so super-polynomial instances fail fast instead of hanging.
+        if len(dfa_out.states) ** m > self.max_product_nodes:
+            raise BudgetExceededError(
+                f"{len(dfa_out.states)}^{m} behavior seeds exceed the "
+                f"product budget {self.max_product_nodes} — the instance "
+                "sits outside the tractable (fixed C·K) regime"
+            )
+        # Object containers straight into the entry's (otherwise lazily
+        # decoded) graph views; no decoder, no interned state.
+        entry.decoder = None
+        nodes, edges, seeds = entry._nodes, entry._edges, entry._seeds = (
+            set(), [], set()
+        )
+        parents: Dict[Tuple, Optional[Tuple]] = {}
+        frontier: deque = deque()
+        for combo in itertools.product(sorted(dfa_out.states, key=repr), repeat=m):
+            node = (dfa_in.initial, tuple((x, x) for x in combo))
+            parents[node] = None
+            frontier.append(node)
+        nodes.update(parents)
+        seeds.update(parents)
+
+        grew = False
+
+        def note_accept(node: Tuple) -> None:
+            nonlocal grew
+            d, pairs = node
+            if d not in dfa_in.finals:
+                return
+            if pairs not in entry.accepted:
+                # Materialize the witness word now: it references only
+                # configurations that already exist (well-foundedness).
+                word: List[Tuple[str, Tuple]] = []
+                back = node
+                while True:
+                    step = parents[back]
+                    if step is None:
+                        break
+                    back, c, tau = step
+                    word.append((c, tau))
+                word.reverse()
+                entry.accepted[pairs] = tuple(word)
+                grew = True
+
+        for node in list(frontier):
+            note_accept(node)
+        while frontier:
+            node = frontier.popleft()
+            d, pairs = node
+            currents = tuple(current for (_start, current) in pairs)
+            for c in children:
+                d2 = dfa_in.transitions.get((d, c))
+                if d2 is None or d2 not in useful_in:
+                    continue
+                for tau in child_index[c].get(currents, ()):
+                    new_pairs = tuple(
+                        (slot[0], r) for slot, (_ell, r) in zip(pairs, tau)
+                    )
+                    successor = (d2, new_pairs)
+                    edges.append((node, c, tau, successor))
+                    if successor not in parents:
+                        parents[successor] = (node, c, tau)
+                        nodes.add(successor)
+                        if len(parents) > self.max_product_nodes:
+                            raise BudgetExceededError(
+                                "hedge product exceeded "
+                                f"{self.max_product_nodes} nodes"
+                            )
+                        note_accept(successor)
+                        frontier.append(successor)
+        self.work += len(parents)
+        return grew
+
+
+def typecheck_forward_object(
+    transducer,
+    din,
+    dout,
+    max_tuple: Optional[int] = None,
+    max_product_nodes: int = 500_000,
+    want_counterexample: bool = True,
+    schema=None,
+) -> TypecheckResult:
+    """:func:`~repro.core.forward.typecheck_forward` with the fixpoint run
+    by :class:`ObjectForwardEngine` (same preamble, root-check scan and
+    counterexample construction; ``stats["engine"] == "object"``)."""
+    result = _typecheck_with(
+        ObjectForwardEngine, transducer, din, dout, max_tuple,
+        max_product_nodes, want_counterexample, schema, None,
+    )
+    result.stats["engine"] = "object"
+    return result

@@ -50,30 +50,20 @@ _ROUTER_AUDIT: Deque[Dict[str, Any]] = deque(maxlen=ROUTER_AUDIT_LIMIT)
 
 def record_router_decision(
     choice: str,
-    predicted_forward_ms: Optional[float] = None,
-    predicted_backward_ms: Optional[float] = None,
     actual_ms: float = 0.0,
     predicted_ms: Optional[Dict[str, float]] = None,
     **extra: Any,
 ) -> None:
     """Log one ``auto`` routing decision: predicted vs. measured cost.
 
-    ``predicted_ms`` maps engine names to their predicted costs — the
-    registry-era form, open to any routable engine.  The legacy
-    positional pair is still accepted, and the legacy keys are always
-    backfilled (``predicted_<engine>_ms``) so existing audit consumers
-    keep working either way.
+    ``predicted_ms`` maps each routable engine's name to its predicted
+    cost; the entry carries them as ``predicted_<engine>_ms`` (what
+    ``python -m repro calibrate`` reads).
     """
     entry: Dict[str, Any] = {"choice": choice}
     if predicted_ms:
         for name, cost in predicted_ms.items():
             entry[f"predicted_{name}_ms"] = cost
-    if predicted_forward_ms is not None:
-        entry["predicted_forward_ms"] = predicted_forward_ms
-    if predicted_backward_ms is not None:
-        entry["predicted_backward_ms"] = predicted_backward_ms
-    entry.setdefault("predicted_forward_ms", 0.0)
-    entry.setdefault("predicted_backward_ms", 0.0)
     entry["actual_ms"] = actual_ms
     entry.update(extra)
     _ROUTER_AUDIT.append(entry)

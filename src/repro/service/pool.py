@@ -180,12 +180,9 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
     from repro.core.session import registry_info
 
     cache_dir = config.get("cache_dir")
-    use_kernel = bool(config.get("use_kernel", True))
 
     def warm_session(sin, sout):
-        return repro.compile(
-            sin, sout, use_kernel=use_kernel, eager=False, cache_dir=cache_dir
-        )
+        return repro.compile(sin, sout, eager=False, cache_dir=cache_dir)
 
     if op == "ping":
         return {"pong": True, "pid": os.getpid()}
@@ -376,7 +373,6 @@ class WorkerPool:
         workers: int = 2,
         *,
         cache_dir=None,
-        use_kernel: bool = True,
         max_retries: int = 2,
         cache_max_bytes: Optional[int] = DEFAULT_CACHE_BYTES,
         worker_registry_bytes: Optional[int] = None,
@@ -390,7 +386,6 @@ class WorkerPool:
         self.cache_dir = cache_dir
         self.config: Dict[str, object] = {
             "cache_dir": None if cache_dir is None else str(cache_dir),
-            "use_kernel": use_kernel,
             # Per-worker session-registry byte budget (None = the library
             # default): size-aware eviction for services pinned to many
             # pairs, observable via worker_stats().
@@ -772,9 +767,7 @@ class WorkerPool:
         import repro
 
         session = repro.compile(
-            sin, sout, eager=False,
-            use_kernel=bool(self.config["use_kernel"]),
-            cache_dir=self.config["cache_dir"],
+            sin, sout, eager=False, cache_dir=self.config["cache_dir"]
         )
         method = session.shard_method(transducer, method, max_tuple)
         opts: Dict[str, object] = {"method": method}

@@ -713,7 +713,6 @@ async def serve(
     *,
     workers: int = 2,
     cache_dir=None,
-    use_kernel: bool = True,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     max_inflight_total: int = DEFAULT_MAX_INFLIGHT_TOTAL,
     cache_max_bytes: Optional[int] = DEFAULT_CACHE_BYTES,
@@ -748,7 +747,6 @@ async def serve(
     pool = WorkerPool(
         workers,
         cache_dir=cache_dir,
-        use_kernel=use_kernel,
         cache_max_bytes=cache_max_bytes,
         worker_registry_bytes=worker_registry_bytes,
         worker_pair_limit=worker_pair_limit,
@@ -783,7 +781,6 @@ def run_server(
     *,
     workers: int = 2,
     cache_dir=None,
-    use_kernel: bool = True,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     max_inflight_total: int = DEFAULT_MAX_INFLIGHT_TOTAL,
     cache_max_bytes: Optional[int] = DEFAULT_CACHE_BYTES,
@@ -804,7 +801,6 @@ def run_server(
             port,
             workers=workers,
             cache_dir=cache_dir,
-            use_kernel=use_kernel,
             max_inflight=max_inflight,
             max_inflight_total=max_inflight_total,
             cache_max_bytes=cache_max_bytes,

@@ -5,9 +5,9 @@ Every seeded instance of :func:`repro.workloads.random_instances.seeded_instance
 suites replay) is checked three ways:
 
 * ``method="backward"`` verdicts must be bit-identical to
-  ``typecheck_forward`` on **both** engines (``use_kernel=True`` and the
-  seed object baseline ``use_kernel=False``) wherever the forward engine
-  applies;
+  ``typecheck_forward`` (the interned kernel) **and** to the seed
+  object-state oracle ``repro.kernel.reference.typecheck_forward_object``
+  wherever the forward engine applies;
 * accepting verdicts must be confirmed by the brute-force oracle up to
   its node budget; rejecting verdicts must carry *verifying*
   counterexamples (witnesses may legitimately differ between engines);
@@ -25,6 +25,7 @@ import pytest
 from repro.backward import typecheck_backward
 from repro.core import typecheck
 from repro.core.forward import typecheck_forward
+from repro.kernel.reference import typecheck_forward_object
 from repro.transducers.analysis import analyze
 from repro.workloads.random_instances import seeded_instance
 
@@ -44,13 +45,11 @@ def test_backward_matches_forward_and_oracle(chunk):
         backward = typecheck_backward(transducer, din, dout)
         assert backward.algorithm == "backward"
         if _in_trac(transducer):
-            for use_kernel in (True, False):
-                forward = typecheck_forward(
-                    transducer, din, dout, use_kernel=use_kernel
-                )
+            for forward_check in (typecheck_forward, typecheck_forward_object):
+                forward = forward_check(transducer, din, dout)
                 assert forward.typechecks == backward.typechecks, (
-                    f"seed {seed}: backward {backward.typechecks} vs forward "
-                    f"(use_kernel={use_kernel}) {forward.typechecks}"
+                    f"seed {seed}: backward {backward.typechecks} vs "
+                    f"{forward_check.__name__} {forward.typechecks}"
                 )
         if backward.typechecks:
             assert backward.counterexample is None

@@ -119,15 +119,3 @@ def test_max_tuple_still_forces_forward():
     assert forced.algorithm == "forward"
     assert forced.typechecks == plain_auto.typechecks
 
-
-def test_forward_only_options_pin_the_route():
-    """A per-call option only the forward engine understands (use_kernel)
-    keeps an auto call on the forward engine even when the cost models
-    would prefer backward — it must not blow up as an unknown backward
-    option."""
-    transducer, din, dout = _wide_copy_non_replus()
-    bare = repro.typecheck(transducer, din, dout)
-    assert bare.stats["auto_method"] == "backward"
-    pinned = repro.typecheck(transducer, din, dout, use_kernel=True)
-    assert pinned.stats["auto_method"] == "forward"
-    assert pinned.typechecks == bare.typechecks

@@ -1,21 +1,26 @@
-"""Migration: pre-registry cache artifacts still load.
+"""Cache format migration: what older cache directories do on load.
 
-The engine-registry refactor generalized the artifact cache — blob
-sections and side-file names now come from engine declarations — but the
-on-disk format did not bump: a cache directory written by the previous
-release must keep hitting.  These tests pin both directions: legacy
+Blob sections and side-file names come from engine declarations.  The
+blob keeps the exact section layout readers index it by, and side files
+carry the owning engine's name in the filename and payload.  Format 3
+dropped the options fingerprint from the key and the pre-registry
 side-file names (``<key>.tables.<hash>.pkl`` forward,
-``<key>.btables.<hash>.pkl`` backward) hydrate the right engine, and the
-blob keeps the exact section layout old readers expect, while *new* side
-files carry the owning engine's name in the filename and payload.
+``<key>.btables.<hash>.pkl`` backward): a directory a format-2 release
+wrote is a silent miss — a fresh session, never an error.
 """
 
 import pytest
 
 import repro.cache as artifact_cache
-from repro.core.session import clear_registry, compile as compile_session
+from repro import __version__
+from repro.core.session import (
+    clear_registry,
+    compile as compile_session,
+    schema_fingerprint,
+)
 from repro.engines import get_engine, persistent_engines
 from repro.kernel import serialize
+from repro.util import stable_digest
 from repro.workloads.families import filtering_family
 
 
@@ -58,56 +63,70 @@ class TestBlobLayout:
 
 
 class TestLegacySideFiles:
-    def _write_legacy(self, tmp_path, session):
-        """Side files exactly as the previous release wrote them: kind
-        encoded in the name, payload without an ``engine`` key."""
-        key = artifact_cache.artifact_key(
-            session.sin, session.sout, session.options
+    def _write_format_2(self, directory, session):
+        """The directory a format-2 release left behind: the blob under
+        its options-fingerprinted key, side files under pre-registry
+        names (kind in the name, no ``engine`` in the payload)."""
+        key = stable_digest(
+            "session-artifact",
+            schema_fingerprint(session.sin),
+            schema_fingerprint(session.sout),
+            repr(sorted({"use_kernel": True}.items())),
+            "cache-format:2",
+            f"kernel-format:{serialize.KERNEL_FORMAT}",
+            f"repro:{__version__}",
         )
-        for engine_name, path_fn, field in (
-            ("forward", artifact_cache.tables_path, "tables"),
-            ("backward", artifact_cache.backward_result_path, "result"),
+        payload = {
+            "cache_format": 2,
+            "version": __version__,
+            "key": key,
+            "artifacts": session.export_artifacts(),
+        }
+        artifact_cache.artifact_path(directory, key).write_bytes(
+            serialize.dumps(payload)
+        )
+        for engine_name, kind, field in (
+            ("forward", "tables", "tables"),
+            ("backward", "btables", "result"),
         ):
             for thash, snapshot in _snapshots(session, engine_name).items():
-                payload = {
-                    "cache_format": artifact_cache.CACHE_FORMAT,
+                side = {
+                    "cache_format": 2,
                     "key": key,
                     "transducer": thash,
                     field: snapshot,
                 }
-                path_fn(tmp_path, key, thash).write_bytes(
-                    serialize.dumps(payload)
+                (directory / f"{key}.{kind}.{thash}.pkl").write_bytes(
+                    serialize.dumps(side)
                 )
         return key
 
-    def test_legacy_names_hydrate_the_right_engines(self, tmp_path):
-        session, transducer, expected = _donor(tmp_path)
-        key = self._write_legacy(tmp_path, session)
-        # Only the blob and the two hand-written legacy files are on disk.
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == sorted([
-            f"{key}.session.pkl",
-            f"{key}.tables.{transducer.content_hash()}.pkl",
-            f"{key}.btables.{transducer.content_hash()}.pkl",
-        ])
+    def test_format_2_directory_is_a_silent_miss(self, tmp_path):
+        session, transducer, expected = _donor(tmp_path / "donor")
+        old_dir = tmp_path / "format2"
+        old_dir.mkdir()
+        old_key = self._write_format_2(old_dir, session)
+        # Even under the current key's file name, the format-2 header is
+        # refused.
+        new_key = artifact_cache.artifact_key(session.sin, session.sout)
+        assert new_key != old_key
+        artifact_cache.artifact_path(old_dir, new_key).write_bytes(
+            artifact_cache.artifact_path(old_dir, old_key).read_bytes()
+        )
 
         clear_registry()
         _t, din, dout, _e = filtering_family(6)
-        loaded = compile_session(din, dout, cache_dir=tmp_path, reuse=False)
-        assert loaded.stats["source"] == "artifact-cache"
-        thash = transducer.content_hash()
-        assert thash in _snapshots(loaded, "forward")
-        assert thash in _snapshots(loaded, "backward")
+        assert artifact_cache.load_session(din, dout, cache_dir=old_dir) is None
+        loaded = compile_session(din, dout, cache_dir=old_dir, reuse=False)
+        assert loaded.stats["source"] == "fresh"
         for method in ("forward", "backward"):
             result = loaded.typecheck(transducer, method=method)
             assert result.typechecks == expected
-            assert result.stats["table_cache"] == "hit", method
+            assert result.stats["table_cache"] == "miss", method
 
     def test_new_side_files_carry_the_engine_name(self, tmp_path):
         session, transducer, _expected = _donor(tmp_path)
-        key = artifact_cache.artifact_key(
-            session.sin, session.sout, session.options
-        )
+        key = artifact_cache.artifact_key(session.sin, session.sout)
         artifact_cache.publish(session, cache_dir=tmp_path, min_interval_s=0)
         thash = transducer.content_hash()
         for engine_name, field in (("forward", "tables"), ("backward", "result")):

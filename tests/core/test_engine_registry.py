@@ -57,7 +57,7 @@ def test_allowed_kwargs_lookup_is_memoized():
         first = engine.allowed_kwargs()
         assert engine.allowed_kwargs() is first
     # And the memo holds real option names, not the managed parameters.
-    assert "use_kernel" in get_engine("forward").allowed_kwargs()
+    assert "max_product_nodes" in get_engine("forward").allowed_kwargs()
     assert "schema" not in get_engine("forward").allowed_kwargs()
     assert "tables" not in get_engine("backward").allowed_kwargs()
 

@@ -3,10 +3,11 @@
 Three-way differential over ≥200 seeded random instances from
 :mod:`repro.workloads.random_instances`:
 
-* kernel fixpoint (``use_kernel=True``, the default) vs the seed
-  object-state fixpoint (``use_kernel=False``) — verdicts must match
-  exactly, and rejecting runs must produce *verifying* counterexamples
-  (witnesses may legitimately differ between engines);
+* kernel fixpoint (``typecheck_forward``) vs the seed object-state
+  fixpoint (the oracle ``repro.kernel.reference.typecheck_forward_object``)
+  — verdicts must match exactly, and rejecting runs must produce
+  *verifying* counterexamples (witnesses may legitimately differ between
+  engines);
 * ``typecheck(method="forward")`` vs ``typecheck(method="bruteforce")`` —
   the oracle must confirm every accept up to its node budget.
 """
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core import typecheck
 from repro.core.forward import typecheck_forward
+from repro.kernel.reference import typecheck_forward_object
 from repro.transducers.analysis import analyze
 from repro.workloads.random_instances import seeded_instance
 
@@ -37,8 +39,9 @@ def test_kernel_matches_object_engine_and_oracle(chunk):
         transducer, din, dout = _instance(seed)
         if not _in_trac(transducer):
             continue  # outside T_trac: the forward engine does not apply
-        kernel = typecheck_forward(transducer, din, dout, use_kernel=True)
-        objectpath = typecheck_forward(transducer, din, dout, use_kernel=False)
+        kernel = typecheck_forward(transducer, din, dout)
+        objectpath = typecheck_forward_object(transducer, din, dout)
+        assert objectpath.stats["engine"] == "object"
         assert kernel.typechecks == objectpath.typechecks, f"seed {seed}"
         assert kernel.stats.get("violations") == objectpath.stats.get(
             "violations"
@@ -62,6 +65,7 @@ def test_engines_agree_on_internal_tables():
     """For shared (non-canonicalized) cells the two engines reach the same
     least fixpoint — spot-checked on a deleting instance."""
     from repro.core.forward import ForwardEngine
+    from repro.kernel.reference import ObjectForwardEngine
     from repro.schemas import DTD
     from repro.transducers import TreeTransducer
 
@@ -75,13 +79,12 @@ def test_engines_agree_on_internal_tables():
     dout = DTD({"out": "a*"}, start="out", alphabet={"a", "out"})
 
     tables = {}
-    for use_kernel in (True, False):
-        engine = ForwardEngine(transducer, din, dout, max_tuple=4,
-                               use_kernel=use_kernel)
+    for engine_cls in (ForwardEngine, ObjectForwardEngine):
+        engine = engine_cls(transducer, din, dout, max_tuple=4)
         key = engine.request_hedge("out", "r", ("p", "p"))
         engine.run()
-        tables[use_kernel] = (
+        tables[engine_cls] = (
             set(engine.tree_vals[("out", "m", ("p", "p"))]),
             set(engine.hedge_vals[key].accepted),
         )
-    assert tables[True] == tables[False]
+    assert tables[ForwardEngine] == tables[ObjectForwardEngine]

@@ -61,12 +61,17 @@ class TestClosureFreePickling:
             assert set(restored[key].accepted) == set(entry.accepted)
 
     def test_object_path_entries_still_pickle(self):
+        from repro.kernel.reference import typecheck_forward_object
+
         transducer, din, dout, _ = nd_bc_family(4)
         engine_schema = ForwardSchema(din, dout)
-        result = typecheck_forward(
-            transducer, din, dout, use_kernel=False, schema=engine_schema
+        result = typecheck_forward_object(
+            transducer, din, dout, schema=engine_schema
         )
         assert result.typechecks
+        # The oracle's per-engine cells never leak into the shared schema.
+        assert not engine_schema.transducer_tables
+        assert not engine_schema.shared_hedge
 
 
 class TestTransducerTableCache:
@@ -164,7 +169,7 @@ class TestArtifactCacheCarriesTables:
         clear_registry()
         _, din2, dout2, _ = nd_bc_family(7)
         rebuilt = artifact_cache.load_session(
-            din2, dout2, options={"use_kernel": True}, cache_dir=tmp_path
+            din2, dout2, cache_dir=tmp_path
         )
         assert rebuilt is not None
         assert rebuilt.stats["source"] == "artifact-cache"
@@ -192,7 +197,7 @@ class TestArtifactCacheCarriesTables:
         artifact_cache.publish(session, cache_dir=tmp_path, min_interval_s=0)
         assert path.stat().st_mtime >= stamp
         rebuilt = artifact_cache.load_session(
-            din, dout, options={"use_kernel": True}, cache_dir=tmp_path
+            din, dout, cache_dir=tmp_path
         )
         assert rebuilt.forward_schema().transducer_tables
 
@@ -327,7 +332,7 @@ class TestCachePruning:
         clear_registry()
         _, din, dout, _ = nd_bc_family(3)
         loaded = artifact_cache.load_session(
-            din, dout, options={"use_kernel": True}, cache_dir=tmp_path
+            din, dout, cache_dir=tmp_path
         )
         assert loaded is not None
         assert paths[0].stat().st_mtime > old + 1800
@@ -389,7 +394,7 @@ class TestTableSideFiles:
         _s, din, dout, transducers, expected = self._warm_published(tmp_path)
         clear_registry()
         rebuilt = artifact_cache.load_session(
-            din, dout, options={"use_kernel": True}, cache_dir=tmp_path
+            din, dout, cache_dir=tmp_path
         )
         assert rebuilt is not None
         schema = rebuilt.forward_schema()
@@ -412,7 +417,7 @@ class TestTableSideFiles:
         session = Session(din, dout, eager=False)
         session.typecheck(transducer, method="forward")
         assert session.forward_schema().transducer_tables
-        key = artifact_cache.artifact_key(din, dout, session.options)
+        key = artifact_cache.artifact_key(din, dout)
         payload = {
             "cache_format": artifact_cache.CACHE_FORMAT,
             "version": repro.__version__,
@@ -424,7 +429,7 @@ class TestTableSideFiles:
         )
         clear_registry()
         rebuilt = artifact_cache.load_session(
-            din, dout, options={"use_kernel": True}, cache_dir=tmp_path
+            din, dout, cache_dir=tmp_path
         )
         assert rebuilt is not None
         assert rebuilt.forward_schema().transducer_tables

@@ -3,8 +3,9 @@
 The heart is the warm-vs-cold property: results served by a reused
 ``Session`` (shared schema artifacts, shared empty-P ProductBFS cells,
 second-call cache hits) must be identical to fresh one-shot runs, across
-methods and across ``use_kernel`` on/off — replayed over the same 200-seed
-generator as the kernel equivalence suite.
+methods and against the object-state forward oracle run on the warm
+schema — replayed over the same 200-seed generator as the kernel
+equivalence suite.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.session import (
     schema_fingerprint,
 )
 from repro.errors import ClassViolationError
+from repro.kernel.reference import typecheck_forward_object
 from repro.schemas import DTD, dtd_to_dtac, dtd_to_nta
 from repro.transducers import TreeTransducer
 from repro.transducers.analysis import analyze
@@ -36,32 +38,34 @@ def _in_trac(transducer) -> bool:
 @pytest.mark.parametrize("chunk", range(10))
 def test_warm_session_matches_cold_runs(chunk):
     """Warm (session-reused) results are identical to cold runs, for the
-    kernel and the object engine, over the shared 200-seed generator."""
+    kernel and for the object-state oracle run against the session's warm
+    schema, over the shared 200-seed generator."""
     chunk_size = N_SEEDS // 10
     for seed in range(chunk * chunk_size, (chunk + 1) * chunk_size):
         transducer, din, dout = seeded_instance(seed)
         if not _in_trac(transducer):
             continue
         cold = typecheck_forward(transducer, din, dout)
-        for use_kernel in (True, False):
-            session = Session(
-                din, dout, use_kernel=use_kernel, eager=(seed % 2 == 0)
+        session = Session(din, dout, eager=(seed % 2 == 0))
+        runs = [
+            ("first", session.typecheck(transducer, method="forward")),
+            ("second", session.typecheck(transducer, method="forward")),
+        ]
+        for name in ("oracle first", "oracle second"):
+            runs.append((name, typecheck_forward_object(
+                transducer, din, dout, schema=session.forward_schema()
+            )))
+        for name, result in runs:
+            assert result.typechecks == cold.typechecks, (
+                f"seed {seed}: {name} warm call diverges from cold"
             )
-            first = session.typecheck(transducer, method="forward")
-            second = session.typecheck(transducer, method="forward")
-            for name, result in (("first", first), ("second", second)):
-                assert result.typechecks == cold.typechecks, (
-                    f"seed {seed} use_kernel={use_kernel}: "
-                    f"{name} warm call diverges from cold"
+            assert result.stats.get("violations") == cold.stats.get(
+                "violations"
+            ), f"seed {seed}: {name}"
+            if not result.typechecks:
+                assert result.verify(transducer, din.accepts, dout.accepts), (
+                    f"seed {seed}: {name} warm counterexample does not verify"
                 )
-                assert result.stats.get("violations") == cold.stats.get(
-                    "violations"
-                ), f"seed {seed} use_kernel={use_kernel}"
-                if not result.typechecks:
-                    assert result.verify(transducer, din.accepts, dout.accepts), (
-                        f"seed {seed} use_kernel={use_kernel}: {name} warm "
-                        "counterexample does not verify"
-                    )
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -232,12 +236,15 @@ class TestRegistry:
         info = registry_info()
         assert info["size"] == 1  # the second call reused the first session
 
-    def test_options_split_sessions(self):
+    def test_session_identity_is_the_schema_pair(self):
+        """No option splits a schema pair's session: the registry key is
+        the two schema content hashes and nothing else."""
         clear_registry()
         _, din, dout, _ = nd_bc_family(4)
-        kernel = compile_session(din, dout, eager=False)
-        objectpath = compile_session(din, dout, use_kernel=False, eager=False)
-        assert kernel is not objectpath
+        session = compile_session(din, dout, eager=False)
+        assert session.key == (schema_fingerprint(din), schema_fingerprint(dout))
+        _, din2, dout2, _ = nd_bc_family(4)
+        assert compile_session(din2, dout2, eager=False) is session
 
     def test_budget_is_per_call_and_never_poisons_the_shared_session(self):
         """A one-shot call with a tiny max_product_nodes must not change
@@ -288,9 +295,10 @@ class TestKwargValidation:
 
     def test_forward_option_rejected_for_replus(self):
         transducer, din, dout, _ = nd_bc_family(3)
-        with pytest.raises(TypeError, match="'use_kernel'"):
+        with pytest.raises(TypeError, match="'want_counterexample'"):
             repro.typecheck(
-                transducer, din, dout, method="replus", use_kernel=True
+                transducer, din, dout, method="replus",
+                want_counterexample=False,
             )
 
     def test_max_tuple_rejected_for_explicit_non_forward_method(self):

@@ -127,14 +127,6 @@ class TestInvalidation:
         session = compile_session(din, dout, cache_dir=tmp_path, reuse=False)
         assert session.stats["source"] == "fresh"
 
-    def test_different_options_address_different_artifacts(self, tmp_path):
-        _populate(tmp_path)
-        _, din, dout, _ = filtering_family(6)
-        session = compile_session(
-            din, dout, use_kernel=False, cache_dir=tmp_path, reuse=False
-        )
-        assert session.stats["source"] == "fresh"
-
     def test_clear_removes_artifacts_and_orphaned_temp_files(self, tmp_path):
         import os
         import time

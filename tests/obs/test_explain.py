@@ -184,8 +184,9 @@ class TestQueryReport:
 
 class TestTableCacheEngineLabels:
     def test_both_metric_names_increment(self):
-        """Satellite: per-engine labelled table-cache counters next to the
-        legacy flat names (kept for one release)."""
+        """The miss and the hit counter both increment under the
+        per-engine label; the flat ``repro.<engine>.table_cache.*`` names
+        are gone."""
         clear_registry()
         transducer, din, dout, _ = nd_bc_family(4)
         session = repro.compile(din, dout, eager=False)
@@ -194,14 +195,17 @@ class TestTableCacheEngineLabels:
             for name in (
                 "repro.table_cache.misses{engine=forward}",
                 "repro.table_cache.hits{engine=forward}",
-                "repro.forward.table_cache.misses",
-                "repro.forward.table_cache.hits",
             )
         }
         session.typecheck(transducer, method="forward")  # cold: miss
         session.typecheck(transducer, method="forward")  # warm: hit
         for name, value in before.items():
             assert m.counter(name).value > value, name
+        flat = [
+            key for key in m.snapshot()["counters"]
+            if key.startswith("repro.forward.table_cache.")
+        ]
+        assert flat == []
 
     def test_backward_miss_and_hit_counted(self):
         clear_registry()
@@ -212,8 +216,6 @@ class TestTableCacheEngineLabels:
             for name in (
                 "repro.table_cache.misses{engine=backward}",
                 "repro.table_cache.hits{engine=backward}",
-                "repro.backward.table_cache.misses",
-                "repro.backward.table_cache.hits",
             )
         }
         session.typecheck(transducer, method="backward")

@@ -123,10 +123,15 @@ class TestRouterAudit:
     def test_record_and_read_back(self, sink):
         from repro.obs import record_router_decision, router_audit
 
-        record_router_decision("backward", 12.5, 0.4, 0.9, transducer="cafe")
+        record_router_decision(
+            "backward", 0.9,
+            predicted_ms={"forward": 12.5, "backward": 0.4},
+            transducer="cafe",
+        )
         entries = router_audit()
         assert entries and entries[-1]["choice"] == "backward"
         assert entries[-1]["predicted_forward_ms"] == 12.5
+        assert entries[-1]["predicted_backward_ms"] == 0.4
         assert entries[-1]["actual_ms"] == 0.9
         # the decision also lands in the trace sink as an audit record
         kinds = [json.loads(l).get("kind") for l in sink.read_text().splitlines()]

@@ -205,12 +205,11 @@ class TestShardPlanner:
 
 class TestShardOptionGuards:
     def test_use_kernel_flip_rejected(self):
-        """Shard keys are canonicalized with the session's engine; a
-        per-call engine flip would hydrate under mismatched keys, so it is
-        rejected up front (regression test)."""
+        """There is one forward evaluator, so a per-call engine flip is an
+        unknown option — rejected up front, before any shard runs."""
         transducer, din, dout, _ = nd_bc_family(4)
         session = Session(din, dout, eager=False)
-        with pytest.raises(TypeError, match="session's engine"):
+        with pytest.raises(TypeError, match="'use_kernel'"):
             session.typecheck_sharded(
                 transducer, lambda partitions: [], use_kernel=False
             )
