@@ -248,9 +248,9 @@ def bench_backward(results, sizes, repeat: int) -> None:
 def bench_auto(results, sizes, repeat: int) -> None:
     """The ``method="auto"`` forward/backward router vs both engines.
 
-    For each family the session's calibrated cost comparison (the one
-    ``typecheck_sharded(method="auto")`` and the in-trac branch of the
-    one-shot facade run) resolves an engine; the row records the
+    For each family ``Session.route(T, shardable=True)`` — the cost
+    comparison that ``typecheck_sharded(method="auto")`` and auto on
+    in-trac DTD pairs both run — resolves an engine; the row records the
     prediction, the actual wall time of both explicit engines, and the
     routed engine's time.  ``auto_over_best`` is the router's figure of
     merit: 1.0 means it picked the winner, and the smoke gate bounds it
@@ -266,13 +266,11 @@ def bench_auto(results, sizes, repeat: int) -> None:
         transducer, din, dout, expected = family(n)
         session = Session(din, dout, eager=False)
         routing_cold = time.perf_counter()
-        chosen = session.shard_method(transducer)
+        chosen, costs_ms = session.route(transducer, shardable=True)
         routing_cold_s = time.perf_counter() - routing_cold
         routing_warm_s = best_of(
-            lambda: session.shard_method(transducer), repeat
+            lambda: session.route(transducer, shardable=True), repeat
         )
-        plain, _analysis = session._compiled_transducer(transducer)
-        _choice, costs_ms = session._auto_choice(plain)
         fcost_ms = costs_ms.get("forward", 0.0)
         bcost_ms = costs_ms.get("backward", 0.0)
         forward_r = typecheck_forward(transducer, din, dout)
@@ -673,7 +671,7 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
         for _ in range(repeat):
             session = Session(din, dout, eager=False)
 
-            def compute(partitions):
+            def compute(partitions, method):
                 from repro.core.forward import (
                     compute_forward_tables,
                     ForwardSchema,

@@ -80,8 +80,11 @@ class ReplusSchema:
             self.din.content_replus(symbol)
         for symbol in sorted(self.dout.alphabet, key=repr):
             self.dout.content_dfa(symbol)
-        self.witness_dag("t_min")
-        self.witness_dag("t_vast")
+        if not self.din.is_empty():
+            # No witness exists for an empty input language, which the
+            # engines answer (vacuously) before reading one.
+            self.witness_dag("t_min")
+            self.witness_dag("t_vast")
         self.compiled = True
         return self
 

@@ -43,12 +43,11 @@ parallel typechecking a non-goal.
 
 from __future__ import annotations
 
-import inspect
 import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import BudgetExceededError, ClassViolationError
 from repro.obs import explain as _explain
@@ -117,8 +116,8 @@ def allowed_kwargs(method: str) -> frozenset:
     """The per-call option names ``typecheck(method=...)`` accepts.
 
     Delegates to the engine registry, which memoizes the signature
-    inspection *per engine* — one ``inspect.signature`` call per process,
-    never one per typecheck.
+    inspection *per engine* — once per process, never once per
+    typecheck.
     """
     return get_engine(method).allowed_kwargs()
 
@@ -132,30 +131,6 @@ def validate_method_kwargs(method: str, kwargs: Dict[str, object]) -> None:
     forwarded it).  This names the offending option and lists the valid ones.
     """
     get_engine(method).validate_kwargs(kwargs)
-
-
-def _call_compute_shards(compute_shards, partitions, method: str):
-    """Invoke a shard fan-out callback, new- or old-style.
-
-    Callbacks that can take a second positional argument receive the
-    resolved engine (``compute_shards(partitions, method)``) — what a
-    ``method="auto"`` caller needs to compute the right engine's tables;
-    the classic single-parameter forward callbacks are called unchanged.
-    """
-    try:
-        params = list(inspect.signature(compute_shards).parameters.values())
-    except (TypeError, ValueError):  # builtins/C callables: assume classic
-        return compute_shards(partitions)
-    positional = [
-        p
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 2 or any(
-        p.kind is p.VAR_POSITIONAL for p in params
-    ):
-        return compute_shards(partitions, method)
-    return compute_shards(partitions)
 
 
 def _reject_max_tuple(method: str, max_tuple: Optional[int]) -> None:
@@ -241,9 +216,9 @@ class Session:
         self._analyses: "OrderedDict[str, Tuple[TreeTransducer, TransducerAnalysis]]" = (
             OrderedDict()
         )
-        # Auto-route memo: content hash -> (choice, {engine: cost ms}).
-        # The decision is deterministic given the (fixed) schema pair, so
-        # a serving session pays the key scans once per transducer.
+        # Route-cost memo: content hash -> (cheapest routable engine,
+        # {engine: predicted ms}).  The schema pair is fixed, so a serving
+        # session pays the cost models' key scans once per transducer.
         self._auto_routes: "OrderedDict[str, Tuple[str, Dict[str, float]]]" = (
             OrderedDict()
         )
@@ -391,34 +366,44 @@ class Session:
         with self._lock:
             if not explain:
                 return self._typecheck(transducer, method, max_tuple, **kwargs)
-            with _explain.query_scope() as scope:
-                start = time.perf_counter()
-                result = self._typecheck(transducer, method, max_tuple, **kwargs)
-                measured_ms = (time.perf_counter() - start) * 1e3
-            result.report = _explain.build_report(
-                "typecheck",
-                method=method,
-                result=result,
-                measured_ms=measured_ms,
-                scope=scope,
-                predicted_ms=self._predicted_costs(transducer),
-                session_source=str(self.stats.get("source", "")) or None,
+            return self._explained(
+                "typecheck", transducer, method,
+                lambda: self._typecheck(transducer, method, max_tuple, **kwargs),
             )
-            return result
 
-    def _predicted_costs(self, transducer: TreeTransducer) -> Dict[str, float]:
-        """Every routable engine's predicted ms for ``T`` (the auto
-        router's memoized view), or ``{}`` off the routable plane."""
-        try:
-            if self._dtd_pair_value is None or self._replus_pair:
-                return {}
-            plain, analysis = self._compiled_transducer(transducer)
-            if not analysis.in_trac:
-                return {}
-            _choice, costs = self._auto_choice(plain)
-            return dict(costs)
-        except Exception:  # noqa: BLE001 - explain must never fail a query
-            return {}
+    def _explained(
+        self,
+        kind: str,
+        transducer: TreeTransducer,
+        method: str,
+        run: Callable[[], TypecheckResult],
+        shardable: bool = False,
+    ) -> TypecheckResult:
+        """Run ``run()`` inside an explain scope and attach its report.
+
+        The report's predictions are what :meth:`route` prices ``T`` at
+        under ``method="auto"`` (``{}`` when auto does not compare costs).
+        """
+        with _explain.query_scope() as scope:
+            start = time.perf_counter()
+            result = run()
+            measured_ms = (time.perf_counter() - start) * 1e3
+        with self._lock:
+            try:
+                predicted = self.route(transducer, shardable=shardable)[1]
+            except Exception:  # noqa: BLE001 - explain must never fail a query
+                predicted = {}
+            source = str(self.stats.get("source", "")) or None
+        result.report = _explain.build_report(
+            kind,
+            method=method,
+            result=result,
+            measured_ms=measured_ms,
+            scope=scope,
+            predicted_ms=predicted,
+            session_source=source,
+        )
+        return result
 
     def _typecheck(
         self,
@@ -428,104 +413,137 @@ class Session:
         **kwargs,
     ) -> TypecheckResult:
         self.stats["calls"] = int(self.stats["calls"]) + 1
-        if method != "auto":
-            # Explicit methods dispatch straight through the registry —
-            # there is no per-engine branch here: a newly registered
-            # engine is callable by name immediately.
-            engine = get_engine(method)
-            engine.validate_kwargs(kwargs)
-            if not engine.accepts_max_tuple:
+        choice, costs = self.route(transducer, method, max_tuple)
+        engine = get_engine(choice)
+        engine.validate_kwargs(kwargs)
+        if not engine.accepts_max_tuple:
+            # Explicit methods are strict; under auto, ``max_tuple`` is
+            # the forward pin and means nothing to the other engines.
+            if method != "auto":
                 _reject_max_tuple(method, max_tuple)
-            return engine.typecheck(self, transducer, max_tuple, kwargs)
-
-        # "auto": the paper's algorithm selection (api module docstring).
-        # ``max_tuple`` is auto's "force the forward engine" escape hatch,
-        # so it is not rejected here — only explicit methods are strict.
-        if self._replus_pair:
-            # RE⁺ pairs route before (and without) transducer analysis.
-            return self._run_auto("replus", transducer, None, kwargs)
-        plain, analysis = self._compiled_transducer(transducer)
-        choice, costs = self._resolve_auto(plain, analysis, max_tuple)
-        if choice is None:
-            raise ClassViolationError(
-                "instance crosses the tractability frontier: the transducer has "
-                f"copying width {analysis.copying_width} and "
-                f"{'unbounded' if analysis.deletion_path_width is None else analysis.deletion_path_width} "
-                "deletion path width, and the schemas are "
-                f"{type(self.sin).__name__}/{type(self.sout).__name__}. "
-                "Options: restrict the transducer (Theorem 15/20), use "
-                "DTD(RE+) schemas (Theorem 37), use DTD schemas to enable "
-                "method='backward' (inverse type inference — complete for any "
-                "deterministic top-down transducer over DTDs, budget-guarded), "
-                "or pass max_tuple for a best-effort (possibly exponential) "
-                "run of the forward engine."
-            )
-        route_start = time.perf_counter()
-        result = self._run_auto(
-            choice, plain, max_tuple if choice == "forward" else None, kwargs
-        )
+            max_tuple = None
+        if method == "auto" and transducer.uses_calls():
+            # Run the call-compiled transducer the route analysed (memoized)
+            # rather than have the engine compile the calls again.
+            transducer = self._compiled_transducer(transducer)[0]
+        run_start = time.perf_counter()
+        result = engine.typecheck(self, transducer, max_tuple, kwargs)
+        if method == "auto":
+            result.stats["auto_method"] = choice
         if costs:
             # Router audit: predicted vs. measured cost of this decision —
             # the data needed to re-fit the engines' ms_per_unit weights.
             record_router_decision(
                 choice,
-                actual_ms=round(
-                    (time.perf_counter() - route_start) * 1e3, 3
-                ),
+                actual_ms=round((time.perf_counter() - run_start) * 1e3, 3),
                 predicted_ms={
                     name: round(cost, 3) for name, cost in costs.items()
                 },
-                transducer=plain.content_hash()[:12],
+                transducer=transducer.content_hash()[:12],
             )
             for name, cost in costs.items():
                 result.stats[f"auto_{name}_cost"] = round(cost, 3)
         return result
 
-    def _run_auto(
+    def route(
         self,
-        choice: str,
         transducer: TreeTransducer,
-        max_tuple: Optional[int],
-        kwargs: Dict[str, object],
-    ) -> TypecheckResult:
-        """Run the engine the auto policy picked, stamping the choice."""
-        engine = get_engine(choice)
-        engine.validate_kwargs(kwargs)
-        result = engine.typecheck(self, transducer, max_tuple, kwargs)
-        result.stats["auto_method"] = choice
-        return result
-
-    def _auto_choice(
-        self, plain: TreeTransducer
+        method: str = "auto",
+        max_tuple: Optional[int] = None,
+        *,
+        shardable: bool = False,
     ) -> Tuple[str, Dict[str, float]]:
-        """``(engine name, {engine: predicted ms})`` for the auto policy
-        on an in-tractability DTD-pair instance.
+        """``(engine, {engine: predicted ms})``: the engine a query of
+        ``T`` runs on this pair — the one routing policy behind
+        :meth:`typecheck`, :meth:`retypecheck`, :meth:`typecheck_sharded`
+        and the explain reports.
 
-        Sums each *routable* engine's shard cost model over its own check
-        keys — the forward ``n_out^m`` tuple seeds plus amortized
-        dependency-closure DFA sizes, against the backward per-symbol
-        ``n_in_states × behavior-monoid`` products — weighs each total by
-        its calibrated per-unit runtime (``Engine.ms_per_unit``, measured
-        on the workload families; BENCH_auto.json re-derives the weights
-        every run), and picks the smallest predicted wall time (ties go
-        to the earliest registrant — forward, the paper's engine).  The
-        models read *compiled schema shape only*, so the choice costs one
-        key scan per engine, never a fixpoint.
+        The ladder, first match wins:
+
+        1. an explicit ``method`` is its own engine (``ValueError`` when
+           unknown);
+        2. RE⁺ pairs → ``replus`` (Theorem 37), before any transducer
+           analysis;
+        3. ``max_tuple`` on a DTD pair pins ``forward`` — a caller
+           bounding the tuple width asks for the (possibly exponential)
+           forward run, never a routed alternative;
+        4. ``T_trac`` over DTDs → the routable engine with the smallest
+           predicted wall time (``Engine.predict_cost_ms``: each engine's
+           shard cost model over its own check keys, weighed by its
+           calibrated ``ms_per_unit``; ties go to the earliest
+           registrant).  The models read compiled schema shape only, and
+           the costs are memoized per transducer content hash;
+        5. del-relab → ``delrelab`` (Theorem 20).  Only non-DTD pairs get
+           here: over DTDs every del-relab transducer is in ``T_trac``;
+        6. any other DTD pair → ``backward``: inverse type inference is
+           complete for every deterministic top-down transducer over
+           DTDs (budget-guarded), so auto does not refuse the instance;
+        7. otherwise :class:`~repro.errors.ClassViolationError`.
+
+        ``shardable=True`` is the sharded fan-out's view: the rungs whose
+        engine cannot shard are skipped, so RE⁺ pairs reach the cost
+        comparison and non-DTD pairs are refused.  The predictions are
+        non-empty exactly when rung 4 chose.
         """
-        memo_key = plain.content_hash()
-        cached = lru_get(self._auto_routes, memo_key)
-        if cached is not None:
-            return cached
-        costs: Dict[str, float] = {}
-        best: Optional[str] = None
-        for engine in routable_engines():
-            cost = float(engine.predict_cost_ms(self, plain))
-            costs[engine.name] = cost
-            if best is None or cost < costs[best]:
-                best = engine.name
-        route = (best, costs)
-        lru_store(self._auto_routes, memo_key, route, TRANSDUCER_MEMO_LIMIT)
-        return route
+        if method != "auto":
+            if shardable:
+                names = [engine.name for engine in shardable_engines()]
+                if method not in names:
+                    raise ValueError(
+                        f"unknown shard method {method!r}; valid: auto, "
+                        + ", ".join(names)
+                    )
+            get_engine(method)
+            return method, {}
+
+        def usable(name: str) -> bool:
+            return not shardable or get_engine(name).shardable
+
+        with self._lock:
+            dtd_pair = self._dtd_pair_value is not None
+            if self._replus_pair and usable("replus"):
+                return "replus", {}
+            if dtd_pair and max_tuple is not None and usable("forward"):
+                return "forward", {}
+            if not dtd_pair and shardable:
+                self._dtd_pair()  # every shardable engine needs DTDs
+            plain, analysis = self._compiled_transducer(transducer)
+            if dtd_pair and analysis.in_trac:
+                memo_key = plain.content_hash()
+                cached = lru_get(self._auto_routes, memo_key)
+                if cached is None:
+                    costs = {
+                        engine.name: float(engine.predict_cost_ms(self, plain))
+                        for engine in routable_engines()
+                    }
+                    cached = (min(costs, key=costs.get), costs)
+                    lru_store(
+                        self._auto_routes, memo_key, cached,
+                        TRANSDUCER_MEMO_LIMIT,
+                    )
+                best, costs = cached
+                if not usable(best):
+                    best = min(
+                        [name for name in costs if usable(name)], key=costs.get
+                    )
+                return best, costs
+            if analysis.is_del_relab and usable("delrelab"):
+                return "delrelab", {}
+            if dtd_pair and usable("backward"):
+                return "backward", {}
+        raise ClassViolationError(
+            "instance crosses the tractability frontier: the transducer has "
+            f"copying width {analysis.copying_width} and "
+            f"{'unbounded' if analysis.deletion_path_width is None else analysis.deletion_path_width} "
+            "deletion path width, and the schemas are "
+            f"{type(self.sin).__name__}/{type(self.sout).__name__}. "
+            "Options: restrict the transducer (Theorem 15/20), use "
+            "DTD(RE+) schemas (Theorem 37), use DTD schemas to enable "
+            "method='backward' (inverse type inference — complete for any "
+            "deterministic top-down transducer over DTDs, budget-guarded), "
+            "or pass max_tuple for a best-effort (possibly exponential) "
+            "run of the forward engine."
+        )
 
     # ------------------------------------------------------------------
     # Incremental re-typechecking (edit chains)
@@ -548,12 +566,14 @@ class Session:
         surviving cells (and their persisted kernel ``ProductBFS``
         frontiers) carry over.  The new tables are stored under the
         edited transducer's content hash, so chains of edits stay warm
-        link to link.  ``method`` accepts ``auto`` (the usual routing,
-        restricted to the two complete engines), ``forward``, or
-        ``backward``; anything that the delta path cannot serve (cold
-        base, non-DTD pair, blown budgets, XPath calls,
-        alphabet/behavior-shape changes) falls back to a plain
-        cold check, reported in ``stats["retypecheck_mode"]``.
+        link to link.  ``method`` is resolved by :meth:`route`, exactly
+        as :meth:`typecheck` resolves it: only the ``forward`` and
+        ``backward`` engines diff tables; any other engine (``replus``
+        on RE⁺ pairs under auto, ``delrelab``, ...) re-runs against its
+        already-compiled schema, reported ``warmed``.  Anything that the
+        delta path cannot serve (cold base, non-DTD pair, blown budgets,
+        XPath calls, alphabet/behavior-shape changes) falls back to a
+        plain cold check, reported in ``stats["retypecheck_mode"]``.
 
         ``explain=True`` attaches a :class:`repro.obs.explain.QueryReport`
         (including the retypecheck mode and reuse counters) as
@@ -565,22 +585,12 @@ class Session:
                 return self._retypecheck(
                     transducer, base, method, max_tuple, **kwargs
                 )
-            with _explain.query_scope() as scope:
-                start = time.perf_counter()
-                result = self._retypecheck(
+            return self._explained(
+                "retypecheck", transducer, method,
+                lambda: self._retypecheck(
                     transducer, base, method, max_tuple, **kwargs
-                )
-                measured_ms = (time.perf_counter() - start) * 1e3
-            result.report = _explain.build_report(
-                "retypecheck",
-                method=method,
-                result=result,
-                measured_ms=measured_ms,
-                scope=scope,
-                predicted_ms=self._predicted_costs(transducer),
-                session_source=str(self.stats.get("source", "")) or None,
+                ),
             )
-            return result
 
     def _retypecheck(
         self,
@@ -590,32 +600,21 @@ class Session:
         max_tuple: Optional[int],
         **kwargs,
     ) -> TypecheckResult:
-        if method != "auto":
-            get_engine(method)  # unknown-method ValueError, same as typecheck
+        # The route _typecheck takes, so the resolved engine (and hence
+        # the reported mode) matches the run; a refused instance raises
+        # the same ClassViolationError a plain typecheck would.
+        resolved = self.route(transducer, method, max_tuple)[0]
+        engine = get_engine(resolved)
 
-        def cold(reason: str, resolved: Optional[str] = None) -> TypecheckResult:
+        def cold(reason: str) -> TypecheckResult:
             result = self._typecheck(transducer, method, max_tuple, **dict(kwargs))
             result.stats["retypecheck_mode"] = "cold"
             result.stats["retypecheck"] = {
                 "mode": "cold",
-                "method": resolved or method,
+                "method": resolved,
                 "reason": reason,
             }
             return result
-
-        plain, analysis = self._compiled_transducer(transducer)
-
-        # Resolve auto exactly as _typecheck's policy would, so the
-        # resolved engine (and hence the reported mode) matches the run.
-        if method == "auto":
-            resolved, _costs = self._resolve_auto(plain, analysis, max_tuple)
-            if resolved is None:
-                # Frontier-crossing instance: the cold call raises the
-                # same ClassViolationError a plain typecheck would.
-                return cold("instance crosses the tractability frontier")
-        else:
-            resolved = method
-        engine = get_engine(resolved)
 
         if not engine.incremental:
             # No diffable tables for this engine — but the compiled schema
@@ -630,8 +629,7 @@ class Session:
             )
             if ctx is None or not getattr(ctx, "compiled", False):
                 return cold(
-                    reason if not engine.has_schema else "schema not compiled",
-                    resolved,
+                    reason if not engine.has_schema else "schema not compiled"
                 )
             result = self._typecheck(
                 transducer, method, max_tuple, **dict(kwargs)
@@ -645,12 +643,11 @@ class Session:
             return result
 
         # Incremental engines (forward/backward): diff the base snapshot.
-        if self._dtd_pair_value is None or self._replus_pair:
-            return cold("not a DTD pair", resolved)
         engine.validate_kwargs(kwargs)
         if not engine.accepts_max_tuple:
             _reject_max_tuple(resolved, max_tuple)
-        din, dout = self._dtd_pair_value
+        din, dout = self._dtd_pair()
+        plain, _analysis = self._compiled_transducer(transducer)
         base_plain, _base_analysis = self._compiled_transducer(base)
 
         # The engines' preambles (empty input language, missing/ill-formed
@@ -664,7 +661,7 @@ class Session:
             or not isinstance(root_rule[0], RhsSym)
             or root_rule[0].label != dout.start
         ):
-            return cold("preamble case", resolved)
+            return cold("preamble case")
 
         base_key = base_plain.content_hash()
         new_key = plain.content_hash()
@@ -683,7 +680,7 @@ class Session:
                         max_tuple=max_tuple, max_product_nodes=max_nodes,
                     )
                 except BudgetExceededError:
-                    return cold("incremental budget exceeded", resolved)
+                    return cold("incremental budget exceeded")
                 if out is not None:
                     tables, info = out
                     diff_span.set(
@@ -700,12 +697,11 @@ class Session:
                     self, plain, max_product_nodes=max_nodes
                 )
             except BudgetExceededError:
-                return cold("saturation budget exceeded", resolved)
+                return cold("saturation budget exceeded")
             if tables is None:
                 return cold(
                     "no base tables" if base_tables is None
-                    else "delta path not applicable",
-                    resolved,
+                    else "delta path not applicable"
                 )
         engine.store_tables(self, new_key, tables)
         self.stats["calls"] = int(self.stats["calls"]) + 1
@@ -719,39 +715,6 @@ class Session:
         if method == "auto":
             result.stats.setdefault("auto_method", resolved)
         return result
-
-    def _resolve_auto(
-        self,
-        plain: TreeTransducer,
-        analysis: TransducerAnalysis,
-        max_tuple: Optional[int],
-    ) -> Tuple[Optional[str], Dict[str, float]]:
-        """``(engine, predicted costs)`` that ``method="auto"`` resolves
-        to for this instance — the one routing ladder behind
-        :meth:`typecheck` and :meth:`retypecheck` — or ``(None, {})``
-        when auto refuses it (the tractability frontier).  The costs are
-        non-empty exactly when the cost router chose the engine."""
-        if self._replus_pair:
-            return "replus", {}
-        if self._dtd_pair_value is not None and max_tuple is not None:
-            # The escape hatch always means the forward engine: a caller
-            # bounding the tuple width is asking for the (possibly
-            # exponential) forward run, never a routed alternative.
-            return "forward", {}
-        if self._dtd_pair_value is not None and analysis.in_trac:
-            # Every routable (complete, cost-modelled) engine applies:
-            # route by measurable schema shape (see _auto_choice).
-            return self._auto_choice(plain)
-        if analysis.is_del_relab:
-            return "delrelab", {}
-        if self._dtd_pair_value is not None:
-            # Out of every T^{C,K}_trac over DTDs: the forward engine
-            # would raise ClassViolationError, but inverse type inference
-            # is complete for any deterministic top-down transducer over
-            # DTDs (budget-guarded), so auto falls back to it instead of
-            # refusing the instance.
-            return "backward", {}
-        return None, {}
 
     def typecheck_many(
         self,
@@ -830,41 +793,6 @@ class Session:
             )
             return tables
 
-    def shard_method(
-        self,
-        transducer: TreeTransducer,
-        method: str = "auto",
-        max_tuple: Optional[int] = None,
-    ) -> str:
-        """The engine a sharded run of ``T`` resolves to.
-
-        ``"forward"`` and ``"backward"`` pass through; ``"auto"`` applies
-        :meth:`typecheck`'s routing policy restricted to the two shardable
-        engines — ``max_tuple`` forces forward (the escape hatch),
-        out-of-tractability instances go backward (the forward engine
-        would raise :class:`~repro.errors.ClassViolationError`), and
-        in-tractability instances compare the two key-cost models.  The
-        worker pool resolves the method here *before* fanning out, so
-        every worker computes the right engine's tables.
-        """
-        shardable = [engine.name for engine in shardable_engines()]
-        if method != "auto":
-            if method not in shardable:
-                raise ValueError(
-                    f"unknown shard method {method!r}; valid: auto, "
-                    + ", ".join(shardable)
-                )
-            return method
-        with self._lock:
-            self._dtd_pair()  # sharding needs a DTD pair either way
-            plain, analysis = self._compiled_transducer(transducer)
-            if max_tuple is not None:
-                return "forward"
-            if not analysis.in_trac:
-                return "backward"
-            choice, _costs = self._auto_choice(plain)
-            return choice
-
     def typecheck_sharded(
         self,
         transducer: TreeTransducer,
@@ -888,15 +816,15 @@ class Session:
         ``method`` picks the engine to shard: ``"forward"`` (default, the
         original fan-out) partitions the hedge-cell check keys,
         ``"backward"`` partitions the per-input-symbol product cells, and
-        ``"auto"`` resolves through :meth:`shard_method` (the cost-model
-        routing).  ``compute_shards(partitions)`` maps a list of key
-        partitions to the list of their table snapshots — the worker pool
+        ``"auto"`` resolves through ``route(T, shardable=True)`` — the
+        typecheck ladder without its unshardable rungs, so RE⁺ pairs
+        compare the forward and backward costs too.  The resolved engine
+        is ``stats["shard_method"]``.  ``compute_shards(partitions,
+        method)`` maps a list of key partitions to the list of their
+        table snapshots under the resolved ``method`` — the worker pool
         fans the partitions out across processes (each holding a warm
         session for this pair); tests pass a sequential implementation.
-        A callback taking a second positional parameter receives the
-        *resolved* method too (``compute_shards(partitions, method)``),
-        which ``method="auto"`` callers need to compute the right engine's
-        tables.  The merged tables then drive the root-check scan and
+        The merged tables then drive the root-check scan and
         counterexample construction here, so the verdict is exactly the
         unsharded engine's — the shards compute complete per-cell least
         fixpoints and the merge unions disjoint cells.  Partitioning never
@@ -919,35 +847,19 @@ class Session:
         loads in ``stats["shard_costs"]``, so the balance is observable.
         Sharded runs record each key's *measured* fixpoint seconds
         (``key_elapsed_s``, timed per cell on the worker) for the next
-        ``planner="profile"`` plan; when a snapshot predates per-key
-        timing, the shard wall time is attributed to its keys
-        proportionally to the model as before.
+        ``planner="profile"`` plan.
         """
-        if not explain:
+        def run() -> TypecheckResult:
             return self._typecheck_sharded_impl(
                 transducer, compute_shards, shards, max_tuple, planner,
                 method, **kwargs
             )
-        with _explain.query_scope() as scope:
-            start = time.perf_counter()
-            result = self._typecheck_sharded_impl(
-                transducer, compute_shards, shards, max_tuple, planner,
-                method, **kwargs
-            )
-            measured_ms = (time.perf_counter() - start) * 1e3
-        with self._lock:
-            predicted = self._predicted_costs(transducer)
-            source = str(self.stats.get("source", "")) or None
-        result.report = _explain.build_report(
-            "typecheck_sharded",
-            method=method,
-            result=result,
-            measured_ms=measured_ms,
-            scope=scope,
-            predicted_ms=predicted,
-            session_source=source,
+
+        if not explain:
+            return run()
+        return self._explained(
+            "typecheck_sharded", transducer, method, run, shardable=True
         )
-        return result
 
     def _typecheck_sharded_impl(
         self,
@@ -962,7 +874,7 @@ class Session:
         from repro.core.forward import plan_forward_shards
 
         with _trace.span("shard_plan", planner=planner) as plan_span:
-            method = self.shard_method(transducer, method, max_tuple)
+            method = self.route(transducer, method, max_tuple, shardable=True)[0]
             engine = get_engine(method)
             if not engine.accepts_max_tuple:
                 _reject_max_tuple(method, max_tuple)
@@ -1006,7 +918,7 @@ class Session:
                 )
             plan_span.set(method=method, keys=len(keys), shards=len(partitions))
         engine.validate_kwargs(kwargs)
-        snapshots = _call_compute_shards(compute_shards, partitions, method)
+        snapshots = compute_shards(partitions, method)
         # Per-shard kernel counters ride the snapshots under a key the
         # mergers ignore; pop them before merging so the explain report
         # can attribute work shard by shard.
@@ -1051,33 +963,14 @@ class Session:
                 counters or {} for counters in shard_kernel
             ]
         # Feed the measurement back for the next planner="profile" run of
-        # this transducer on this pair.  Workers time each key's fixpoint
-        # individually now, so the profile is measured truth per key; the
-        # proportional smear over the shard wall time survives only as the
-        # fallback for snapshots that predate per-key timing.
-        profile_out: Dict[object, float] = {}
-        if key_elapsed:
-            assigned = set(keys)
-            profile_out = {
-                key: float(elapsed)
-                for key, elapsed in key_elapsed.items()
-                if key in assigned
-            }
-        elif (
-            shard_wall
-            and plan_costs is not None
-            and len(shard_wall) == len(partitions)
-        ):
-            cost_by_key = dict(zip(keys, plan_costs))
-            for wall, partition in zip(shard_wall, partitions):
-                total = sum(cost_by_key[key] for key in partition)
-                if total <= 0:
-                    total = len(partition) or 1
-                    weights = {key: 1 for key in partition}
-                else:
-                    weights = cost_by_key
-                for key in partition:
-                    profile_out[key] = wall * weights[key] / total
+        # this transducer on this pair: workers time each key's fixpoint
+        # individually, so the profile is measured truth per key.
+        assigned = set(keys)
+        profile_out = {
+            key: float(elapsed)
+            for key, elapsed in (key_elapsed or {}).items()
+            if key in assigned
+        }
         if profile_out:
             with self._lock:
                 engine.schema(self).record_shard_profile(

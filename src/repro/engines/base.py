@@ -15,9 +15,12 @@ NTA(NFA) backward lift, macro tree transducers) is one subclass plus one
   all-engines differential suite, and the cache hydration path;
 * ``check_keys`` / ``key_costs`` / ``compute_tables`` / ``merge_tables``
   make an engine shardable (``shardable = True``) — the worker pool and
-  ``Session.typecheck_sharded`` are engine-generic;
+  ``Session.typecheck_sharded`` are engine-generic, and the sharded view
+  of the routing policy (``Session.route(..., shardable=True)``) skips
+  every rung whose engine is not shardable;
 * ``ms_per_unit`` + ``predict_cost_ms`` enroll a complete engine in the
-  ``method="auto"`` cost router (``routable = True``);
+  cost comparison of ``Session.route`` — the one ``method="auto"``
+  routing function — for in-trac DTD pairs (``routable = True``);
 * ``cached_tables`` / ``incremental_tables`` / ``saturate_tables`` back
   ``Session.retypecheck``'s warm edit chains (``incremental = True``);
 * ``export_state`` / ``restore_state`` and the side-file declarations
@@ -66,12 +69,13 @@ class Engine:
     #: README method-table columns (one source of truth for the docs).
     algorithm: str = ""
     applies_to: str = ""
-    #: Participates in the ``method="auto"`` cost-model routing (requires
+    #: Priced in ``Session.route``'s cost comparison (requires
     #: ``ms_per_unit`` and the shard-cost hooks; routable engines must be
     #: complete on every instance they support).
     routable: bool = False
     #: Participates in the shard fan-out (``check_keys`` /
-    #: ``compute_tables`` / ``merge_tables`` are implemented).
+    #: ``compute_tables`` / ``merge_tables`` are implemented); the only
+    #: engines ``Session.route(..., shardable=True)`` resolves to.
     shardable: bool = False
     #: ``Session.retypecheck`` can diff this engine's tables.
     incremental: bool = False
@@ -86,7 +90,7 @@ class Engine:
     #: shares the ``replus`` schema).  Defaults to ``name`` in
     #: ``__init_subclass__``.
     schema_slot: str = ""
-    #: Calibrated wall-milliseconds per shard-cost unit (auto router).
+    #: Calibrated wall-milliseconds per shard-cost unit (``Session.route``).
     ms_per_unit: Optional[float] = None
     #: Payload field of this engine's side files (``None``: the engine
     #: persists no per-transducer side files).
@@ -219,8 +223,8 @@ class Engine:
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     def key_costs(self, session, transducer, keys) -> List[float]:
-        """Predicted cost per check key (the LPT planner's weights and the
-        auto router's cost model)."""
+        """Predicted cost per check key (the LPT planner's weights and
+        ``Session.route``'s cost model)."""
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     def compute_tables(
@@ -235,7 +239,7 @@ class Engine:
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     def predict_cost_ms(self, session, plain) -> float:
-        """Predicted wall-milliseconds of a full run (auto router)."""
+        """Predicted wall-milliseconds of a full run (``Session.route``)."""
         keys = self.check_keys(session, plain)
         return float(self.ms_per_unit) * sum(
             self.key_costs(session, plain, keys)
@@ -296,8 +300,8 @@ _ENGINES: "Dict[str, Engine]" = {}
 
 def register(engine: Engine) -> Engine:
     """Add an engine to the registry (insertion order is significant:
-    ``Session.warm`` compiles, the auto router scans, and the docs list
-    engines in registration order — ties in the router go to the earliest
+    ``Session.warm`` compiles, ``Session.route`` prices, and the docs list
+    engines in registration order — cost ties go to the earliest
     registrant)."""
     if not engine.name:
         raise ValueError("engine must declare a name")
@@ -326,12 +330,13 @@ def get_engine(name: str) -> Engine:
 
 
 def routable_engines() -> List[Engine]:
-    """Engines the ``method="auto"`` cost router chooses between."""
+    """Engines ``Session.route``'s cost comparison chooses between."""
     return [engine for engine in _ENGINES.values() if engine.routable]
 
 
 def shardable_engines() -> List[Engine]:
-    """Engines the shard fan-out can partition."""
+    """Engines the shard fan-out can partition (and the sharded route can
+    resolve to)."""
     return [engine for engine in _ENGINES.values() if engine.shardable]
 
 
@@ -354,12 +359,13 @@ def method_table_markdown() -> str:
     rows = [
         "| method | algorithm | applies to |",
         "|---|---|---|",
-        "| `auto` | routed: RE⁺ → grammar; in-trac DTDs → the *cheaper* "
+        "| `auto` | routed by `Session.route`: RE⁺ → grammar; `max_tuple` "
+        "pins forward on DTDs; in-trac DTDs → the *cheaper* "
         f"of {routed} by calibrated cost models (output content-DFA sizes "
         "× copying width forward, input-DFA × behavior-monoid products "
-        "backward; `max_tuple` pins forward); "
-        "del-relab → Theorem 20; other DTD pairs → backward fallback "
-        "instead of refusing | everything below |",
+        "backward); del-relab over tree automata → Theorem 20 (over DTDs "
+        "every del-relab transducer is in-trac); other DTD pairs → "
+        "backward fallback instead of refusing | everything below |",
     ]
     for engine in _ENGINES.values():
         rows.append(

@@ -754,28 +754,26 @@ class WorkerPool:
         """One instance with its fixpoint sharded across workers.
 
         The parent's warm session resolves the engine
-        (``Session.shard_method`` — ``"auto"`` routes by the cost models,
-        forced backward when the forward engine would refuse the
-        instance) and plans the key partitions (LPT over predicted cell
-        costs by default — see ``Session.typecheck_sharded``); each
-        worker computes its partition's fixpoint closure against its own
-        warm session and ships the (picklable) tables back; the parent
-        merges and finishes.  Verdicts are identical to the unsharded
-        engine, and the result's stats carry per-shard worker wall times
-        plus the chosen engine (``stats["shard_method"]``).
+        (``Session.route(T, method, max_tuple, shardable=True)``) and
+        plans the key partitions (LPT over predicted cell costs by
+        default — see ``Session.typecheck_sharded``); each worker
+        computes its partition's fixpoint closure against its own warm
+        session and ships the (picklable) tables back; the parent merges
+        and finishes.  Verdicts are identical to the unsharded engine,
+        and the result's stats carry per-shard worker wall times plus the
+        chosen engine (``stats["shard_method"]``).
         """
         import repro
 
         session = repro.compile(
             sin, sout, eager=False, cache_dir=self.config["cache_dir"]
         )
-        method = session.shard_method(transducer, method, max_tuple)
-        opts: Dict[str, object] = {"method": method}
-        if get_engine(method).accepts_max_tuple:
-            opts["max_tuple"] = max_tuple
         wire_sin, wire_sout = _wire_schema(sin), _wire_schema(sout)
 
-        def compute_shards(partitions: List[List[Tuple]]):
+        def compute_shards(partitions: List[List[Tuple]], method: str):
+            opts: Dict[str, object] = {"method": method}
+            if get_engine(method).accepts_max_tuple:
+                opts["max_tuple"] = max_tuple
             tickets = [
                 self.submit(
                     "compute_tables",

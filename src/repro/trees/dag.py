@@ -79,6 +79,9 @@ class DagTree:
         """Depth of the unfolding (paper convention: single node is 1)."""
         return dag_depth(self)
 
+    def __reduce__(self):
+        return _rebuild_dag, (_flatten_dag(self),)
+
 
 class DagHedge:
     """A concatenation of trees and hedges (an SLP for a child sequence)."""
@@ -97,6 +100,54 @@ class DagHedge:
     @staticmethod
     def of(*parts: DagPart) -> "DagHedge":
         return DagHedge(parts)
+
+    def __reduce__(self):
+        return _rebuild_dag, (_flatten_dag(self),)
+
+
+# ---------------------------------------------------------------------------
+# Pickling
+# ---------------------------------------------------------------------------
+# Pickle's default protocol recurses several frames per nesting level, so a
+# DAG a few hundred levels deep (the RE⁺ witnesses of nd_bc(128)) overflows
+# the interpreter stack.  Both classes pickle instead as one flat node table in
+# children-first order: a tree is a ``(label, hedge index)`` tuple, a hedge
+# a list of part indices.  Each shared node is one entry, so sharing
+# survives the round trip.
+
+
+def _flatten_dag(root: DagPart) -> list:
+    index: Dict[int, int] = {}
+    table: list = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in index:
+            continue
+        kids = (node.children,) if isinstance(node, DagTree) else node.parts
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        index[id(node)] = len(table)
+        if isinstance(node, DagTree):
+            table.append((node.label, index[id(node.children)]))
+        else:
+            table.append([index[id(kid)] for kid in kids])
+    return table
+
+
+def _rebuild_dag(table: list) -> DagPart:
+    built: list = []
+    for entry in table:
+        if isinstance(entry, tuple):
+            node = DagTree.__new__(DagTree)
+            node.label, node.children = entry[0], built[entry[1]]
+        else:
+            node = DagHedge.__new__(DagHedge)
+            node.parts = tuple(built[i] for i in entry)
+        built.append(node)
+    return built[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def _sequential_shards(transducer, din, dout):
     """An in-process stand-in for the pool's fan-out (fresh schema per
     partition + a pickle round trip)."""
 
-    def compute(partitions, method="backward"):
+    def compute(partitions, method):
         assert method == "backward"
         shards = []
         for partition in partitions:
@@ -172,22 +172,27 @@ class TestShardPlanner:
 
 class TestAutoResolution:
     def test_auto_resolves_per_cost_model(self):
-        """``shard_method("auto")`` follows the calibrated cost models:
-        both workload families predict (and measure) cheaper backward
-        runs, and a huge input-content DFA against a huge tracked output
-        alphabet blows the backward product up enough to route forward."""
+        """The sharded route (``route(T, shardable=True)``) follows the
+        calibrated cost models: both workload families predict (and
+        measure) cheaper backward runs, and a huge input-content DFA
+        against a huge tracked output alphabet blows the backward product
+        up enough to route forward."""
         transducer, din, dout, _ = nd_bc_family(8)
         session = Session(din, dout, eager=False)
-        assert session.shard_method(transducer) == "backward"
+        assert session.route(transducer, shardable=True)[0] == "backward"
         # The escape hatch overrides the comparison.
-        assert session.shard_method(transducer, max_tuple=4) == "forward"
+        assert session.route(
+            transducer, max_tuple=4, shardable=True
+        )[0] == "forward"
 
         wide_t, wide_din, wide_dout, _ = wide_copy_family(6)
         wide_session = Session(wide_din, wide_dout, eager=False)
-        assert wide_session.shard_method(wide_t) == "backward"
-        assert wide_session.shard_method(wide_t, max_tuple=4) == "forward"
+        assert wide_session.route(wide_t, shardable=True)[0] == "backward"
+        assert wide_session.route(
+            wide_t, max_tuple=4, shardable=True
+        )[0] == "forward"
         with pytest.raises(ValueError, match="unknown shard method"):
-            wide_session.shard_method(wide_t, method="magic")
+            wide_session.route(wide_t, method="magic", shardable=True)
 
     def test_large_product_prediction_routes_forward(self):
         """The comparison goes both ways: a long input chain × a long
@@ -211,7 +216,7 @@ class TestAutoResolution:
             ),
         )
         session = Session(din, din, eager=False)
-        assert session.shard_method(transducer) == "forward"
+        assert session.route(transducer, shardable=True)[0] == "forward"
 
     def test_auto_sharded_run_reports_resolved_method(self):
         import repro
@@ -223,7 +228,7 @@ class TestAutoResolution:
 
         def compute(partitions, method):
             if method == "backward":
-                return _sequential_shards(transducer, din, dout)(partitions)
+                return _sequential_shards(transducer, din, dout)(partitions, method)
             return [
                 compute_forward_tables(
                     transducer, din, dout, partition,
@@ -245,6 +250,6 @@ class TestAutoResolution:
         session = Session(din, dout, eager=False)
         with pytest.raises(TypeError, match="max_tuple"):
             session.typecheck_sharded(
-                transducer, lambda partitions: [],
+                transducer, lambda partitions, method: [],
                 method="backward", max_tuple=3,
             )

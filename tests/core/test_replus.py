@@ -129,3 +129,16 @@ class TestRootCases:
         result = typecheck_replus(t, din, dout)
         assert not result.typechecks
         assert result.counterexample == parse_tree("r(a)")
+
+
+class TestDeepSchemas:
+    def test_eager_compile_of_a_deep_dtd_measures_its_footprint(self):
+        """The nd_bc(128) witnesses nest 128 levels deep; sizing the
+        session pickles them (registry eviction, artifact export)."""
+        from repro.core.session import Session
+        from repro.workloads.families import nd_bc_family
+
+        transducer, din, dout, expected = nd_bc_family(128)
+        session = Session(din, dout)
+        assert session.footprint_bytes() > 0
+        assert session.typecheck(transducer).typechecks == expected

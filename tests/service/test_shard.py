@@ -28,7 +28,8 @@ def _sequential_shards(session):
     computed against a *fresh* schema context and shipped through pickle,
     exactly as a worker would."""
 
-    def compute(partitions):
+    def compute(partitions, method):
+        assert method == "forward"
         shards = []
         for partition in partitions:
             din, dout = session.sin, session.sout
@@ -199,7 +200,7 @@ class TestShardPlanner:
         session = Session(din, dout, eager=False)
         with pytest.raises(ValueError, match="unknown shard planner"):
             session.typecheck_sharded(
-                transducer, lambda partitions: [], planner="magic"
+                transducer, lambda partitions, method: [], planner="magic"
             )
 
 
@@ -211,7 +212,7 @@ class TestShardOptionGuards:
         session = Session(din, dout, eager=False)
         with pytest.raises(TypeError, match="'use_kernel'"):
             session.typecheck_sharded(
-                transducer, lambda partitions: [], use_kernel=False
+                transducer, lambda partitions, method: [], use_kernel=False
             )
 
     def test_sharded_stats_carry_worker_product_nodes(self):

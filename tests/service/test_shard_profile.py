@@ -10,7 +10,8 @@ from repro.workloads.families import nd_bc_family
 
 
 def _sequential_compute(transducer, din, dout):
-    def compute(partitions):
+    def compute(partitions, method):
+        assert method == "forward"
         return [
             compute_forward_tables(
                 transducer, din, dout, partition,
@@ -78,7 +79,7 @@ class TestProfilePlanner:
         session = Session(din, dout, eager=False)
         with pytest.raises(ValueError, match="cost, profile, round-robin"):
             session.typecheck_sharded(
-                transducer, lambda parts: [], shards=2, planner="nope"
+                transducer, lambda parts, method: [], shards=2, planner="nope"
             )
 
     def test_profiles_publish_even_when_blob_already_converged(self, tmp_path):

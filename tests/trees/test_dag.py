@@ -45,6 +45,37 @@ class TestRoundtrip:
         assert unfold_hedge(hedge) == (parse_tree("a"), parse_tree("b(c)"))
 
 
+class TestPickle:
+    def test_deep_dag_round_trips_with_its_sharing(self):
+        """Pickle recurses once per nesting level by default; a DAG far
+        deeper than the interpreter's recursion limit must still round
+        trip, one node per shared node."""
+        import pickle
+
+        depth = 2500
+        node = DagTree("leaf")
+        for _ in range(depth):
+            node = DagTree("n", DagHedge([DagHedge([node]), node]))
+        copy = pickle.loads(pickle.dumps(node))
+        for _ in range(depth):
+            assert copy.label == "n"
+            wrapped, shared = copy.children.parts
+            assert wrapped.parts[0] is shared
+            copy = shared
+        assert copy.label == "leaf" and copy.children.parts == ()
+
+    def test_small_dags_and_hedges_round_trip(self):
+        import pickle
+
+        shared = DagTree("x")
+        root = DagTree("r", DagHedge([shared, DagHedge([shared]), DagTree("y")]))
+        copy = pickle.loads(pickle.dumps(root))
+        assert unfold_tree(copy) == parse_tree("r(x x y)")
+        assert copy.children.parts[0] is copy.children.parts[1].parts[0]
+        hedge = pickle.loads(pickle.dumps(root.children))
+        assert unfold_hedge(hedge) == unfold_hedge(root.children)
+
+
 class TestSizes:
     def test_unfolded_size_exponential(self):
         dag = doubling_chain(30)

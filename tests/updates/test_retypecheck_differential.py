@@ -78,6 +78,23 @@ def test_edit_chain_matches_cold(seed):
                 _assert_valid_counterexample(ref_cex, edited, din, dout)
 
 
+@pytest.mark.parametrize("method", ["forward", "backward"])
+def test_explicit_engines_diff_on_replus_pairs(method):
+    """RE⁺ pairs are DTD pairs: an explicit forward or backward
+    retypecheck takes the delta path there too (auto routes them to
+    ``replus``, which re-runs warmed)."""
+    from repro.workloads.families import nd_bc_family, replus_family
+
+    for family in (nd_bc_family, replus_family):
+        for polarity in (True, False):
+            transducer, din, dout, expected = family(4, polarity)
+            warm = Session(din, dout, eager=False)
+            warm.typecheck(transducer, method=method)
+            result = warm.retypecheck(transducer, transducer, method=method)
+            assert result.typechecks == expected
+            assert result.stats["retypecheck_mode"] != "cold"
+
+
 def test_chains_exercise_every_retypecheck_mode():
     """Sanity on the harness itself: across a slice of seeds the warm
     sessions must actually hit the incremental path (otherwise the
