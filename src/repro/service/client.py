@@ -14,7 +14,7 @@ scripts::
         verdicts = client.typecheck_many(din, dout, transducers)
 
 For a fixed schema pair served many transducers — the service's actual
-deployment shape — use a sticky :class:`PairHandle` (protocol v2)::
+deployment shape — use a sticky :class:`PairHandle`::
 
     with ServiceClient(port=8722) as client:
         pair = client.pair(din, dout)          # nothing sent yet
@@ -23,8 +23,9 @@ deployment shape — use a sticky :class:`PairHandle` (protocol v2)::
 
 The handle sends the schema text exactly once per (connection, pair)
 (``set_pair``); every later request ships only the transducer and
-options.  Against a pre-v2 server the pin is rejected and the handle
-transparently falls back to v1 framing — same results, fatter payloads.
+options.  The unpinned calls above ship the schemas inline with every
+request; the server serves both through the same pinned path, so the
+results are identical and only the request bytes differ.
 
 Counterexamples come back as term-syntax text and are re-parsed to
 :class:`~repro.trees.tree.Tree` on request.
@@ -112,9 +113,8 @@ class ServiceClient:
         :attr:`last_response`.
 
         With tracing enabled the request carries a ``trace_id`` (minted
-        here unless the calling thread already has one) — old servers
-        ignore the unknown field — and the round trip is recorded as a
-        ``wire`` span under that ID.
+        here unless the calling thread already has one), and the round
+        trip is recorded as a ``wire`` span under that ID.
         """
         req_id = next(self._ids)
         message = {"id": req_id, "op": op, **fields}
@@ -162,11 +162,10 @@ class ServiceClient:
         return self.call("metrics")
 
     def pair(self, din: Textable, dout: Textable) -> "PairHandle":
-        """A sticky handle for one schema pair (protocol v2).
+        """A sticky handle for one schema pair.
 
         Nothing is sent until the first request; the handle then pins the
-        pair once (``set_pair``) and ships only transducer text per call —
-        or falls back to v1 framing when the server predates v2.
+        pair once (``set_pair``) and ships only transducer text per call.
         """
         return PairHandle(self, din, dout)
 
@@ -182,8 +181,7 @@ class ServiceClient:
         """Typecheck one instance; returns the JSON verdict dict.
 
         ``explain=True`` asks the server for the query's attribution
-        report — the verdict dict then carries it under ``"explain"``
-        (old servers ignore the field and return no report).
+        report — the verdict dict then carries it under ``"explain"``.
         """
         fields: Dict[str, object] = {
             "din": _dtd_text(din),
@@ -264,11 +262,8 @@ class ServiceClient:
 class PairHandle:
     """Sticky-pair view of a :class:`ServiceClient` connection.
 
-    Pins its schema pair on first use (protocol v2 ``set_pair``) and then
-    frames every request *bare* — transducer text plus options, no schema
-    fields.  Fallback: a server that rejects the v2 pin (a pre-v2
-    deployment) flips the handle into v1 framing permanently, where every
-    call carries the full instance — behavior is identical either way.
+    Pins its schema pair on first use (``set_pair``) and then frames
+    every request *bare* — transducer text plus options, no schema fields.
 
     One connection holds one pinned pair at a time (server-side state);
     multiple handles on one client cooperate by re-pinning whenever
@@ -282,24 +277,14 @@ class PairHandle:
         self._dout_text = _dtd_text(dout)
         #: The server-assigned pair digest (None until pinned).
         self.pair_id: Optional[str] = None
-        #: True once the handle fell back to v1 framing.
-        self.v1_fallback = False
 
     # ------------------------------------------------------------------
     def _ensure_pinned(self) -> None:
-        if self.v1_fallback:
-            return
         if self._client._pinned_handle is self and self.pair_id is not None:
             return
-        try:
-            result = self._client.call(
-                "set_pair", v=2, din=self._din_text, dout=self._dout_text
-            )
-        except ProtocolError:
-            # Old server: it rejects either the version or the op.  Framing
-            # falls back to v1; results are identical.
-            self.v1_fallback = True
-            return
+        result = self._client.call(
+            "set_pair", v=2, din=self._din_text, dout=self._dout_text
+        )
         self.pair_id = str(result["pair"])
         self._client._pinned_handle = self
 
@@ -312,11 +297,6 @@ class PairHandle:
     ) -> Dict[str, object]:
         """Typecheck one transducer against the pinned pair."""
         self._ensure_pinned()
-        if self.v1_fallback:
-            return self._client.typecheck(
-                transducer, self._din_text, self._dout_text,
-                method=method, shards=shards,
-            )
         fields: Dict[str, object] = {
             "transducer": _transducer_text(transducer),
             "method": method,
@@ -330,10 +310,6 @@ class PairHandle:
     ) -> List[Dict[str, object]]:
         """Batch against the pinned pair; fanned out across the pool."""
         self._ensure_pinned()
-        if self.v1_fallback:
-            return self._client.typecheck_many(
-                self._din_text, self._dout_text, transducers, method=method
-            )
         return self._client.call(
             "typecheck_many",
             v=2,
@@ -351,11 +327,6 @@ class PairHandle:
         checked, so sticky edit chains stay on the incremental path.
         """
         self._ensure_pinned()
-        if self.v1_fallback:
-            return self._client.retypecheck(
-                transducer, base, self._din_text, self._dout_text,
-                method=method,
-            )
         return self._client.call(
             "retypecheck",
             v=2,
@@ -367,10 +338,6 @@ class PairHandle:
     def counterexample(self, transducer: Textable):
         """The counterexample :class:`~repro.trees.tree.Tree` or ``None``."""
         self._ensure_pinned()
-        if self.v1_fallback:
-            return self._client.counterexample(
-                transducer, self._din_text, self._dout_text
-            )
         result = self._client.call(
             "counterexample",
             v=2,
@@ -381,10 +348,6 @@ class PairHandle:
     def analysis(self, transducer: Textable) -> Dict[str, object]:
         """The Proposition 16 analysis against the pinned pair."""
         self._ensure_pinned()
-        if self.v1_fallback:
-            return self._client.analysis(
-                transducer, self._din_text, self._dout_text
-            )
         return self._client.call(
             "analysis", v=2, transducer=_transducer_text(transducer)
         )

@@ -12,8 +12,10 @@ worker, usually once per *machine*.
 Routing: single-instance requests hash their schema pair onto a fixed
 worker (the pair stays warm in one place); batch requests and shard
 fan-outs round-robin across all workers — the two hot paths that exercise
-true parallelism.  A protocol-v2 pinned request carries transducer text;
-its worker parses each text once per pin (then the session's
+true parallelism.  Every query the TCP server forwards is one ``pinned``
+op: the pair digest plus transducer text, with the pair's schemas riding
+along when the request carried them inline (the worker pins on receipt).
+The worker parses each text once per pin (then the session's
 content-keyed memo analyses it once), so a repeated query costs what the
 warm query costs.
 
@@ -92,7 +94,7 @@ _SENTINEL = None
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-#: Protocol-v2 pair registry of *this worker process*: pair digest →
+#: Pinned-pair registry of *this worker process*: pair digest →
 #: ``(sin, sout, texts)``.  A pin ships the schemas to the worker once;
 #: pinned requests then carry only the digest (plus transducer text), and
 #: ``texts`` memoizes each parsed transducer text of the pair (an LRU of
@@ -119,8 +121,17 @@ PINNED_TEXT_LIMIT = 64
 
 
 def _pin_pair(pair_key: str, sin, sout) -> None:
-    """Register (or refresh) a pinned pair, LRU-evicting over the limit."""
-    before = len(_WORKER_PAIRS) + (0 if pair_key in _WORKER_PAIRS else 1)
+    """Register a pinned pair, LRU-evicting over the limit.
+
+    Re-pinning a resident pair only refreshes its LRU position: the entry,
+    and with it the pair's parsed-text memo, survives every re-pin (a
+    second connection's ``set_pair``, a batch broadcast, a stale-pair
+    retry, each inline request).
+    """
+    if pair_key in _WORKER_PAIRS:
+        _WORKER_PAIRS.move_to_end(pair_key)
+        return
+    before = len(_WORKER_PAIRS) + 1
     lru_store(
         _WORKER_PAIRS, pair_key, (sin, sout, OrderedDict()), _WORKER_PAIR_LIMIT
     )
@@ -222,7 +233,9 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
         warm_session(sin, sout)  # pay the compile on the pin, not the query
         return {"pinned": pair_key}
     if op == "pinned":
-        pair_key, json_op, payload = args
+        pair_key, json_op, payload, *schemas = args
+        if schemas:  # an inline request carries (and pins) its own pair
+            _pin_pair(pair_key, *schemas)
         pair = _WORKER_PAIRS.get(pair_key)
         if pair is None:
             raise UnknownPairError(
@@ -246,12 +259,6 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
             payload.get("method", "auto"),
             base=base,
             explain=bool(payload.get("explain", False)),
-        )
-    if op == "json_parsed":
-        sin, sout, transducer, method, json_op, base, explain = args
-        return _json_result(
-            warm_session(sin, sout), transducer, json_op, method, base=base,
-            explain=explain,
         )
     raise ProtocolError(f"unknown worker op {op!r}")
 
@@ -390,7 +397,7 @@ class WorkerPool:
             # default): size-aware eviction for services pinned to many
             # pairs, observable via worker_stats().
             "registry_max_bytes": worker_registry_bytes,
-            # Bound on each worker's protocol-v2 pair registry (None = the
+            # Bound on each worker's pinned-pair registry (None = the
             # library default, DEFAULT_WORKER_PAIR_LIMIT).  Evicted pins
             # resurrect transparently through the server's re-pin path.
             "worker_pair_limit": worker_pair_limit,
@@ -632,7 +639,7 @@ class WorkerPool:
         return self.slot_for(protocol.pair_digest(sin, sout))
 
     # ------------------------------------------------------------------
-    # Protocol-v2 pins
+    # Pins
     # ------------------------------------------------------------------
     def pin_pair(
         self,
@@ -645,7 +652,7 @@ class WorkerPool:
         """Register a schema pair in worker pair registries.
 
         With ``slot`` given, pins that worker (the pair's affine slot —
-        the v2 ``set_pair`` path) and waits so the pin's compile errors
+        the ``set_pair`` path) and waits so the pin's compile errors
         surface on the ``set_pair`` response.  Without ``slot``,
         *broadcasts* to every worker — the batch fan-out and
         crash-recovery path, where any worker may receive pinned
@@ -793,111 +800,10 @@ class WorkerPool:
             **kwargs,
         )
 
-    # ------------------------------------------------------------------
-    # Wire-payload API (used by the server)
-    # ------------------------------------------------------------------
-    def submit_payload(
-        self, payload: Dict[str, object], trace: Optional[Dict[str, object]] = None
-    ) -> PoolTicket:
-        """Dispatch one already-validated single-instance request payload.
-
-        The instance is parsed *here* (so parse errors surface before a
-        worker is involved) and routed by the canonical pair digest —
-        text-blob and section-field payloads of one logical pair land on
-        the same worker as equivalent object-API calls.  The parsed,
-        wire-clean objects ship to the worker, which therefore never
-        re-parses.
-        """
-        op = payload.get("op")
-        if op not in ("typecheck", "counterexample", "analysis", "retypecheck"):
-            raise ProtocolError(f"op {op!r} is not a single-instance op")
-        return self.submit_single(payload, str(op), trace=trace)
-
-    def submit_single(
-        self,
-        payload: Dict[str, object],
-        json_op: str,
-        fanout: bool = False,
-        trace: Optional[Dict[str, object]] = None,
-    ) -> PoolTicket:
-        """Parse, route and queue one instance payload as ``json_op``.
-
-        ``fanout=True`` round-robins instead of pinning to the pair's
-        affine worker — the batch path, where the same warm pair exists in
-        every worker and parallelism is the point.  ``trace`` is passed to
-        :meth:`submit`.
-        """
-        transducer, din, dout = protocol.parse_instance_payload(payload)
-        method = payload.get("method", "auto")
-        if not isinstance(method, str):
-            raise ProtocolError("'method' must be a string")
-        base = None
-        base_text = payload.get("base")
-        if base_text is not None:
-            if not isinstance(base_text, str):
-                raise ProtocolError("'base' must be transducer section text")
-            base = protocol.parse_transducer_section(
-                protocol.split_sections(base_text)[0], din.alphabet
-            )
-        if json_op == "retypecheck" and base is None:
-            raise ProtocolError("'retypecheck' needs a 'base' transducer section")
-        return self.submit(
-            "json_parsed",
-            (
-                _wire_schema(din),
-                _wire_schema(dout),
-                transducer,
-                method,
-                json_op,
-                base,
-                bool(payload.get("explain", False)),
-            ),
-            slot=None if fanout else self.route_slot(din, dout),
-            trace=trace,
-        )
-
-    def split_payload_many(
-        self, payload: Dict[str, object]
-    ) -> List[Dict[str, object]]:
-        """A ``typecheck_many`` payload as its single-instance payloads."""
-        transducers = payload.get("transducers")
-        if not isinstance(transducers, list) or not all(
-            isinstance(item, str) for item in transducers
-        ):
-            raise ProtocolError(
-                "'typecheck_many' needs 'transducers': [section text, ...]"
-            )
-        base = {
-            key: value
-            for key, value in payload.items()
-            if key in ("din", "dout", "method")
-        }
-        singles = []
-        for item in transducers:
-            single = dict(base)
-            single["transducer"] = item
-            singles.append(single)
-        return singles
-
-    def submit_payload_many(
-        self, payload: Dict[str, object]
-    ) -> List[PoolTicket]:
-        """Split a ``typecheck_many`` payload and fan it out (round-robin).
-
-        Unbounded: every item is queued at once.  The TCP server does NOT
-        use this — it windows the items under its global inflight gate
-        (see ``ServiceServer._dispatch``) so one batch line cannot balloon
-        the queues.
-        """
-        return [
-            self.submit_single(single, "typecheck", fanout=True)
-            for single in self.split_payload_many(payload)
-        ]
-
     def worker_stats(self, timeout: Optional[float] = 30.0) -> List[Dict[str, object]]:
         """Per-worker introspection round trip: session-registry detail
         (resident pairs, byte footprints, hit/miss/eviction counters) and
-        the pinned protocol-v2 pairs.  A worker that is busy past
+        the pinned pairs.  A worker that is busy past
         ``timeout`` reports as unavailable instead of blocking the call.
         """
         tickets = [

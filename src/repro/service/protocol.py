@@ -15,62 +15,57 @@ and responses::
 Ops
 ---
 ``ping``
-    Liveness probe; result ``{"pong": true, "version": ...}``.
+    Liveness probe; result ``{"pong": true, "version": ..., "protocol": 2}``.
 ``stats``
     Server/pool introspection: workers alive, requests served, retries,
     and per-worker session-registry detail (resident pairs with byte
     footprints, hit/miss/eviction counters, pinned pairs).
+``metrics``
+    The merged :mod:`repro.obs` metrics registry across the server
+    process and every pool worker (counters, gauges, histograms), plus
+    the per-process snapshots (see ``WorkerPool.metrics``).
+``set_pair``
+    ``{"op": "set_pair", "din": text, "dout": text}`` parses and hashes a
+    schema pair *once*, pins it to the connection, pre-pins it in the
+    pair's affine worker, and returns ``{"pair": digest, "worker": slot}``.
+    The dout section must pin its alphabet with an explicit ``alphabet``
+    line (:func:`dtd_to_text` always emits one): the per-instance
+    dout-widening of an inline request needs a transducer, so an
+    ambiguous pair is rejected rather than silently meaning something
+    different than the same texts sent inline.
 ``typecheck`` / ``counterexample`` / ``analysis``
-    One instance.  The instance travels as text in the CLI's section
-    format — either one ``"text"`` field with ``---`` separators, or the
-    three section fields ``"din"``, ``"transducer"``, ``"dout"``.
-    Optional ``"method"`` and ``"shards"`` (shard the forward fixpoint of
+    One instance: ``"transducer"`` section text plus optional
+    ``"method"``, ``"explain"`` and ``"shards"`` (shard the fixpoint of
     this single query across the pool).
-``typecheck_many``
-    ``"din"``/``"dout"`` plus ``"transducers": [text, ...]``; items fan
-    out across the worker pool and the result is a list in input order.
 ``retypecheck``
     Like ``typecheck`` plus a ``"base"`` transducer section: the edited
     ``"transducer"`` is checked incrementally against ``base``'s warm
     fixpoint tables (``Session.retypecheck``) — same verdict as a cold
     ``typecheck``, and the result's stats carry the reuse detail.
-``metrics``
-    The merged :mod:`repro.obs` metrics registry across the server
-    process and every pool worker (counters, gauges, histograms), plus
-    the per-process snapshots (see ``WorkerPool.metrics``).
+``typecheck_many``
+    ``"transducers": [text, ...]``; items fan out across the worker pool
+    and the result is a list in input order.
+
+A query names its schema pair one of two ways.  A *bare* query carries
+no schema text and runs against the connection's ``set_pair`` pin, so
+schema text crosses the wire once per (connection, pair) — the fixed-
+schema regime (Martens–Neven) the service is built for.  An *inline*
+query carries its schemas: one ``"text"`` field in the CLI's
+``---``-separated instance format, or ``"din"``/``"dout"`` section
+fields next to the transducer.  The server parses it exactly as
+:func:`load_instance` does (the dout alphabet is widened to the
+transducer's unless pinned) and serves it through the same pinned path
+under a per-request pin of the widened pair, leaving the connection's
+own pin untouched.  A message without ``"v"`` is read as the current
+protocol version.
 
 Tracing (optional ``trace_id`` field)
 -------------------------------------
 Any request may carry ``"trace_id": "<hex>"``: the server threads it
 through dispatch and pool fan-out so worker span records
 (:mod:`repro.obs.trace`) share the client's trace ID.  Unknown fields are
-ignored by design (``validate_request`` checks only ``v`` and ``op``), so
-old servers accept traced requests unchanged — the field is pure opt-in
-telemetry with no semantic effect.
-
-Protocol v2: sticky pairs
--------------------------
-Schema pairs are long-lived while transducers churn (Martens–Neven's
-fixed-schema regime), so v2 lets a connection pin its pair once:
-
-``set_pair`` (v2)
-    ``{"op": "set_pair", "v": 2, "din": text, "dout": text}`` parses and
-    hashes the pair *once*, pins it to the connection, pre-pins it in the
-    pair's affine worker, and returns ``{"pair": digest, "worker": slot}``.
-    The dout section must pin its alphabet with an explicit ``alphabet``
-    line (:func:`dtd_to_text` always emits one): per-instance
-    dout-widening needs a transducer, so an ambiguous pair is rejected
-    rather than silently meaning something different than v1 framing.
-``typecheck`` / ``counterexample`` / ``analysis`` / ``typecheck_many``
-    *bare* form (v2): no ``text``/``din``/``dout`` fields — just
-    ``transducer`` (or ``transducers``) plus options.  The server routes
-    on the pinned digest without re-hashing, and the payload is the
-    transducer text alone: schema text crosses the wire exactly once per
-    (connection, pair).
-
-A v1 client on a v2 server is unchanged (full payloads keep working); a
-v2 client probes with ``set_pair`` and falls back to v1 framing when the
-server rejects the version (see ``client.PairHandle``).
+ignored by design (``validate_request`` checks only ``v`` and ``op``) —
+the field is pure opt-in telemetry with no semantic effect.
 
 Schemas and transducers travel as *text*, not pickles: the wire format is
 readable, diffable, and language-agnostic, and the server never unpickles
@@ -112,11 +107,7 @@ from repro.util import stable_digest
 
 PROTOCOL_VERSION = 2
 
-#: Versions this server still speaks; v1 requests are served unchanged.
-SUPPORTED_VERSIONS = frozenset({1, 2})
-
-#: Ops a server accepts (``set_pair`` is v2-only in practice — a v1
-#: message never carries it).
+#: Ops a server accepts.
 OPS = frozenset(
     {
         "ping",
@@ -169,6 +160,11 @@ def _is_alphabet_line(line: str) -> bool:
     """An ``alphabet a b ...`` declaration — *not* a rule for a symbol that
     happens to be called ``alphabet`` (rules carry ``->``)."""
     return line.split()[0] == "alphabet" and "->" not in line
+
+
+def _pins_alphabet(dtd_lines: List[str]) -> bool:
+    """Does a DTD section declare its alphabet (``alphabet`` line)?"""
+    return len(dtd_lines) > 1 and _is_alphabet_line(dtd_lines[1])
 
 
 def parse_dtd_section(lines: List[str]) -> DTD:
@@ -227,28 +223,38 @@ def parse_transducer_section(lines: List[str], alphabet) -> TreeTransducer:
     return TreeTransducer(states, sigma, initial, rules)
 
 
-def load_instance(text: str):
-    """Split an instance file into ``(transducer, din, dout)``.
-
-    The CLI's loader: exactly three sections; the output DTD's alphabet is
-    widened to the transducer's (its content models usually mention only a
-    fragment), unless the section pins one explicitly.
-    """
+def _instance_lines(text: str) -> List[List[str]]:
     sections = split_sections(text)
     if len(sections) != 3:
         raise ParseError(
             f"expected 3 sections separated by '---', found {len(sections)}"
         )
-    din = parse_dtd_section(sections[0])
-    transducer = parse_transducer_section(sections[1], din.alphabet)
-    dout_raw = parse_dtd_section(sections[2])
-    if len(sections[2]) > 1 and _is_alphabet_line(sections[2][1]):
-        dout = dout_raw
-    else:
-        dout = DTD(
-            dout_raw.rules(), start=dout_raw.start, alphabet=transducer.alphabet
-        )
+    return sections
+
+
+def parse_sections(sections: List[List[str]]):
+    """``(transducer, din, dout)`` from an instance's three sections.
+
+    The output DTD's alphabet is widened to the transducer's (its content
+    models usually mention only a fragment), unless the section pins one
+    explicitly with an ``alphabet`` line.
+    """
+    din_lines, transducer_lines, dout_lines = sections
+    din = parse_dtd_section(din_lines)
+    transducer = parse_transducer_section(transducer_lines, din.alphabet)
+    dout = parse_dtd_section(dout_lines)
+    if not _pins_alphabet(dout_lines):
+        dout = DTD(dout.rules(), start=dout.start, alphabet=transducer.alphabet)
     return transducer, din, dout
+
+
+def load_instance(text: str):
+    """Split an instance file into ``(transducer, din, dout)``.
+
+    The CLI's loader: exactly three sections, parsed by
+    :func:`parse_sections` (dout-alphabet widening included).
+    """
+    return parse_sections(_instance_lines(text))
 
 
 def dtd_to_text(dtd: DTD) -> str:
@@ -323,7 +329,7 @@ def pair_digest(sin, sout) -> str:
 
     *Every* routing decision — the pool's object API, text payloads
     (parsed first, so the ``load_instance`` dout-widening normalization is
-    applied identically), and v2 ``set_pair`` pins — goes through this one
+    applied identically), and ``set_pair`` pins — goes through this one
     helper, built on the schemas' content hashes.  Equal logical pairs
     therefore land on the same worker no matter how they arrived; the seed
     hashed raw section text on one path and content hashes on the other,
@@ -341,8 +347,8 @@ def parse_pair_payload(payload: Dict[str, object]) -> Tuple[DTD, DTD]:
 
     No transducer is in play yet, so the per-instance dout-widening of
     :func:`load_instance` cannot be applied — and silently skipping it
-    would let the same raw texts typecheck differently through v2 than
-    through v1 framing.  The dout section must therefore pin its alphabet
+    would let the same raw texts typecheck differently pinned than
+    inline.  The dout section must therefore pin its alphabet
     explicitly (an un-widened pair means the same thing on both paths);
     :func:`dtd_to_text` always does, so client-object pins are unaffected.
     """
@@ -352,51 +358,39 @@ def parse_pair_payload(payload: Dict[str, object]) -> Tuple[DTD, DTD]:
         raise ProtocolError("'set_pair' needs 'din' and 'dout' section texts")
     din = parse_dtd_section(split_sections(din_text)[0])
     dout_lines = split_sections(dout_text)[0]
-    if not (len(dout_lines) > 1 and _is_alphabet_line(dout_lines[1])):
+    if not _pins_alphabet(dout_lines):
         raise ProtocolError(
             "'set_pair' needs an explicit 'alphabet ...' line in the output "
             "DTD section: without a transducer the per-instance alphabet "
-            "widening of v1 requests cannot be applied, so the pair must be "
+            "widening of inline requests cannot be applied, so the pair must be "
             "pinned unambiguously (dtd_to_text emits the line automatically)"
         )
     dout = parse_dtd_section(dout_lines)
     return din, dout
 
 
-def parse_instance_payload(payload: Dict[str, object]):
-    """``(transducer, din, dout)`` from a request's instance fields.
+def instance_sections(payload: Dict[str, object]) -> List[List[str]]:
+    """The three sections of an inline-schema request.
 
-    The section-field form applies exactly :func:`load_instance`'s
-    semantics — in particular the output DTD's alphabet is widened to the
-    transducer's unless pinned by an explicit ``alphabet`` line — so the
-    same logical instance hashes (and therefore routes and warms)
-    identically whether it travels as one ``text`` blob or three fields.
+    One ``text`` blob or the ``din``/``transducer``/``dout`` fields; both
+    forms yield the same lines, so one logical instance hashes (and
+    therefore routes and warms) identically however it travelled.
     """
     text = payload.get("text")
     if text is not None:
         if not isinstance(text, str):
             raise ProtocolError("'text' must be a string")
-        return load_instance(text)
-    din_text = payload.get("din")
-    dout_text = payload.get("dout")
-    transducer_text = payload.get("transducer")
-    if (
-        not isinstance(din_text, str)
-        or not isinstance(dout_text, str)
-        or not isinstance(transducer_text, str)
-    ):
+        return _instance_lines(text)
+    fields = [payload.get(key) for key in ("din", "transducer", "dout")]
+    if not all(isinstance(field, str) for field in fields):
         raise ProtocolError("request needs 'text' or 'din'/'transducer'/'dout'")
-    din = parse_dtd_section(split_sections(din_text)[0])
-    transducer = parse_transducer_section(
-        split_sections(transducer_text)[0], din.alphabet
-    )
-    dout_lines = split_sections(dout_text)[0]
-    dout = parse_dtd_section(dout_lines)
-    if not (len(dout_lines) > 1 and _is_alphabet_line(dout_lines[1])):
-        dout = DTD(
-            dout.rules(), start=dout.start, alphabet=transducer.alphabet
-        )
-    return transducer, din, dout
+    return [split_sections(field)[0] for field in fields]  # type: ignore[arg-type]
+
+
+def parse_instance_payload(payload: Dict[str, object]):
+    """``(transducer, din, dout)`` from a request's instance fields, with
+    exactly :func:`load_instance`'s semantics."""
+    return parse_sections(instance_sections(payload))
 
 
 # ----------------------------------------------------------------------
@@ -471,8 +465,8 @@ def result_to_json(result: TypecheckResult) -> Dict[str, object]:
     stats are passed through with non-JSON values stringified.  A query
     that ran with ``explain=True`` additionally carries its
     :class:`repro.obs.explain.QueryReport` as an ``explain`` dict — an
-    *optional* response field both protocol versions tolerate, so old
-    clients simply ignore it.
+    *optional* response field, so clients that never ask for it simply
+    ignore it.
     """
     stats = {
         key: (value if isinstance(value, (int, float, str, bool)) else repr(value))
@@ -504,19 +498,14 @@ def analysis_to_json(analysis) -> Dict[str, object]:
     }
 
 
-def _require_version_supported(message: Dict[str, object]) -> None:
-    # Messages without an explicit "v" are v1 (the seed wire format).
-    version = message.get("v", 1)
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"protocol version {version!r} not supported (this server "
-            f"speaks {', '.join(str(v) for v in sorted(SUPPORTED_VERSIONS))})"
-        )
-
-
 def validate_request(message: Dict[str, object]) -> str:
     """Check a decoded request; returns its op."""
-    _require_version_supported(message)
+    version = message.get("v", PROTOCOL_VERSION)
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"protocol version {version!r} not supported (this server "
+            f"speaks {PROTOCOL_VERSION})"
+        )
     op = message.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; valid: {', '.join(sorted(OPS))}")

@@ -14,20 +14,24 @@ layers of backpressure keep flooding clients from ballooning memory:
 * response writes honor ``writer.drain()``, so a slow-reading client
   throttles its own result stream.
 
-Protocol v2 (sticky pairs): a connection may pin its schema pair once
-with ``set_pair``; the server parses and hashes the pair at the pin,
-pre-pins the pair's affine worker, and routes every subsequent *bare*
-request (transducer + options, no schema text) without re-hashing.  A
-worker that lost its pins (respawn, crash retry onto a different worker)
-raises ``UnknownPairError``; the server transparently re-pins every
-worker and retries once.  ``set_pair`` is handled inline in the read
-loop — a pipelined bare request behind it always observes the pin.
+One served query path: a connection may pin its schema pair once with
+``set_pair``; the server parses and hashes the pair at the pin,
+pre-pins the pair's affine worker, and routes every later query without
+schema text on the pinned digest.  A query that carries its schemas
+inline is parsed in the executor into a per-request pin of its (widened)
+pair and takes the same path: one ``pinned`` pool op on the pair's
+affine worker, with the schemas inside the message so that worker pins
+on receipt.  A worker that lost its pins (respawn, crash retry onto a
+different worker, pair-LRU eviction) raises ``UnknownPairError``; the
+server re-pins every worker and retries.  ``set_pair`` is handled inline
+in the read loop — a pipelined request behind it always observes the
+pin.
 
 Pool hops: the event-loop thread queues each pool request itself and
 awaits the ticket's future (``asyncio.wrap_future``), which the pool's
 supervisor thread settles, so no thread is parked per request.  The
-executor runs only work that is itself synchronous: v1 instance parsing
-before submission, the sharded plan/fan-out/merge, and re-pin waits.
+executor runs only work that is itself synchronous: inline instance
+parsing, the sharded plan/fan-out/merge, and pin waits.
 
 Every response records ``elapsed_ms`` (queue wait + worker time) — the
 per-request timing the ops story needs — and ``stats`` exposes pool
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ProtocolError, UnknownPairError
 from repro.obs import metrics as _metrics
@@ -81,31 +85,29 @@ class _Pin:
     pipelined ``set_pair`` (handled inline in the read loop) swaps the
     connection's pin while earlier requests may still be parked on the
     inflight gate, and those requests must keep targeting the pair that
-    was pinned when they were read off the stream.
+    was pinned when they were read off the stream.  ``schemas`` is
+    non-empty only on an inline query's per-request pin: ``(din, dout)``
+    then travels inside each pinned message.
     """
 
-    __slots__ = ("pair", "din", "dout", "slot", "broadcast_pinned")
+    __slots__ = ("pair", "din", "dout", "slot", "schemas", "broadcast_pinned")
 
     def __init__(self, pair: str, din, dout, slot: int) -> None:
         self.pair = pair
         self.din = din
         self.dout = dout
         self.slot = slot
+        self.schemas: tuple = ()
         self.broadcast_pinned = False
 
 
 class _Connection:
-    """Per-connection protocol state: the pinned schema pair (v2)."""
+    """Per-connection protocol state: the pinned schema pair."""
 
     __slots__ = ("pin",)
 
     def __init__(self) -> None:
         self.pin: Optional[_Pin] = None
-
-
-def _has_instance_fields(message: Dict[str, object]) -> bool:
-    """Does the request carry its own schemas (v1 framing)?"""
-    return any(key in message for key in ("text", "din", "dout"))
 
 
 class ServiceServer:
@@ -308,7 +310,7 @@ class ServiceServer:
                 decode_error = None
             if message is not None and message.get("op") == "set_pair":
                 # Pinning mutates connection state: handle it inline so
-                # pipelined bare requests behind it see the pin.
+                # pipelined requests behind it see the pin.
                 await self._handle_message(
                     message, None, conn, writer, write_lock, gate, start
                 )
@@ -424,31 +426,6 @@ class ServiceServer:
         self._slow_sink.emit(entry)
 
     # ------------------------------------------------------------------
-    async def _pool_result(self, submit, parse: bool = False):
-        """Queue one pool request under the server-global inflight gate
-        and await its ticket on the event loop.
-
-        The gate is acquired *before* the request enters the pool, so the
-        aggregate queued work is bounded no matter how many connections
-        are flooding — each then also bounded by its own ``max_inflight``.
-        ``submit()`` returns a :class:`~repro.service.pool.PoolTicket`
-        and passes the wire trace context to the pool explicitly.  It
-        runs on the loop thread — queueing only appends to the worker's
-        queue — unless ``parse`` says it parses instance text first (v1
-        payloads), which the executor does so the loop never blocks on a
-        large schema.  The ticket's future settles the awaited one from
-        the pool's supervisor thread through ``call_soon_threadsafe``, so
-        no thread waits on the answer (and one that arrives after the
-        loop closed is dropped).
-        """
-        async with self._inflight_gate:
-            if parse:
-                loop = asyncio.get_running_loop()
-                ticket = await loop.run_in_executor(None, submit)
-            else:
-                ticket = submit()
-            return await asyncio.wrap_future(ticket.future)
-
     async def _blocking_result(self, work, trace=None):
         """Run synchronous request work (the sharded plan/fan-out/merge)
         in the executor under the server-global inflight gate, with the
@@ -463,7 +440,7 @@ class ServiceServer:
         async with self._inflight_gate:
             return await loop.run_in_executor(None, run)
 
-    #: How often a bare request is retried after re-pinning its pair.
+    #: How often a pinned request is retried after re-pinning its pair.
     #: One retry covered worker respawns; with the bounded worker pair
     #: LRU an aggressively small ``worker_pair_limit`` can evict the
     #: freshly re-established pin again before the retry is served
@@ -479,21 +456,30 @@ class ServiceServer:
         trace=None,
         fanout: bool = False,
     ):
-        """One pinned (bare v2) request, re-pinning on a stale pair.
+        """One ``pinned`` pool request, re-pinning on a stale pair.
 
         ``fanout=True`` round-robins across the (broadcast-pinned)
-        workers — a bare batch item — instead of the pair's affine one.
+        workers — a batch item — instead of the pair's affine one.
+
+        The server-global inflight gate is acquired *before* the request
+        enters the pool, so the aggregate queued work is bounded no
+        matter how many connections are flooding — each then also bounded
+        by its own ``max_inflight``.  Queueing runs on the loop thread (it
+        only appends to the worker's queue) and passes the wire trace
+        context to the pool explicitly; the ticket's future settles the
+        awaited one from the pool's supervisor thread, so no thread waits
+        on the answer.
         """
         loop = asyncio.get_running_loop()
         slot = None if fanout else pin.slot
+        args = (pin.pair, json_op, payload, *pin.schemas)
         for attempt in range(self.PIN_RETRIES + 1):
             try:
-                return await self._pool_result(
-                    lambda: self.pool.submit(
-                        "pinned", (pin.pair, json_op, payload), slot=slot,
-                        trace=trace,
+                async with self._inflight_gate:
+                    ticket = self.pool.submit(
+                        "pinned", args, slot=slot, trace=trace
                     )
-                )
+                    return await asyncio.wrap_future(ticket.future)
             except UnknownPairError:
                 if attempt >= self.PIN_RETRIES:
                     raise
@@ -511,8 +497,8 @@ class ServiceServer:
         transducer = message.get("transducer")
         if not isinstance(transducer, str):
             raise ProtocolError(
-                "a bare request needs 'transducer' section text "
-                "(or full 'din'/'transducer'/'dout' v1 framing)"
+                "a request needs 'transducer' section text (or a whole "
+                "instance in 'text')"
             )
         payload: Dict[str, object] = {"transducer": transducer}
         method = message.get("method")
@@ -526,9 +512,6 @@ class ServiceServer:
         return payload
 
     def _require_pin(self, conn) -> _Pin:
-        # Snapshot, taken before the caller's first await: requests keep
-        # the pin they were read under even if a later inline set_pair
-        # swaps the connection state while they wait on the gate.
         pin = conn.pin
         if pin is None:
             raise ProtocolError(
@@ -536,6 +519,38 @@ class ServiceServer:
                 "'set_pair' first or include the schema fields"
             )
         return pin
+
+    async def _query(
+        self, message: Dict[str, object], conn
+    ) -> Tuple[_Pin, Dict[str, object]]:
+        """The pair one query runs against, plus its bare payload.
+
+        A query without schema text rides the connection's pin, taken
+        before the caller's first await: requests keep the pin they were
+        read under even if a later inline ``set_pair`` swaps the
+        connection state while they wait on the gate.  An inline-schema
+        query is parsed in the executor instead, and the connection's pin
+        is left alone.
+        """
+        if not any(key in message for key in ("text", "din", "dout")):
+            return self._require_pin(conn), self._bare_payload(message)
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self._inline_query, message)
+
+    def _inline_query(self, message: Dict[str, object]):
+        """Parse an inline-schema query exactly as ``load_instance`` does
+        (dout-alphabet widening included) into a per-request pin of the
+        widened pair.  Its schemas ride inside every pinned message, so
+        the worker that receives one pins on receipt: one round trip, no
+        broadcast and no re-pin."""
+        sections = protocol.instance_sections(message)
+        _transducer, din, dout = protocol.parse_sections(sections)
+        pair = protocol.pair_digest(din, dout)
+        pin = _Pin(pair, din, dout, self.pool.slot_for(pair))
+        pin.schemas = (din, dout)
+        pin.broadcast_pinned = True
+        payload = dict(message, transducer="\n".join(sections[1]))
+        return pin, self._bare_payload(payload)
 
     async def _dispatch(
         self,
@@ -569,35 +584,25 @@ class ServiceServer:
             return await self._set_pair(message, conn)
         if op == "typecheck_many":
             return await self._typecheck_many(message, conn, trace)
-        # Single-instance ops: v1 framing carries its schemas; bare v2
-        # requests ride the connection's pinned pair.
-        bare = not _has_instance_fields(message)
-        pin = self._require_pin(conn) if bare else None
-        if pin is not None:
-            # Per-pair load accounting for the pinned serving plane: a
-            # cumulative counter plus the windowed recent-rate ring.
-            digest = pin.pair[:_PAIR_LABEL_CHARS]
-            _metrics.counter("repro.server.pair_requests", digest=digest).inc()
-            self.pair_window.inc(digest)
         if self._slow_sink is not None and op in _SLOW_OPS:
             # With the slow-query log armed every loggable query runs
             # with explain on, so a threshold crosser always has its full
             # report.  Documented overhead: the delta-scope snapshot and
             # (if not already on) the metered kernel drain.
             message["explain"] = True
+        pin, payload = await self._query(message, conn)
+        # Per-pair load accounting: a cumulative counter plus the
+        # windowed recent-rate ring.
+        digest = pin.pair[:_PAIR_LABEL_CHARS]
+        _metrics.counter("repro.server.pair_requests", digest=digest).inc()
+        self.pair_window.inc(digest)
         shards = message.get("shards")
         if op == "typecheck" and shards:
+            count = int(shards)  # type: ignore[arg-type]
             return await self._blocking_result(
-                lambda: self._typecheck_sharded(message, int(shards), pin),  # type: ignore[arg-type]
-                trace,
+                lambda: self._typecheck_sharded(pin, payload, count), trace
             )
-        if bare:
-            return await self._pinned_call(
-                pin, op, self._bare_payload(message), trace
-            )
-        return await self._pool_result(
-            lambda: self.pool.submit_payload(message, trace=trace), parse=True
-        )
+        return await self._pinned_call(pin, op, payload, trace)
 
     def _server_stats(self, connections: int, inflight: int) -> Dict[str, object]:
         """Server-level section of the ``stats`` op: connection/inflight
@@ -627,7 +632,7 @@ class ServiceServer:
             pair = protocol.pair_digest(din, dout)
             slot = self.pool.slot_for(pair)
             # Pre-pin the affine worker now (and wait): compile errors
-            # belong on the set_pair response, and the first bare request
+            # belong on the set_pair response, and the first request
             # finds the pair warm.
             self.pool.pin_pair(pair, din, dout, slot=slot)
             return din, dout, pair, slot
@@ -638,26 +643,6 @@ class ServiceServer:
 
     async def _typecheck_many(self, message: Dict[str, object], conn, trace=None):
         loop = asyncio.get_running_loop()
-        if _has_instance_fields(message):
-            singles = self.pool.split_payload_many(message)
-            results = []
-            # The global gate bounds aggregate pool work; the window only
-            # bounds how many tasks this one batch line materializes.
-            window = max(1, self.max_inflight)
-            for start in range(0, len(singles), window):
-                chunk = [
-                    self._pool_result(
-                        lambda single=single: self.pool.submit_single(
-                            single, "typecheck", fanout=True, trace=trace
-                        ),
-                        parse=True,
-                    )
-                    for single in singles[start : start + window]
-                ]
-                results.extend(await asyncio.gather(*chunk))
-            return results
-        # Bare batch (v2): fan pinned singles across every worker.
-        pin = self._require_pin(conn)
         transducers = message.get("transducers")
         if not isinstance(transducers, list) or not all(
             isinstance(item, str) for item in transducers
@@ -665,44 +650,48 @@ class ServiceServer:
             raise ProtocolError(
                 "'typecheck_many' needs 'transducers': [section text, ...]"
             )
-        if not pin.broadcast_pinned:
-            await loop.run_in_executor(
-                None,
-                lambda: self.pool.pin_pair(pin.pair, pin.din, pin.dout),
-            )
-            pin.broadcast_pinned = True
-        method = message.get("method")
+        fields = {
+            key: message[key] for key in ("din", "dout", "method") if key in message
+        }
+        # Sequential on purpose: bare items take the connection's pin
+        # before anything here suspends.
+        queries = [
+            await self._query(dict(fields, transducer=item), conn)
+            for item in transducers
+        ]
+        for pin in {id(pin): pin for pin, _payload in queries}.values():
+            if not pin.broadcast_pinned:
+                await loop.run_in_executor(
+                    None,
+                    lambda: self.pool.pin_pair(pin.pair, pin.din, pin.dout),
+                )
+                pin.broadcast_pinned = True
+        # Fan the items across every worker.  The global gate bounds
+        # aggregate pool work; the window only bounds how many tasks this
+        # one batch line materializes.
         results = []
         window = max(1, self.max_inflight)
-        for start in range(0, len(transducers), window):
-            chunk = []
-            for item in transducers[start : start + window]:
-                payload: Dict[str, object] = {"transducer": item}
-                if method is not None:
-                    payload["method"] = method
-                chunk.append(
-                    self._pinned_call(pin, "typecheck", payload, trace, fanout=True)
-                )
+        for start in range(0, len(queries), window):
+            chunk = [
+                self._pinned_call(pin, "typecheck", payload, trace, fanout=True)
+                for pin, payload in queries[start : start + window]
+            ]
             results.extend(await asyncio.gather(*chunk))
         return results
 
     def _typecheck_sharded(
-        self, message: Dict[str, object], shards: int, pin: Optional[_Pin]
+        self, pin: _Pin, payload: Dict[str, object], shards: int
     ):
-        if pin is not None:
-            transducer_text = self._bare_payload(message)["transducer"]
-            transducer = protocol.parse_transducer_section(
-                protocol.split_sections(transducer_text)[0], pin.din.alphabet
-            )
-            din, dout = pin.din, pin.dout
-        else:
-            transducer, din, dout = protocol.parse_instance_payload(message)
-        method = message.get("method", "auto")
+        transducer = protocol.parse_transducer_section(
+            protocol.split_sections(payload["transducer"])[0],  # type: ignore[arg-type]
+            pin.din.alphabet,
+        )
+        method = payload.get("method", "auto")
         if not isinstance(method, str):
             raise ProtocolError("'method' must be a string")
         result = self.pool.typecheck_sharded(
-            din, dout, transducer, shards=shards, method=method,
-            explain=bool(message.get("explain", False)),
+            pin.din, pin.dout, transducer, shards=shards, method=method,
+            explain=bool(payload.get("explain", False)),
         )
         return protocol.result_to_json(result)
 

@@ -106,6 +106,59 @@ class DagHedge:
 
 
 # ---------------------------------------------------------------------------
+# Iterative bottom-up evaluation
+# ---------------------------------------------------------------------------
+# Every analysis below walks the DAG with an explicit stack: a witness DAG
+# is as deep as its DTD (hundreds of levels for the RE⁺ witnesses of
+# nd_bc(128)), and one Python frame per level overflows the interpreter
+# stack long before the DAG gets large.
+
+
+def _parts(node: DagPart) -> Tuple[DagPart, ...]:
+    """The direct sub-parts of a node: a tree's hedge, a hedge's parts."""
+    return (node.children,) if isinstance(node, DagTree) else node.parts
+
+
+def _fold(root, memo: Dict[int, object], kids, combine):
+    """Evaluate ``root`` bottom-up without recursion, memoized on identity.
+
+    ``kids(node)`` lists the nodes whose values ``node`` needs, and
+    ``combine(node, values)`` builds its value from theirs (in ``kids``
+    order).  Each distinct node is combined once and its value kept in
+    ``memo`` (keyed by ``id``), so shared subdags cost one visit and a
+    caller may share ``memo`` across calls.
+    """
+    stack = [(root, None)]
+    while stack:
+        node, pending = stack.pop()
+        key = id(node)
+        if key in memo:
+            continue
+        if pending is None:
+            pending = tuple(kids(node))
+            missing = [(kid, None) for kid in pending if id(kid) not in memo]
+            if missing:
+                stack.append((node, pending))
+                stack.extend(reversed(missing))
+                continue
+        memo[key] = combine(node, [memo[id(kid)] for kid in pending])
+    return memo[id(root)]
+
+
+def _top_trees(hedge: DagHedge) -> list:
+    """The root trees of an unfolded hedge, left to right."""
+    out: list = []
+    stack: list = list(reversed(hedge.parts))
+    while stack:
+        part = stack.pop()
+        if isinstance(part, DagTree):
+            out.append(part)
+        else:
+            stack.extend(reversed(part.parts))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Pickling
 # ---------------------------------------------------------------------------
 # Pickle's default protocol recurses several frames per nesting level, so a
@@ -117,23 +170,16 @@ class DagHedge:
 
 
 def _flatten_dag(root: DagPart) -> list:
-    index: Dict[int, int] = {}
     table: list = []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in index:
-            continue
-        kids = (node.children,) if isinstance(node, DagTree) else node.parts
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((kid, False) for kid in reversed(kids))
-            continue
-        index[id(node)] = len(table)
+
+    def entry(node: DagPart, kids: list) -> int:
         if isinstance(node, DagTree):
-            table.append((node.label, index[id(node.children)]))
+            table.append((node.label, kids[0]))
         else:
-            table.append([index[id(kid)] for kid in kids])
+            table.append(kids)
+        return len(table) - 1
+
+    _fold(root, {}, _parts, entry)
     return table
 
 
@@ -170,27 +216,12 @@ def unfold_tree(node: DagTree, max_nodes: int = 1_000_000) -> Tree:
         raise BudgetExceededError(
             f"unfolding has {unfolded_size(node)} nodes (> {max_nodes})"
         )
-    memo: Dict[int, Tree] = {}
-
-    def tree_of(part: DagTree) -> Tree:
-        key = id(part)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = Tree(part.label, unfold_hedge_parts(part.children))
-        memo[key] = result
-        return result
-
-    def unfold_hedge_parts(hedge: DagHedge) -> list[Tree]:
-        out: list[Tree] = []
-        for part in hedge.parts:
-            if isinstance(part, DagTree):
-                out.append(tree_of(part))
-            else:
-                out.extend(unfold_hedge_parts(part))
-        return out
-
-    return tree_of(node)
+    return _fold(
+        node,
+        {},
+        lambda tree: _top_trees(tree.children),
+        lambda tree, children: Tree(tree.label, children),
+    )
 
 
 def unfold_hedge(hedge: DagHedge, max_nodes: int = 1_000_000) -> Tuple[Tree, ...]:
@@ -206,58 +237,34 @@ def unfold_hedge(hedge: DagHedge, max_nodes: int = 1_000_000) -> Tuple[Tree, ...
 
 def unfolded_size(node: DagPart, _memo: Dict[int, int] | None = None) -> int:
     """Number of nodes of the unfolding (exact, big-integer arithmetic)."""
-    memo: Dict[int, int] = {} if _memo is None else _memo
-
-    def size_of(part: DagPart) -> int:
-        key = id(part)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(part, DagTree):
-            result = 1 + size_of(part.children)
-        else:
-            result = sum(size_of(p) for p in part.parts)
-        memo[key] = result
-        return result
-
-    return size_of(node)
+    return _fold(
+        node,
+        {} if _memo is None else _memo,
+        _parts,
+        lambda part, sizes: (1 if isinstance(part, DagTree) else 0) + sum(sizes),
+    )
 
 
 def top_length(hedge: DagHedge) -> int:
     """Length of ``top`` of the unfolded hedge (number of root trees)."""
-    memo: Dict[int, int] = {}
-
-    def length_of(part: DagPart) -> int:
-        if isinstance(part, DagTree):
-            return 1
-        key = id(part)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = sum(length_of(p) for p in part.parts)
-        memo[key] = result
-        return result
-
-    return length_of(hedge)
+    return _fold(
+        hedge,
+        {},
+        lambda part: () if isinstance(part, DagTree) else part.parts,
+        lambda part, lengths: 1 if isinstance(part, DagTree) else sum(lengths),
+    )
 
 
 def dag_depth(node: DagPart) -> int:
     """Depth of the unfolding (paper convention: single node has depth 1)."""
-    memo: Dict[int, int] = {}
-
-    def depth_of(part: DagPart) -> int:
-        key = id(part)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(part, DagTree):
-            result = 1 + depth_of(part.children)
-        else:
-            result = max((depth_of(p) for p in part.parts), default=0)
-        memo[key] = result
-        return result
-
-    return depth_of(node)
+    return _fold(
+        node,
+        {},
+        _parts,
+        lambda part, depths: (
+            1 + depths[0] if isinstance(part, DagTree) else max(depths, default=0)
+        ),
+    )
 
 
 class TransferTable:
@@ -316,33 +323,27 @@ def dag_equal(a: "DagTree | Tree", b: "DagTree | Tree") -> bool:
     def top_trees(node) -> list:
         if isinstance(node, Tree):
             return list(node.children)
-        out: list = []
-        stack: list[DagPart] = list(reversed(node.children.parts))
-        while stack:
-            part = stack.pop()
-            if isinstance(part, DagTree):
-                out.append(part)
-            else:
-                stack.extend(reversed(part.parts))
-        return out
+        return _top_trees(node.children)
 
-    def trees_eq(x, y) -> bool:
-        if x is y:
-            return True
+    # Depth-first over aligned node pairs; a pair is proven once every
+    # child pair above it on the stack was, so any mismatch ends the walk.
+    stack: list = [(a, b, False)]
+    while stack:
+        x, y, children_proven = stack.pop()
         key = (id(x), id(y))
-        if key in proven:
-            return True
+        if children_proven:
+            proven.add(key)
+            continue
+        if x is y or key in proven:
+            continue
         if x.label != y.label:
             return False
         xs, ys = top_trees(x), top_trees(y)
         if len(xs) != len(ys):
             return False
-        if not all(trees_eq(cx, cy) for cx, cy in zip(xs, ys)):
-            return False
-        proven.add(key)
-        return True
-
-    return trees_eq(a, b)
+        stack.append((x, y, True))
+        stack.extend((cx, cy, False) for cx, cy in zip(reversed(xs), reversed(ys)))
+    return True
 
 
 def distinct_tree_nodes(node: DagPart) -> list[DagTree]:

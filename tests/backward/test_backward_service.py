@@ -1,17 +1,48 @@
 """``method="backward"`` through the service layers: the worker pool's
-object API, wire payloads (protocol pass-through), and the CLI."""
+object API, wire requests (inline and pinned, through a real server), and
+the CLI."""
 
+import asyncio
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import pytest
 
 from repro.backward import typecheck_backward
 from repro.service import protocol
+from repro.service.client import ServiceClient
+from repro.service.server import ServiceServer
 from repro.workloads.families import nd_bc_family
 from repro.workloads.random_instances import seeded_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+
+@pytest.fixture(scope="module")
+def backward_client(backward_pool):
+    """A client of a ServiceServer over ``backward_pool`` (OS-chosen port)."""
+    loop = asyncio.new_event_loop()
+    service = ServiceServer(backward_pool)
+    started = threading.Event()
+
+    def run():
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(service.start("127.0.0.1", 0))
+        started.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert started.wait(10)
+    try:
+        with ServiceClient(port=service.port) as client:
+            yield client
+    finally:
+        asyncio.run_coroutine_threadsafe(service.close(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
 
 
 class TestPool:
@@ -31,29 +62,36 @@ class TestPool:
         assert all(r.typechecks is False for r in results)
         assert all(r.algorithm == "backward" for r in results)
 
-    def test_wire_payload_passes_method_through(self, backward_pool):
+    def test_wire_payload_passes_method_through(self, backward_client):
         transducer, din, dout, expected = nd_bc_family(5, False)
-        payload = {
-            "op": "typecheck",
-            "method": "backward",
-            **protocol.instance_payload(transducer, din, dout),
-        }
-        result = backward_pool.submit_payload(payload).result(timeout=60)
-        assert result["typechecks"] is False
-        assert result["algorithm"] == "backward"
-        assert result["counterexample"] is not None
+        inline = backward_client.typecheck(
+            transducer, din, dout, method="backward"
+        )
+        pinned = backward_client.pair(din, dout).typecheck(
+            transducer, method="backward"
+        )
+        for result in (inline, pinned):
+            assert result["typechecks"] is False
+            assert result["algorithm"] == "backward"
+            assert result["counterexample"] is not None
 
-    def test_counterexample_op(self, backward_pool):
+    def test_counterexample_op(self, backward_client):
         transducer, din, dout, _ = nd_bc_family(5, False)
-        payload = {
-            "op": "counterexample",
-            "method": "backward",
+        inline = backward_client.call(
+            "counterexample",
+            method="backward",
             **protocol.instance_payload(transducer, din, dout),
-        }
-        ticket = backward_pool.submit_single(payload, "counterexample")
-        result = ticket.result(timeout=60)
-        assert result["typechecks"] is False
-        assert result["counterexample"] is not None
+        )
+        backward_client.pair(din, dout)._ensure_pinned()
+        pinned = backward_client.call(
+            "counterexample",
+            v=2,
+            method="backward",
+            transducer=protocol.transducer_to_text(transducer),
+        )
+        for result in (inline, pinned):
+            assert result["typechecks"] is False
+            assert result["counterexample"] is not None
 
 
 class TestCLI:

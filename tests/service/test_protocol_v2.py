@@ -231,24 +231,10 @@ class TestStickyPairs:
                     assert second["typechecks"] == expected
 
 
-class TestV1Fallback:
-    def test_handle_falls_back_against_old_server(self, client, monkeypatch):
-        """A pre-v2 server rejects the version probe; the handle flips to
-        v1 framing and still answers correctly."""
-        monkeypatch.setattr(protocol, "SUPPORTED_VERSIONS", frozenset({1}))
-        transducer, din, dout, expected = nd_bc_family(5)
-        handle = client.pair(din, dout)
-        result = handle.typecheck(transducer, method="forward")
-        assert result["typechecks"] == expected
-        assert handle.v1_fallback is True
-        assert handle.pair_id is None
-        # batches use v1 framing too
-        transducers, din2, dout2, exp2 = nd_bc_batch(4, 3)
-        batch = client.pair(din2, dout2).typecheck_many(transducers)
-        assert [item["typechecks"] for item in batch] == [exp2] * 3
-
+class TestInlineRequests:
     def test_v1_clients_still_served_by_v2_server(self, client):
-        # v1 framing (no "v" field) straight through the v2 server
+        # an inline request without a "v" field is read as the current
+        # protocol and served
         transducer, din, dout, expected = nd_bc_family(4)
         result = client.typecheck(transducer, din, dout)
         assert result["typechecks"] == expected
@@ -324,10 +310,17 @@ class _FakePool:
         self.submitted = 0
         self.release = threading.Event()
 
-    def submit_payload(self, payload, trace=None):
+    def slot_for(self, pair_digest):
+        return 0
+
+    def submit(self, op, args, slot=None, trace=None):
+        assert op == "pinned"
         with self.lock:
             self.submitted += 1
         return _FakeTicket(self.release)
+
+    def pin_pair(self, pair_key, sin, sout, slot=None, timeout=120.0):
+        pass
 
     def pool_stats(self, workers=False):
         return {"workers": 1, "alive": 1}
@@ -340,6 +333,8 @@ class TestGlobalInflightGate:
         submissions until results flow (with only the per-connection
         semaphore, it would see up to 3 x max_inflight at once)."""
         fake = _FakePool()
+        transducer, din, dout, _ = nd_bc_family(2)
+        instance = protocol.instance_payload(transducer, din, dout)
         with _serving(fake, max_inflight=8, max_inflight_total=2) as service:
             connections = []
             try:
@@ -349,10 +344,7 @@ class TestGlobalInflightGate:
                     for index in range(4):
                         sock.sendall(
                             protocol.encode(
-                                {
-                                    "id": index, "op": "typecheck",
-                                    "din": "x", "transducer": "x", "dout": "x",
-                                }
+                                {"id": index, "op": "typecheck", **instance}
                             )
                         )
                 deadline = time.time() + 10

@@ -99,7 +99,7 @@ def test_v2_bare_retypecheck_on_pinned_pair(client):
     )
     assert safe["typechecks"] is True
     assert safe["stats"]["retypecheck_mode"] == "incremental"
-    assert not pair.v1_fallback  # genuinely rode the bare v2 framing
+    assert pair.pair_id is not None  # genuinely rode the bare framing
 
     unsafe = pair.retypecheck(
         edit_arm_transducer(6, edited=2, variant="unsafe"), base,

@@ -89,6 +89,38 @@ class TestPinnedParseMemo:
         _pinned("a", transducer)
         assert len(worker_state) == 2
 
+    def test_repin_keeps_the_parsed_texts(self, worker_state):
+        """A re-pin of a resident pair (second connection, batch
+        broadcast, stale-pair retry, inline request) only refreshes its
+        LRU position; the parsed-text memo survives."""
+        din, dout = edit_arm_pair(4)
+        other_din, other_dout = edit_arm_pair(5)
+        transducer = edit_arm_transducer(4)
+        _pin("pair", din, dout)
+        _pin("other", other_din, other_dout)
+        _pinned("pair", transducer)
+        entry = pool_module._WORKER_PAIRS["pair"]
+        _pin("other", other_din, other_dout)
+        _pin("pair", din, dout)
+        assert pool_module._WORKER_PAIRS["pair"] is entry
+        assert len(entry[2]) == 1
+        assert list(pool_module._WORKER_PAIRS) == ["other", "pair"]
+        _pinned("pair", transducer)
+        assert len(worker_state) == 1  # not re-parsed after the re-pin
+
+    def test_inline_request_pins_its_own_pair(self, worker_state):
+        """An inline query's pinned op carries its schemas: the worker
+        pins on receipt, and a repeat re-uses the pin's parsed text."""
+        din, dout = edit_arm_pair(4)
+        payload = {"transducer": protocol.transducer_to_text(edit_arm_transducer(4))}
+        for _ in range(3):
+            result = pool_module._worker_execute(
+                "pinned", ("pair", "typecheck", payload, din, dout), {}
+            )
+            assert result["typechecks"] is True
+        assert list(pool_module._WORKER_PAIRS) == ["pair"]
+        assert len(worker_state) == 1
+
 
 def _rss_kb(pid: int) -> int:
     with open(f"/proc/{pid}/status") as handle:

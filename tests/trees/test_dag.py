@@ -64,6 +64,45 @@ class TestPickle:
             copy = shared
         assert copy.label == "leaf" and copy.children.parts == ()
 
+    def test_analyses_run_on_a_deep_dag_and_its_copy(self):
+        """Depth, size, hash, equality, top length and unfolding walk the
+        DAG with explicit stacks, so a DAG far deeper than the recursion
+        limit answers them, before and after a pickle round trip."""
+        import pickle
+
+        depth = 3000
+        node = DagTree("leaf")
+        for _ in range(depth):
+            node = DagTree("n", DagHedge([DagHedge([node]), node]))
+        copy = pickle.loads(pickle.dumps(node))
+        for dag in (node, copy):
+            assert dag.depth == dag_depth(dag) == depth + 1
+            assert dag.size == unfolded_size(dag) == 2 ** (depth + 1) - 1
+            assert top_length(dag.children) == 2
+        assert hash(copy) == hash(node)
+        assert copy == node and node == copy
+        other = DagTree("leaf-2")
+        for _ in range(depth):
+            other = DagTree("n", DagHedge([DagHedge([other]), other]))
+        assert copy != other
+        with pytest.raises(BudgetExceededError):
+            unfold_tree(copy)
+        with pytest.raises(BudgetExceededError):
+            unfold_hedge(copy.children)
+
+    def test_deep_chain_unfolds(self):
+        depth = 3000
+        node = DagTree("leaf")
+        for _ in range(depth):
+            node = DagTree("n", DagHedge([DagHedge([node])]))
+        tree = unfold_tree(node)
+        (hedge_root,) = unfold_hedge(DagHedge([node]))
+        for explicit in (tree, hedge_root):
+            for _ in range(depth):
+                assert explicit.label == "n"
+                (explicit,) = explicit.children
+            assert explicit.label == "leaf" and explicit.children == ()
+
     def test_small_dags_and_hedges_round_trip(self):
         import pickle
 

@@ -63,3 +63,35 @@ class TestFamilies:
         small = filtering_family(2)[0]
         large = filtering_family(6)[0]
         assert large.size > small.size
+
+
+class TestSeededInstances:
+    def test_a_seed_names_one_instance_under_every_hash_seed(self):
+        """``seeded_instance(seed)`` must not depend on set iteration
+        order: the 200-seed suites test the same sample in every run."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import json\n"
+            "from repro.service.protocol import instance_to_text\n"
+            "from repro.workloads.random_instances import seeded_instance\n"
+            "print(json.dumps([instance_to_text(*seeded_instance(s))"
+            " for s in range(200)]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        texts = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=120,
+                check=True,
+            )
+            texts.append(json.loads(done.stdout))
+        assert len(texts[0]) == 200
+        assert texts[0] == texts[1]
