@@ -77,6 +77,7 @@ from repro.errors import BudgetExceededError, ClassViolationError
 from repro.kernel.interning import Interner
 from repro.kernel.product import ProductBFS
 from repro.obs import trace as _trace
+from repro.core.forward import DTDPairSchema
 from repro.core.problem import TypecheckResult
 from repro.schemas.dtd import DTD
 from repro.transducers.rhs import RhsCall, RhsState, RhsSym, iter_rhs_nodes
@@ -100,7 +101,7 @@ PairKey = Tuple[str, int]
 BACKWARD_TABLE_LIMIT = 64
 
 
-class BackwardSchema:
+class BackwardSchema(DTDPairSchema):
     """Per-``(din, dout)`` compiled artifacts of the backward engine.
 
     The schema-side state mirrors :class:`~repro.core.forward.ForwardSchema`
@@ -122,12 +123,7 @@ class BackwardSchema:
     """
 
     def __init__(self, din: DTD, dout: DTD) -> None:
-        self.din = din
-        self.dout = dout
-        self.productive = din.productive_symbols()
-        self.base_out_alphabet = frozenset(din.alphabet | dout.alphabet)
-        self._in_kern: Dict[str, Tuple] = {}
-        self._in_useful: Dict[str, Tuple] = {}
+        super().__init__(din, dout)
         # transducer content hash -> result snapshot (LRU).
         self.transducer_results: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self.transducer_result_limit = BACKWARD_TABLE_LIMIT
@@ -142,22 +138,6 @@ class BackwardSchema:
         # plans repeated pairs on these instead of the size model.
         self.shard_profiles: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
         self.shard_profile_version = 0
-        self.compiled = False
-
-    def in_kernel_info(self, a: str):
-        """Interned input content DFA of ``a`` with its useful-state mask
-        and the usable child symbols as ``(symbol, symbol_index)`` pairs.
-
-        Delegates to the one construction in
-        :func:`repro.core.forward.input_kernel_info` (same kernel-level
-        ``aux`` memo), so the two engines share one compiled artifact per
-        input symbol by definition, not by parallel copies.
-        """
-        from repro.core.forward import input_kernel_info
-
-        return input_kernel_info(
-            self.din, self.productive, a, self._in_kern, self._in_useful
-        )
 
     def out_kernel(self, sigma: str, out_alphabet: frozenset):
         """Interned completed output content DFA of ``sigma``.
@@ -197,29 +177,6 @@ class BackwardSchema:
         lru_store(self.shard_profiles, table_key, profile,
                   self.transducer_result_limit)
         self.shard_profile_version += 1
-
-    def warm(self) -> "BackwardSchema":
-        """Eagerly compile every schema-derived artifact.
-
-        Cheap after a :class:`~repro.core.forward.ForwardSchema` warm-up of
-        the same pair: the automata live in the DTD-level caches and the
-        kernels on the DFAs, so shared artifacts are cache hits.
-        """
-        if self.compiled:
-            return self
-        from repro.kernel.serialize import warm_kernels
-
-        automata = []
-        for a in sorted(self.din.alphabet, key=repr):
-            self.din.content_dfa(a)
-            self.in_kernel_info(a)
-        for sigma in sorted(self.dout.alphabet, key=repr):
-            automata.append(
-                self.dout.content_dfa_complete(sigma, self.base_out_alphabet)
-            )
-        warm_kernels(automata)
-        self.compiled = True
-        return self
 
 
 class _Cell:

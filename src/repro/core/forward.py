@@ -110,11 +110,11 @@ def input_kernel_info(
     """Interned input content DFA of ``a`` with its useful-state mask and
     the usable child symbols as ``(symbol, symbol_index)`` pairs.
 
-    The one construction behind both engines' input-side compilation —
-    :class:`ForwardSchema` and :class:`~repro.backward.BackwardSchema`
-    delegate here, so the shape cached under the kernel-level ``aux``
-    memo (keyed ``("forward_in", productive)``, shared across schema
-    contexts via the DTD-level DFA cache) has a single author.
+    The one construction behind both engines' input-side compilation
+    (:meth:`DTDPairSchema.in_kernel_info`), so the shape cached under the
+    kernel-level ``aux`` memo (keyed ``("forward_in", productive)``,
+    shared across schema contexts via the DTD-level DFA cache) has a
+    single author.
     """
     cached = kern_cache.get(a)
     if cached is None:
@@ -259,7 +259,48 @@ class HedgeEntry:
         return self._seeds
 
 
-class ForwardSchema:
+class DTDPairSchema:
+    """The schema-side artifacts the forward and backward engines share:
+    the productive input symbols and the interned input content DFAs with
+    their useful-state masks (the automata themselves live in the
+    DTD-level caches, so the two contexts of one pair share them)."""
+
+    def __init__(self, din: DTD, dout: DTD) -> None:
+        self.din = din
+        self.dout = dout
+        self.productive = din.productive_symbols()
+        # Input content DFA caches (interned info, DFA + useful states).
+        self._in_kern: Dict[str, Tuple] = {}
+        self._in_useful: Dict[str, Tuple[DFA, frozenset]] = {}
+        self.compiled = False
+
+    def in_kernel_info(self, a: str):
+        """Interned input content DFA info (see :func:`input_kernel_info`;
+        the kernel-level memo survives across schema contexts)."""
+        return input_kernel_info(
+            self.din, self.productive, a, self._in_kern, self._in_useful
+        )
+
+    def warm(self):
+        """Eagerly compile the transducer-independent artifacts: every
+        determinized input and output content DFA and the interned input
+        kernels with their useful-state masks.
+
+        A query never determinizes after this.  The output DFAs'
+        completions (over the transducer's output alphabet) and their
+        kernels are built on first use.
+        """
+        if self.compiled:
+            return self
+        for a in sorted(self.din.alphabet, key=repr):
+            self.in_kernel_info(a)
+        for sigma in sorted(self.dout.alphabet, key=repr):
+            self.dout.content_dfa(sigma)
+        self.compiled = True
+        return self
+
+
+class ForwardSchema(DTDPairSchema):
     """Per-``(din, dout)`` compiled artifacts of the forward engine.
 
     Everything Lemma 14 derives from the *schemas alone* lives here, so a
@@ -282,18 +323,12 @@ class ForwardSchema:
     """
 
     def __init__(self, din: DTD, dout: DTD) -> None:
-        self.din = din
-        self.dout = dout
-        self.productive = din.productive_symbols()
-        self.base_out_alphabet = frozenset(din.alphabet | dout.alphabet)
+        super().__init__(din, dout)
         # Reachability caches (schema-only, see core.reachability).
         self.usable_cache: Dict[str, frozenset] = {}
         self.word_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         # Universal output DFAs for σ-independent cells, one per alphabet.
         self._universal: Dict[frozenset, DFA] = {}
-        # Input content DFA caches (interned info, DFA + useful states).
-        self._in_kern: Dict[str, Tuple] = {}
-        self._in_useful: Dict[str, Tuple[DFA, frozenset]] = {}
         # Shared σ-independent (empty-P) fixpoint cells:
         # hedge key -> HedgeEntry; tree key -> (vals, int, order, index).
         self.shared_hedge: Dict[TupleKey, HedgeEntry] = {}
@@ -313,7 +348,6 @@ class ForwardSchema:
         # a resident profile) for the blob-publish fingerprint.
         self.shard_profiles: "OrderedDict[str, Dict[TupleKey, float]]" = OrderedDict()
         self.shard_profile_version = 0
-        self.compiled = False
 
     def universal_dfa(self, alphabet: frozenset) -> DFA:
         dfa = self._universal.get(alphabet)
@@ -329,13 +363,6 @@ class ForwardSchema:
             # output DFA; a universal one keeps the code paths total.
             return self.universal_dfa(out_alphabet)
         return self.dout.content_dfa_complete(sigma, out_alphabet)
-
-    def in_kernel_info(self, a: str):
-        """Interned input content DFA info (see :func:`input_kernel_info`;
-        the kernel-level memo survives across schema contexts)."""
-        return input_kernel_info(
-            self.din, self.productive, a, self._in_kern, self._in_useful
-        )
 
     def in_dfa_useful(self, a: str):
         """The input content DFA of ``a`` with its useful-state set."""
@@ -379,31 +406,6 @@ class ForwardSchema:
         """
         self.shared_hedge.clear()
         self.shared_tree.clear()
-
-    def warm(self) -> "ForwardSchema":
-        """Eagerly compile every schema-derived artifact.
-
-        After this, typechecking a transducer whose alphabet stays within
-        ``din ∪ dout`` performs no schema-side compilation at all: content
-        DFAs, completions, interned kernels and useful-state masks are all
-        cache hits.
-        """
-        if self.compiled:
-            return self
-        from repro.kernel.serialize import warm_kernels
-
-        automata = []
-        for a in sorted(self.din.alphabet, key=repr):
-            self.din.content_nfa(a)
-            automata.append(self.din.content_dfa(a))
-            self.in_kernel_info(a)
-        out_alpha = self.base_out_alphabet
-        automata.append(self.universal_dfa(out_alpha))
-        for sigma in sorted(self.dout.alphabet, key=repr):
-            automata.append(self.dout.content_dfa_complete(sigma, out_alpha))
-        warm_kernels(automata)
-        self.compiled = True
-        return self
 
 
 class ForwardEngine:

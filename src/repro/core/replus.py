@@ -73,18 +73,18 @@ class ReplusSchema:
         return dag
 
     def warm(self) -> "ReplusSchema":
-        """Eagerly compile the RE⁺ views, output DFAs and witness DAGs."""
+        """Eagerly compile the RE⁺ views and the output content DFAs.
+
+        The witness DAGs are built on first use: the grammar route reads
+        them only to attach a counterexample, and no witness exists for
+        an empty input language.
+        """
         if self.compiled:
             return self
         for symbol in sorted(self.din.alphabet, key=repr):
             self.din.content_replus(symbol)
         for symbol in sorted(self.dout.alphabet, key=repr):
             self.dout.content_dfa(symbol)
-        if not self.din.is_empty():
-            # No witness exists for an empty input language, which the
-            # engines answer (vacuously) before reading one.
-            self.witness_dag("t_min")
-            self.witness_dag("t_vast")
         self.compiled = True
         return self
 

@@ -7,11 +7,12 @@ per ``(Sin, Sout)`` pair and answers many typechecking queries against it.
 This module is that deployment shape as an API:
 
 * :class:`Session` — ``repro.compile(sin, sout)`` (equivalently
-  ``Session(sin, sout)``) eagerly builds and owns every schema-derived
-  kernel artifact: interned alphabets and content DFAs, productive sets,
-  completed output DFAs, DTD→NTA forms, the reachability word caches, and
-  the forward engine's shared σ-independent fixpoint cells with their
-  persistent :class:`~repro.kernel.product.ProductBFS` graphs.  Repeated
+  ``Session(sin, sout)``) owns every schema-derived kernel artifact:
+  interned alphabets and content DFAs, productive sets, completed output
+  DFAs, DTD→NTA forms, the reachability word caches, and the forward
+  engine's shared σ-independent fixpoint cells with their persistent
+  :class:`~repro.kernel.product.ProductBFS` graphs, each built once
+  (:meth:`Session.warm` or first use).  Repeated
   calls — ``session.typecheck(T)``, ``session.typecheck_many(Ts)``,
   ``session.counterexample(T)``, ``session.analysis(T)`` — skip all of it.
 
@@ -62,7 +63,6 @@ from repro.engines import (
     routable_engines,
     shardable_engines,
 )
-from repro.engines import engines as registered_engines
 from repro.schemas.dtd import DTD
 from repro.transducers.analysis import TransducerAnalysis, analyze
 from repro.transducers.rhs import RhsSym
@@ -147,9 +147,9 @@ def _reject_max_tuple(method: str, max_tuple: Optional[int]) -> None:
 class Session:
     """A compiled typechecking session for one ``(sin, sout)`` schema pair.
 
-    Construction eagerly compiles the schema-derived artifacts applicable
-    to the pair (``eager=False`` defers each to first use; the facade uses
-    that so one-shot calls never pay for artifacts they do not touch).  All
+    Construction runs :meth:`warm` (``eager=False`` defers every artifact
+    to first use; the facade uses that so one-shot calls never pay for
+    artifacts they do not touch).  All
     per-method entry points accept the same options as the corresponding
     ``typecheck_*`` functions; ``max_product_nodes`` defaults to the
     session-level budget.  The session's identity is the two schema
@@ -238,21 +238,21 @@ class Session:
     # Compilation
     # ------------------------------------------------------------------
     def warm(self) -> "Session":
-        """Eagerly compile every artifact applicable to the schema pair.
-
-        Iterates the engine registry in registration order — ``forward``
-        before ``backward`` matters (the backward warm-up is near-free
-        once the shared DTD-level automata are compiled), and each
-        engine's ``should_warm`` gates on the pair (``replus`` only on
-        RE⁺ pairs; ``delrelab`` only where Theorem 20 is the sole route).
+        """Eagerly compile what an auto query on this pair reads, whatever
+        the transducer: the slots of the engines ``route(None)`` names
+        (``replus`` alone on RE⁺ pairs, the routable engines on other DTD
+        pairs, ``delrelab`` on automaton pairs), each with only its
+        transducer-independent artifacts.  Everything else — other
+        engines, completions over a transducer's output alphabet, the §6
+        witness DAGs — is built on first use.
         """
         with self._lock, _trace.span(
             "compile", source=str(self.stats["source"])
         ):
             start = time.perf_counter()
-            for engine in registered_engines():
-                if engine.should_warm(self):
-                    engine.schema(self).warm()
+            choice, reachable = self.route(None)
+            for name in [choice] if choice is not None else reachable:
+                get_engine(name).schema(self).warm()
             self.stats["compile_s"] = float(self.stats["compile_s"]) + (
                 time.perf_counter() - start
             )
@@ -272,7 +272,8 @@ class Session:
         slot = (engine.schema_slot, variant)
         ctx = self._schemas.get(slot)
         if ctx is None:
-            ctx = engine.build_schema(self, variant)
+            with _trace.span("compile", slot=engine.schema_slot):
+                ctx = engine.build_schema(self, variant)
             self._schemas[slot] = ctx
         return ctx
 
@@ -447,16 +448,16 @@ class Session:
 
     def route(
         self,
-        transducer: TreeTransducer,
+        transducer: Optional[TreeTransducer],
         method: str = "auto",
         max_tuple: Optional[int] = None,
         *,
         shardable: bool = False,
-    ) -> Tuple[str, Dict[str, float]]:
+    ) -> Tuple[Optional[str], Dict[str, float]]:
         """``(engine, {engine: predicted ms})``: the engine a query of
         ``T`` runs on this pair — the one routing policy behind
-        :meth:`typecheck`, :meth:`retypecheck`, :meth:`typecheck_sharded`
-        and the explain reports.
+        :meth:`typecheck`, :meth:`retypecheck`, :meth:`typecheck_sharded`,
+        the explain reports and :meth:`warm`.
 
         The ladder, first match wins:
 
@@ -484,6 +485,10 @@ class Session:
         engine cannot shard are skipped, so RE⁺ pairs reach the cost
         comparison and non-DTD pairs are refused.  The predictions are
         non-empty exactly when rung 4 chose.
+
+        ``transducer=None`` is the pair-level view :meth:`warm` reads:
+        rungs 1-3 answer as usual, and otherwise ``(None, {engine: 0.0})``
+        names, unpriced, every engine rungs 4-6 can return on the pair.
         """
         if method != "auto":
             if shardable:
@@ -507,6 +512,11 @@ class Session:
                 return "forward", {}
             if not dtd_pair and shardable:
                 self._dtd_pair()  # every shardable engine needs DTDs
+            if transducer is None:
+                names = ["delrelab"]
+                if dtd_pair:
+                    names = [engine.name for engine in routable_engines()]
+                return None, {name: 0.0 for name in names if usable(name)}
             plain, analysis = self._compiled_transducer(transducer)
             if dtd_pair and analysis.in_trac:
                 memo_key = plain.content_hash()
@@ -1307,9 +1317,9 @@ def compile(  # noqa: A001 - the ISSUE mandates the repro.compile spelling
     hashes, LRU-bounded), then the on-disk artifact cache when ``cache_dir``
     is given (see :mod:`repro.cache`), then a fresh build (which is stored
     in both).  ``reuse=False`` bypasses the registry entirely (used by cold
-    benchmarks); ``eager=False`` defers artifact compilation to first use —
-    except when ``cache_dir`` is given, which implies compiling (a cold
-    snapshot would be persisted forever).
+    benchmarks); ``eager=False`` skips :meth:`Session.warm`, deferring all
+    compilation to first use — except when ``cache_dir`` is given, which
+    implies warming (a cold snapshot would be persisted forever).
 
     Registry sessions always carry the default node budget: pass
     ``max_product_nodes`` as a ``typecheck`` kwarg to bound (or enlarge) an

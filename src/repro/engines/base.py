@@ -11,8 +11,8 @@ NTA(NFA) backward lift, macro tree transducers) is one subclass plus one
 :func:`register` call:
 
 * ``supports(sin, sout)`` gates applicability per schema pair (``True``
-  or a human-readable reason), consulted by ``Session.warm``, the
-  all-engines differential suite, and the cache hydration path;
+  or a human-readable reason), consulted by the all-engines
+  differential suite and the cache hydration path;
 * ``check_keys`` / ``key_costs`` / ``compute_tables`` / ``merge_tables``
   make an engine shardable (``shardable = True``) — the worker pool and
   ``Session.typecheck_sharded`` are engine-generic, and the sharded view
@@ -175,10 +175,6 @@ class Engine:
         raise)."""
         return True
 
-    def should_warm(self, session) -> bool:
-        """Whether ``Session.warm`` eagerly compiles this engine's schema."""
-        return self.has_schema and self.supports(session.sin, session.sout) is True
-
     def schema_variant(self, kwargs: Dict[str, object]):
         """The schema-slot variant selected by per-call options (e.g. the
         del-relab class-check flag); ``None`` for single-variant engines.
@@ -300,7 +296,7 @@ _ENGINES: "Dict[str, Engine]" = {}
 
 def register(engine: Engine) -> Engine:
     """Add an engine to the registry (insertion order is significant:
-    ``Session.warm`` compiles, ``Session.route`` prices, and the docs list
+    ``Session.route`` prices, and ``Session.warm`` and the docs list,
     engines in registration order — cost ties go to the earliest
     registrant)."""
     if not engine.name:

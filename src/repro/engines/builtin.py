@@ -2,8 +2,7 @@
 protocol.
 
 Registration order is load-bearing (see :func:`repro.engines.register`):
-``forward`` before ``backward`` keeps router ties on the paper's engine
-and lets ``Session.warm`` compile the shared DTD-level artifacts once;
+``forward`` before ``backward`` keeps router ties on the paper's engine;
 ``replus-witnesses`` rides on the ``replus`` schema slot; ``delrelab``
 is the only engine applicable to automaton pairs; ``bruteforce`` is the
 testing oracle.
@@ -333,9 +332,6 @@ class ReplusEngineDef(Engine):
             return _NEEDS_REPLUS
         return True
 
-    def should_warm(self, session) -> bool:
-        return session._replus_pair
-
     def build_schema(self, session, variant=None):
         from repro.core.replus import ReplusSchema
 
@@ -373,15 +369,6 @@ class ReplusWitnessesEngineDef(ReplusEngineDef):
 
         return typecheck_replus_witnesses
 
-    def should_warm(self, session) -> bool:
-        return False  # the replus registration warms the shared slot
-
-    def export_state(self, session):
-        return None
-
-    def restore_state(self, session, data):  # pragma: no cover - unused
-        pass
-
 
 class DelrelabEngineDef(Engine):
     name = "delrelab"
@@ -398,12 +385,6 @@ class DelrelabEngineDef(Engine):
         from repro.core.delrelab import typecheck_delrelab
 
         return typecheck_delrelab
-
-    def should_warm(self, session) -> bool:
-        # DTD pairs route through the complete engines; automaton schemas
-        # have Theorem 20 as the only applicable route, so only those
-        # pairs pay the eager class checks.
-        return session._dtd_pair_value is None
 
     def schema_variant(self, kwargs):
         return bool(kwargs.get("check_output_class", True))

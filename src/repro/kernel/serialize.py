@@ -1,13 +1,6 @@
-"""Serializable interned-kernel artifacts and the batch warm entry point.
+"""Serializable interned-kernel artifacts.
 
-Three small services for the compiled-session and service layers:
-
-``warm_kernels``
-    The batch interning entry point: force the interned form of a whole
-    collection of automata in one call.  :class:`~repro.core.session.Session`
-    and :class:`~repro.core.forward.ForwardSchema` use it to eagerly compile
-    every schema-derived automaton so later typechecking calls perform no
-    interning at all.
+Two small services for the compiled-session and service layers:
 
 ``HedgeDecoder``
     The picklable decode descriptor of the forward engine's fixpoint cells.
@@ -41,7 +34,7 @@ case.
 from __future__ import annotations
 
 import pickle
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 #: Bump whenever the layout of any interned structure changes shape —
 #: loads() then rejects stale blobs instead of resurrecting mismatched
@@ -77,24 +70,6 @@ class HedgeDecoder:
     def node(self, node: Tuple[int, ...]) -> Tuple:
         """Product node ``(d, ℓ₁, r₁, …)`` to ``(content state, π)``."""
         return (self.in_states.value(node[0]), self.slots(node[1:]))
-
-
-def warm_kernels(automata: Iterable) -> int:
-    """Force the interned kernel form of every automaton in ``automata``.
-
-    Accepts any mix of objects exposing the ``kernel()`` protocol
-    (:class:`~repro.strings.dfa.DFA`, :class:`~repro.strings.nfa.NFA`);
-    ``None`` entries are skipped.  Returns the number of kernels now warm.
-    Interning is idempotent (each automaton caches its kernel), so calling
-    this on an already-warm batch is free.
-    """
-    count = 0
-    for automaton in automata:
-        if automaton is None:
-            continue
-        automaton.kernel()
-        count += 1
-    return count
 
 
 def approx_bytes(payload: object) -> int:

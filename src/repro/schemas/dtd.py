@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple, Union
 
 from repro.errors import InvalidSchemaError
+from repro.obs import trace as _trace
 from repro.strings.dfa import DFA
 from repro.strings.nfa import NFA
 from repro.strings.regex import Regex, parse_regex, regex_to_nfa
@@ -223,12 +224,13 @@ class DTD:
         if cached is not None:
             return cached
         model = self._raw.get(symbol)
-        if isinstance(model, DFA):
-            dfa = model
-        elif isinstance(model, REPlus):
-            dfa = model.to_dfa(self.alphabet)
-        else:
-            dfa = self.content_nfa(symbol).determinize().minimize().renumber()
+        with _trace.span("compile", artifact="content_dfa"):
+            if isinstance(model, DFA):
+                dfa = model
+            elif isinstance(model, REPlus):
+                dfa = model.to_dfa(self.alphabet)
+            else:
+                dfa = self.content_nfa(symbol).determinize().minimize().renumber()
         self._dfa_cache[symbol] = dfa
         return dfa
 
@@ -244,7 +246,8 @@ class DTD:
         key = (symbol, frozenset(alphabet))
         cached = self._complete_cache.get(key)
         if cached is None:
-            cached = self.content_dfa(symbol).complete(key[1])
+            with _trace.span("compile", artifact="content_dfa_complete"):
+                cached = self.content_dfa(symbol).complete(key[1])
             self._complete_cache[key] = cached
         return cached
 

@@ -240,12 +240,32 @@ def parse_sections(sections: List[List[str]]):
     explicitly with an ``alphabet`` line.
     """
     din_lines, transducer_lines, dout_lines = sections
+    return parse_batch_sections(din_lines, [transducer_lines], dout_lines)[0]
+
+
+def parse_batch_sections(
+    din_lines: List[str],
+    transducer_sections: List[List[str]],
+    dout_lines: List[str],
+) -> List[Tuple[TreeTransducer, DTD, DTD]]:
+    """``[(transducer, din, dout)]``, each item exactly as
+    :func:`parse_sections` parses it, with the schema sections parsed once
+    and one ``dout`` object per distinct widened alphabet."""
     din = parse_dtd_section(din_lines)
-    transducer = parse_transducer_section(transducer_lines, din.alphabet)
+    transducers = [
+        parse_transducer_section(lines, din.alphabet)
+        for lines in transducer_sections
+    ]
     dout = parse_dtd_section(dout_lines)
+    widened: Dict[frozenset, DTD] = {}
     if not _pins_alphabet(dout_lines):
-        dout = DTD(dout.rules(), start=dout.start, alphabet=transducer.alphabet)
-    return transducer, din, dout
+        for transducer in transducers:
+            alphabet = frozenset(transducer.alphabet)
+            if alphabet not in widened:
+                widened[alphabet] = DTD(
+                    dout.rules(), start=dout.start, alphabet=alphabet
+                )
+    return [(t, din, widened.get(frozenset(t.alphabet), dout)) for t in transducers]
 
 
 def load_instance(text: str):

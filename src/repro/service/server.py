@@ -543,14 +543,32 @@ class ServiceServer:
         widened pair.  Its schemas ride inside every pinned message, so
         the worker that receives one pins on receipt: one round trip, no
         broadcast and no re-pin."""
-        sections = protocol.instance_sections(message)
-        _transducer, din, dout = protocol.parse_sections(sections)
-        pair = protocol.pair_digest(din, dout)
-        pin = _Pin(pair, din, dout, self.pool.slot_for(pair))
-        pin.schemas = (din, dout)
-        pin.broadcast_pinned = True
-        payload = dict(message, transducer="\n".join(sections[1]))
-        return pin, self._bare_payload(payload)
+        return self._inline_batch(message, [message.get("transducer")])[0]
+
+    def _inline_batch(self, message: Dict[str, object], transducers):
+        """``[(pin, payload)]`` of inline queries that share the schema
+        sections of ``message``, each parsed like a single one, with the
+        schemas parsed once and one pin (and digest) per distinct widened
+        pair.  An item's payload is ``message`` with its own transducer."""
+        din_lines, first, dout_lines = protocol.instance_sections(
+            dict(message, transducer=transducers[0])
+        )
+        sections = [first] + [
+            protocol.split_sections(item)[0] for item in transducers[1:]
+        ]
+        parsed = protocol.parse_batch_sections(din_lines, sections, dout_lines)
+        pins: Dict[int, _Pin] = {}
+        queries = []
+        for lines, (_transducer, din, dout) in zip(sections, parsed):
+            pin = pins.get(id(dout))
+            if pin is None:
+                pair = protocol.pair_digest(din, dout)
+                pin = pins[id(dout)] = _Pin(pair, din, dout, self.pool.slot_for(pair))
+                pin.schemas = (din, dout)
+                pin.broadcast_pinned = True
+            payload = dict(message, transducer="\n".join(lines))
+            queries.append((pin, self._bare_payload(payload)))
+        return queries
 
     async def _dispatch(
         self,
@@ -650,15 +668,23 @@ class ServiceServer:
             raise ProtocolError(
                 "'typecheck_many' needs 'transducers': [section text, ...]"
             )
+        if not transducers:
+            return []
         fields = {
             key: message[key] for key in ("din", "dout", "method") if key in message
         }
-        # Sequential on purpose: bare items take the connection's pin
-        # before anything here suspends.
-        queries = [
-            await self._query(dict(fields, transducer=item), conn)
-            for item in transducers
-        ]
+        if "din" in fields or "dout" in fields:
+            queries = await loop.run_in_executor(
+                None, self._inline_batch, fields, transducers
+            )
+        else:
+            # Bare items take the connection's pin before anything here
+            # suspends.
+            pin = self._require_pin(conn)
+            queries = [
+                (pin, self._bare_payload(dict(fields, transducer=item)))
+                for item in transducers
+            ]
         for pin in {id(pin): pin for pin, _payload in queries}.values():
             if not pin.broadcast_pinned:
                 await loop.run_in_executor(

@@ -54,16 +54,42 @@ class Tree:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.label, self.children))
+            # Post-order over the unhashed descendants, so each tuple hash
+            # reads cached child hashes: no recursion, the same value.
+            stack = [(self, iter(self.children))]
+            while stack:
+                node, children = stack[-1]
+                for child in children:
+                    if child._hash is None:
+                        if child.children:
+                            stack.append((child, iter(child.children)))
+                            break
+                        child._hash = hash((child.label, ()))
+                else:
+                    stack.pop()
+                    node._hash = hash((node.label, node.children))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Tree({str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.label
-        return f"{self.label}({hedge_str(self.children)})"
+        # An explicit stack of nodes and literal text, so deep trees print.
+        parts = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif not item.children:
+                parts.append(item.label)
+            else:
+                parts.append(item.label + "(")
+                stack.append(")")
+                for child in reversed(item.children[1:]):
+                    stack += [child, " "]
+                stack.append(item.children[0])
+        return "".join(parts)
 
     # ------------------------------------------------------------------
     # Paper notions

@@ -13,7 +13,10 @@ The embedded-pool cases start a real worker pool
 """
 
 import ast
+import asyncio
+import contextlib
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,9 @@ from repro.core.session import Session
 from repro.engines import get_engine, routable_engines
 from repro.errors import ClassViolationError
 from repro.schemas.dtd import DTD
-from repro.service import WorkerPool
+from repro.service import WorkerPool, protocol
+from repro.service.client import ServiceClient
+from repro.service.server import ServiceServer
 from repro.transducers.transducer import TreeTransducer
 from repro.workloads import families
 from repro.workloads.random_instances import seeded_instance
@@ -245,15 +250,50 @@ def _empty_input_instance():
     return transducer, din, dout
 
 
+@contextlib.contextmanager
+def _serving(pool):
+    loop = asyncio.new_event_loop()
+    service = ServiceServer(pool)
+    started = threading.Event()
+
+    def run():
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(service.start("127.0.0.1", 0))
+        started.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert started.wait(10)
+    try:
+        yield service
+    finally:
+        asyncio.run_coroutine_threadsafe(service.close(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
+
+
 def test_empty_input_language_agrees_everywhere(pool):
-    transducer, din, dout = _empty_input_instance()
-    assert din.kind == dout.kind == "RE+" and din.is_empty()
-    answers = {
-        "facade": repro.typecheck(transducer, din, dout).typechecks,
-        "eager": repro.compile(din, dout, reuse=False)
-        .typecheck(transducer).typechecks,
-        "lazy": repro.compile(din, dout, eager=False, reuse=False)
-        .typecheck(transducer).typechecks,
-        "pool": pool.typecheck_batch(din, dout, [transducer])[0].typechecks,
-    }
-    assert answers == dict.fromkeys(answers, True)
+    """The hand-built pair and ``seeded_instance(65011)`` (``s0`` needs an
+    ``s1``, every ``s1`` two ``s0``): the facade, eager and lazy
+    sessions, the pool and a served inline request all answer alike."""
+    with _serving(pool) as server, ServiceClient(port=server.port) as client:
+        for transducer, din, dout in (
+            _empty_input_instance(), seeded_instance(65011),
+        ):
+            assert din.kind == dout.kind == "RE+" and din.is_empty()
+            served = client.call(
+                "typecheck",
+                text=protocol.instance_to_text(transducer, din, dout),
+            )
+            answers = {
+                "facade": repro.typecheck(transducer, din, dout).typechecks,
+                "eager": repro.compile(din, dout, reuse=False)
+                .typecheck(transducer).typechecks,
+                "lazy": repro.compile(din, dout, eager=False, reuse=False)
+                .typecheck(transducer).typechecks,
+                "pool": pool.typecheck_batch(din, dout, [transducer])[0]
+                .typechecks,
+                "served": served["typechecks"],
+            }
+            assert answers == dict.fromkeys(answers, True), din

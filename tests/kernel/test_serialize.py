@@ -1,29 +1,13 @@
-"""Serializable interned tables and the batch warm entry point."""
+"""Serializable interned tables."""
 
 import pickle
 
 from repro.kernel import serialize
 from repro.strings.dfa import DFA
-from repro.strings.nfa import NFA
 
 
 def counter_dfa(n: int = 5) -> DFA:
     return DFA(range(n), {"a"}, {(i, "a"): (i + 1) % n for i in range(n)}, 0, {0})
-
-
-class TestWarmKernels:
-    def test_warms_a_mixed_batch(self):
-        dfa = counter_dfa()
-        nfa = NFA({0, 1}, {"x"}, {0: {"x": {1}}}, {0}, {1})
-        assert serialize.warm_kernels([dfa, None, nfa]) == 2
-        assert dfa._kernel is not None and nfa._kernel is not None
-
-    def test_idempotent(self):
-        dfa = counter_dfa()
-        serialize.warm_kernels([dfa])
-        kernel = dfa._kernel
-        serialize.warm_kernels([dfa])
-        assert dfa._kernel is kernel
 
 
 class TestDumpsLoads:

@@ -196,6 +196,45 @@ def test_typecheck_many_agrees(client, case):
     assert [_verdict(item) for item in pinned] == expected
 
 
+def test_inline_batch_parses_its_schemas_once(client, monkeypatch):
+    """An inline batch line parses ``din`` and ``dout`` once and digests
+    each distinct widened pair once, and answers exactly what the same
+    items answer as single inline queries."""
+    case = _Case(nd_bc_family, 4, False)
+    transducer = case.transducer
+    wider = TreeTransducer(
+        transducer.states, transducer.alphabet | {"extra"},
+        transducer.initial, transducer.rules,
+    )
+    items = [case.transducer_text, case.base_text,
+             protocol.transducer_to_text(wider), case.transducer_text]
+    expected = [
+        _verdict(client.call(
+            "typecheck", din=case.din_text, transducer=item,
+            dout=case.raw_dout_text,
+        ))
+        for item in items
+    ]
+    parses, digests = [], []
+    parse, digest = protocol.parse_dtd_section, protocol.pair_digest
+    monkeypatch.setattr(
+        protocol, "parse_dtd_section",
+        lambda lines: parses.append(lines) or parse(lines),
+    )
+    monkeypatch.setattr(
+        protocol, "pair_digest",
+        lambda din, dout: digests.append(dout) or digest(din, dout),
+    )
+    batch = client.call(
+        "typecheck_many", din=case.din_text, dout=case.raw_dout_text,
+        transducers=items,
+    )
+    assert [_verdict(item) for item in batch] == expected
+    assert len(parses) == 2  # din and dout, not once per item
+    assert len(digests) == 2  # the nd_bc alphabet and the wider one
+    assert digests[0].alphabet != digests[1].alphabet
+
+
 def test_sharded_typecheck_agrees(client, case):
     expected = case.session.typecheck(case.transducer).typechecks
     answers = [

@@ -103,6 +103,15 @@ class TestPickle:
                 (explicit,) = explicit.children
             assert explicit.label == "leaf" and explicit.children == ()
 
+    def test_deep_chain_prints(self):
+        """``str`` of a deep, narrow DAG unfolds it and renders the
+        explicit tree without recursing once per level."""
+        depth = 3000
+        node = DagTree("leaf")
+        for _ in range(depth):
+            node = DagTree("n", DagHedge([DagHedge([node])]))
+        assert str(node) == "n(" * depth + "leaf" + ")" * depth
+
     def test_small_dags_and_hedges_round_trip(self):
         import pickle
 

@@ -139,6 +139,28 @@ class TestDeepTrees:
         assert left.size == 5001
         assert left.depth == 5001
 
+    def test_deep_chain_hashes_and_prints(self):
+        """``hash`` and ``str`` walk a 3,000-deep chain with explicit
+        stacks and agree with their one-level definitions."""
+        def chain():
+            node = Tree("leaf")
+            for _ in range(3000):
+                node = Tree("n", [node, Tree("x")])
+            return node
+
+        tree, copy = chain(), chain()
+        assert str(tree) == "n(" * 3000 + "leaf" + " x)" * 3000
+        assert hash(tree) == hash((tree.label, tree.children))
+        assert hash(copy) == hash(tree)
+        assert len({tree, copy}) == 1
+
+    def test_shared_subtrees_hash_like_copies(self):
+        shared = Tree("s", [Tree("x"), Tree("x")])
+        tree = Tree("r", [shared, Tree("q", [shared]), shared])
+        copy = parse_tree("r(s(x x) q(s(x x)) s(x x))")
+        assert str(tree) == str(copy) == "r(s(x x) q(s(x x)) s(x x))"
+        assert hash(tree) == hash(copy)
+
 
 _tree_strategy = st.deferred(
     lambda: st.builds(
