@@ -723,35 +723,42 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
     per-shard wall times measure *work per shard*, not scheduling noise —
     the spread (max/min) is the planner's figure of merit.
     """
+    from repro.core.forward import compute_forward_tables, ForwardSchema
+
     transducer, din, dout = _skewed_shard_instance(width, arms)
 
-    def spread_of(planner: str):
+    def compute(partitions, method="forward"):
+        return [
+            compute_forward_tables(
+                transducer, din, dout, partition,
+                schema=ForwardSchema(din, dout),
+            )
+            for partition in partitions
+        ]
+
+    def spread_of(planned: bool):
         best = None
         for _ in range(repeat):
             session = Session(din, dout, eager=False)
-
-            def compute(partitions, method):
-                from repro.core.forward import (
-                    compute_forward_tables,
-                    ForwardSchema,
+            if planned:
+                result = session.typecheck_sharded(
+                    transducer, compute, shards=shards
                 )
-
-                return [
-                    compute_forward_tables(
-                        transducer, din, dout, partition,
-                        schema=ForwardSchema(din, dout),
-                    )
-                    for partition in partitions
-                ]
-
-            result = session.typecheck_sharded(
-                transducer, compute, shards=shards, planner=planner
-            )
-            walls = result.stats["shard_wall_s"]
+                walls = result.stats["shard_wall_s"]
+                costs = result.stats["shard_costs"]
+            else:
+                # The blind positional split, built here for comparison
+                # (the library only plans by predicted cost).
+                keys = session.check_keys(transducer)
+                snapshots = compute(
+                    [keys[index::shards] for index in range(shards)]
+                )
+                walls = [snapshot["elapsed_s"] for snapshot in snapshots]
+                costs = None
             row = {
                 "wall_s": walls,
                 "spread": max(walls) / max(min(walls), 1e-9),
-                "costs": result.stats.get("shard_costs"),
+                "costs": costs,
             }
             # keep the fastest (least noisy) round, judged by total wall —
             # picking by min spread would flatter the blind partitioner
@@ -759,8 +766,8 @@ def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -
                 best = row
         return best
 
-    planned = spread_of("cost")
-    rr = spread_of("round-robin")
+    planned = spread_of(True)
+    rr = spread_of(False)
     results.append(
         {
             "group": "service-shard-plan",

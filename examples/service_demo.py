@@ -13,7 +13,7 @@ for its ready line, then drives it with the thin client:
 3. the same query twice — the repeat is served from the worker's
    per-transducer fixpoint-table cache (watch ``stats.table_cache``);
 4. a single query with its forward fixpoint *sharded* across the pool
-   (partitioned by the LPT cost planner);
+   (keys LPT-packed by their predicted cell costs);
 5. a counterexample, parsed back into a tree.
 
 Run:  python examples/service_demo.py

@@ -132,12 +132,6 @@ class BackwardSchema(DTDPairSchema):
         # Result snapshots above carry only the finished answer; edit
         # chains additionally need the derived Φ lists themselves.
         self.transducer_tables: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-        # Measured per-key (= per-input-symbol) costs of previous sharded
-        # runs, mirroring ForwardSchema.shard_profiles: transducer content
-        # hash -> {input symbol: attributed seconds}.  planner="profile"
-        # plans repeated pairs on these instead of the size model.
-        self.shard_profiles: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
-        self.shard_profile_version = 0
 
     def out_kernel(self, sigma: str, out_alphabet: frozenset):
         """Interned completed output content DFA of ``sigma``.
@@ -164,19 +158,6 @@ class BackwardSchema(DTDPairSchema):
     def store_tables(self, table_key: str, tables: Dict[str, object]) -> None:
         lru_store(self.transducer_tables, table_key, tables,
                   self.transducer_result_limit)
-
-    def shard_profile(self, table_key: str) -> Optional[Dict[str, float]]:
-        """The measured per-symbol costs of a previous sharded run of an
-        equal transducer, or ``None`` (LRU-touched on hit)."""
-        return lru_get(self.shard_profiles, table_key)
-
-    def record_shard_profile(
-        self, table_key: str, profile: Dict[str, float]
-    ) -> None:
-        """Retain the measured per-symbol costs of a sharded run (LRU)."""
-        lru_store(self.shard_profiles, table_key, profile,
-                  self.transducer_result_limit)
-        self.shard_profile_version += 1
 
 
 class _Cell:
@@ -278,10 +259,6 @@ class BackwardEngine:
         self.witness: Dict[PairKey, Tuple[PairKey, ...]] = {}
         self.violation: Optional[PairKey] = None
         self.work = 0
-        # Wall seconds accumulated per input-symbol cell across the chaotic
-        # iteration — the measured per-key costs a sharded run exports for
-        # planner="profile" (see compute_backward_tables).
-        self.cell_elapsed: Dict[str, float] = {}
 
         self._cells: Dict[str, _Cell] = {}
         self._dependents: Dict[str, List[str]] = {}
@@ -523,17 +500,12 @@ class BackwardEngine:
             self._register(a)
         dirty = self._dirty
         dirty_set = self._dirty_set
-        cell_elapsed = self.cell_elapsed
         while dirty:
             if self.violation is not None and self.early_exit:
                 return
             a = dirty.popleft()
             dirty_set.discard(a)
-            tick = time.perf_counter()
             self._eval_cell(a)
-            cell_elapsed[a] = (
-                cell_elapsed.get(a, 0.0) + time.perf_counter() - tick
-            )
 
     def _eval_cell(self, a: str) -> None:
         cell = self._cells[a]
@@ -814,13 +786,7 @@ def compute_backward_tables(
     start = time.perf_counter()
     with _trace.span("fixpoint", engine="backward") as fix_span:
         engine.run(symbols=keys)
-        fix_span.set(
-            keys=len(keys),
-            work=engine.work,
-            key_elapsed_s={
-                a: round(engine.cell_elapsed.get(a, 0.0), 6) for a in keys
-            },
-        )
+        fix_span.set(keys=len(keys), work=engine.work)
     assigned = set(keys)
     ext_memo: Dict[int, Tuple] = {}
 
@@ -844,9 +810,6 @@ def compute_backward_tables(
         "witness": witness,
         "work": engine.work,
         "elapsed_s": time.perf_counter() - start,
-        "key_elapsed_s": {
-            a: engine.cell_elapsed.get(a, 0.0) for a in assigned
-        },
     }
 
 
@@ -856,26 +819,16 @@ def merge_backward_tables(
     """Union shard snapshots into one backward table set.
 
     Partitions are disjoint, so per-symbol derived lists concatenate
-    trivially (first copy wins on overlap); ``work`` accumulates and the
-    per-shard/per-key wall times collect for the planner's stats and the
-    profile feedback."""
+    trivially (first copy wins on overlap); ``work`` accumulates for
+    stats."""
     merged: Dict[str, object] = {"derived": {}, "witness": {}, "work": 0}
     derived: Dict = merged["derived"]
     witness: Dict = merged["witness"]
-    elapsed: List[float] = []
-    key_elapsed: Dict[str, float] = {}
     for shard in shards:
         merged["work"] = int(merged["work"]) + int(shard.get("work", 0))
-        if "elapsed_s" in shard:
-            elapsed.append(float(shard["elapsed_s"]))
-        key_elapsed.update(shard.get("key_elapsed_s") or {})
         for a, phis in shard["derived"].items():
             derived.setdefault(a, list(phis))
         witness.update(shard["witness"])
-    if elapsed:
-        merged["shard_elapsed_s"] = elapsed
-    if key_elapsed:
-        merged["key_elapsed_s"] = key_elapsed
     return merged
 
 

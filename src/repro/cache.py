@@ -52,7 +52,9 @@ from repro.util import stable_digest
 #: artifacts carry the shared fixpoint cells and the per-transducer table
 #: cache (closure-free HedgeEntry).  3: the key is the schema pair alone
 #: (no options fingerprint) and side files always name their engine.
-CACHE_FORMAT = 3
+#: 4: DFAs memoize their completeness (a new slot) and the forward and
+#: backward artifacts no longer carry shard profiles.
+CACHE_FORMAT = 4
 
 ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -307,11 +309,9 @@ def _artifact_state(session: Session) -> tuple:
     Per-transducer tables and backward result snapshots are deliberately
     absent: they live in side files (written un-throttled by
     :func:`publish`), so a session that only accrues them never rewrites
-    its schema blob.  Shard profiles *are* blob state (they ship inside
-    the forward/backward artifacts), so recording one — including
-    re-measuring a resident profile, which keeps ``len()`` constant —
-    must trigger a refresh: each schema's monotone
-    ``shard_profile_version`` counter captures that.
+    its schema blob.  What does grow the blob is the forward engine's
+    shared σ-independent cells, whose counts its ``publish_state``
+    reports.
     """
     state: list = []
     for engine in persistent_engines():

@@ -340,14 +340,6 @@ class ForwardSchema(DTDPairSchema):
         # after reset_shared() (they were snapshotted post-convergence).
         self.transducer_tables: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self.transducer_table_limit = TRANSDUCER_TABLE_LIMIT
-        # Measured per-key shard costs of previous sharded runs
-        # (transducer content hash -> {check key: attributed seconds}).
-        # ``planner="profile"`` plans repeated pairs on these instead of
-        # the n_out^m model; see Session.typecheck_sharded.  The version
-        # counter bumps on every recording (including re-measurements of
-        # a resident profile) for the blob-publish fingerprint.
-        self.shard_profiles: "OrderedDict[str, Dict[TupleKey, float]]" = OrderedDict()
-        self.shard_profile_version = 0
 
     def universal_dfa(self, alphabet: frozenset) -> DFA:
         dfa = self._universal.get(alphabet)
@@ -377,22 +369,6 @@ class ForwardSchema(DTDPairSchema):
         """Retain a successful run's tables under the transducer's hash."""
         lru_store(self.transducer_tables, table_key, tables,
                   self.transducer_table_limit)
-
-    def shard_profile(self, table_key: str) -> Optional[Dict[TupleKey, float]]:
-        """The measured per-key costs of a previous sharded run of an
-        equal transducer, or ``None`` (LRU-touched on hit)."""
-        return lru_get(self.shard_profiles, table_key)
-
-    def record_shard_profile(
-        self, table_key: str, profile: Dict[TupleKey, float]
-    ) -> None:
-        """Retain the measured per-key costs of a sharded run (LRU)."""
-        lru_store(self.shard_profiles, table_key, profile,
-                  self.transducer_table_limit)
-        # Monotone version stamp: re-measuring an existing profile keeps
-        # len() constant, so the artifact-publish fingerprint reads this
-        # counter instead (see repro.cache._artifact_state).
-        self.shard_profile_version += 1
 
     def reset_shared(self) -> None:
         """Drop the shared fixpoint cells (they rebuild on next use).
@@ -1028,9 +1004,8 @@ def forward_check_keys(
 # therefore charges ``seeds + closure``, with each closure cell's weight
 # (its input content DFA size) amortized across every key in the batch
 # whose closure contains it — shards that share a closure split its bill.
-# ``plan_forward_shards`` LPT-packs the keys into balanced shards —
-# replacing the blind round-robin split whose shard wall times were only
-# as balanced as the key *order* happened to be.
+# ``plan_forward_shards`` LPT-packs the keys into balanced shards, so the
+# balance does not depend on the key *order*.
 
 
 def forward_key_costs(
@@ -1145,40 +1120,21 @@ def compute_forward_tables(
     engine = ForwardEngine(
         transducer, din, dout, max_tuple, max_product_nodes, schema=schema
     )
+    keys = list(keys)
     start = time.perf_counter()
-    # Keys are evaluated one at a time to their (incremental) fixpoint so
-    # each key's wall time can be measured separately: dependency work is
-    # attributed to the first key that pulls it in — measured truth, which
-    # is exactly what ``planner="profile"`` needs to stop smearing one
-    # shard wall time across co-scheduled keys.  The final tables are the
-    # same least fixpoint as an all-at-once run (chaotic iteration is
-    # confluent; later requests only add cells and re-drain dependents).
-    key_elapsed: Dict[TupleKey, float] = {}
-    last = start
     with _trace.span("fixpoint", engine="forward") as fix_span:
         try:
             for key in keys:
                 engine.request_hedge(*key)
-                engine.run()
-                now = time.perf_counter()
-                key_elapsed[tuple(key)] = now - last
-                last = now
+            engine.run()
         except BaseException:
             schema.reset_shared()
             raise
-        fix_span.set(
-            keys=len(key_elapsed),
-            work=engine.work,
-            key_elapsed_s={
-                str(key): round(elapsed, 6)
-                for key, elapsed in key_elapsed.items()
-            },
-        )
+        fix_span.set(keys=len(keys), work=engine.work)
     tables = export_forward_tables(engine)
     # Shard wall time, measured where the work actually ran (a service
     # worker) — the shard planner's balance is judged on these.
     tables["elapsed_s"] = time.perf_counter() - start
-    tables["key_elapsed_s"] = key_elapsed
     return tables
 
 
@@ -1193,21 +1149,12 @@ def merge_forward_tables(shards: Iterable[Dict[str, object]]) -> Dict[str, objec
     merged: Dict[str, object] = {"hedge": {}, "tree": {}, "work": 0}
     hedge: Dict = merged["hedge"]
     tree: Dict = merged["tree"]
-    elapsed: List[float] = []
-    key_elapsed: Dict[TupleKey, float] = {}
     for shard in shards:
         merged["work"] = int(merged["work"]) + int(shard.get("work", 0))
-        if "elapsed_s" in shard:
-            elapsed.append(float(shard["elapsed_s"]))
-        key_elapsed.update(shard.get("key_elapsed_s") or {})
         for key, entry in shard["hedge"].items():
             hedge.setdefault(key, entry)
         for key, cell in shard["tree"].items():
             tree.setdefault(key, cell)
-    if elapsed:
-        merged["shard_elapsed_s"] = elapsed
-    if key_elapsed:
-        merged["key_elapsed_s"] = key_elapsed
     return merged
 
 

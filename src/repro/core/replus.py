@@ -157,7 +157,9 @@ def validate_output_dag(dout: DTD, dag: DagTree) -> bool:
         table = tables.get(node.label)
         if table is None:
             table = TransferTable(
-                dout.content_dfa(node.label).complete(dout.alphabet | {node.label})
+                dout.content_dfa_complete(
+                    node.label, dout.alphabet | {node.label}
+                )
             )
             tables[node.label] = table
         if not table.accepts_top(node.children):
@@ -248,8 +250,8 @@ def typecheck_replus(
                 continue
             grammar = build_grammar(transducer, din, q, a, path)
             stats["grammars"] += 1
-            target = dout.content_dfa(node.label).complete(
-                dout.alphabet | transducer.alphabet
+            target = dout.content_dfa_complete(
+                node.label, dout.alphabet | transducer.alphabet
             )
             included, word = grammar.included_in_dfa(target)
             if not included:

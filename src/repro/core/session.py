@@ -109,30 +109,6 @@ def schema_fingerprint(schema: Schema) -> str:
     raise TypeError(f"not a schema: {schema!r}")
 
 
-# ----------------------------------------------------------------------
-# Per-method kwarg validation (delegated to the engine registry)
-# ----------------------------------------------------------------------
-def allowed_kwargs(method: str) -> frozenset:
-    """The per-call option names ``typecheck(method=...)`` accepts.
-
-    Delegates to the engine registry, which memoizes the signature
-    inspection *per engine* — once per process, never once per
-    typecheck.
-    """
-    return get_engine(method).allowed_kwargs()
-
-
-def validate_method_kwargs(method: str, kwargs: Dict[str, object]) -> None:
-    """Reject options the selected method does not understand.
-
-    The seed API silently forwarded unknown ``**kwargs`` into the per-method
-    functions, producing a bare ``TypeError`` from deep inside the call (or,
-    worse, a typo'd option being dropped by a dispatch branch that never
-    forwarded it).  This names the offending option and lists the valid ones.
-    """
-    get_engine(method).validate_kwargs(kwargs)
-
-
 def _reject_max_tuple(method: str, max_tuple: Optional[int]) -> None:
     if max_tuple is not None:
         raise TypeError(
@@ -759,7 +735,7 @@ class Session:
         self, transducer: TreeTransducer, method: str = "forward"
     ) -> List:
         """The shard units of ``T`` under ``method``'s engine (the keys
-        the planners partition across workers)."""
+        the shard planner partitions across workers)."""
         engine = get_engine(method)
         with self._lock:
             return engine.check_keys(self, transducer)
@@ -809,7 +785,6 @@ class Session:
         compute_shards,
         shards: int = 2,
         max_tuple: Optional[int] = None,
-        planner: str = "cost",
         method: str = "forward",
         explain: bool = False,
         **kwargs,
@@ -818,10 +793,10 @@ class Session:
 
         ``explain=True`` attaches a :class:`repro.obs.explain.QueryReport`
         as ``result.report`` — the shard section carries the plan
-        (planner, predicted loads, measured per-shard walls, spread) and,
-        when the workers run with kernel metrics enabled, each shard's
-        own kernel counters (``shard_kernel``); the top-level kernel
-        section covers the serving process (plan + merge + final scan).
+        (predicted loads, measured per-shard walls, spread) and, when the
+        workers run with kernel metrics enabled, each shard's own kernel
+        counters (``shard_kernel``); the top-level kernel section covers
+        the serving process (plan + merge + final scan).
 
         ``method`` picks the engine to shard: ``"forward"`` (default, the
         original fan-out) partitions the hedge-cell check keys,
@@ -838,31 +813,22 @@ class Session:
         counterexample construction here, so the verdict is exactly the
         unsharded engine's — the shards compute complete per-cell least
         fixpoints and the merge unions disjoint cells.  Partitioning never
-        affects the verdict, only the balance, so the planner choice is a
-        pure scheduling knob.
+        affects the verdict, only the balance.
 
-        ``planner`` selects the partitioner: ``"cost"`` (default)
-        LPT-packs keys by their predicted cell cost (forward: tuple seeds
-        plus amortized closure DFA sizes, see
+        Keys are LPT-packed by their predicted cell cost (forward: tuple
+        seeds plus amortized closure DFA sizes, see
         :func:`repro.core.forward.forward_key_costs`; backward:
         ``n_in_states × behavior-monoid``, see
-        :func:`repro.backward.backward_key_costs`); ``"profile"``
-        LPT-packs by *measured* per-key worker seconds fed back from the
-        previous sharded run of an equal-content transducer on this warm
-        pair, falling back to the cost model on first sight —
-        ``stats["shard_profile"]`` records which source planned the run;
-        ``"round-robin"`` is the blind positional split, kept for
-        benchmarking the planners against.  Per-shard wall times come back
-        in ``result.stats["shard_wall_s"]`` with the planner's predicted
-        loads in ``stats["shard_costs"]``, so the balance is observable.
-        Sharded runs record each key's *measured* fixpoint seconds
-        (``key_elapsed_s``, timed per cell on the worker) for the next
-        ``planner="profile"`` plan.
+        :func:`repro.backward.backward_key_costs`).  The predicted
+        per-shard loads come back in ``result.stats["shard_costs"]`` and
+        each snapshot's measured worker wall time in
+        ``stats["shard_wall_s"]`` (with their max/min ``shard_spread``),
+        so the balance is observable.
         """
         def run() -> TypecheckResult:
             return self._typecheck_sharded_impl(
-                transducer, compute_shards, shards, max_tuple, planner,
-                method, **kwargs
+                transducer, compute_shards, shards, max_tuple, method,
+                **kwargs
             )
 
         if not explain:
@@ -877,55 +843,20 @@ class Session:
         compute_shards,
         shards: int = 2,
         max_tuple: Optional[int] = None,
-        planner: str = "cost",
         method: str = "forward",
         **kwargs,
     ) -> TypecheckResult:
         from repro.core.forward import plan_forward_shards
 
-        with _trace.span("shard_plan", planner=planner) as plan_span:
+        with _trace.span("shard_plan") as plan_span:
             method = self.route(transducer, method, max_tuple, shardable=True)[0]
             engine = get_engine(method)
             if not engine.accepts_max_tuple:
                 _reject_max_tuple(method, max_tuple)
             keys = self.check_keys(transducer, method)
-            shards = max(1, min(int(shards), max(1, len(keys))))
-            loads: Optional[List[float]] = None
-            plan_costs: Optional[List[float]] = None
-            profile_source: Optional[str] = None
-            if planner == "round-robin":
-                partitions: List[List] = [
-                    keys[index::shards] for index in range(shards)
-                ]
-            elif planner in ("cost", "profile"):
-                with self._lock:
-                    plan_costs = list(
-                        engine.key_costs(self, transducer, keys)
-                    )
-                    plan_schema = engine.schema(self)
-                    if planner == "profile":
-                        profile = plan_schema.shard_profile(
-                            transducer.content_hash()
-                        )
-                        if profile is not None:
-                            # Measured costs for the keys seen last time;
-                            # the model covers any key the profile has not
-                            # (the LPT only needs relative weights).
-                            plan_costs = [
-                                profile.get(key, cost)
-                                for key, cost in zip(keys, plan_costs)
-                            ]
-                            profile_source = "measured"
-                        else:
-                            profile_source = "model"
-                partitions, loads = plan_forward_shards(
-                    keys, plan_costs, shards
-                )
-            else:
-                raise ValueError(
-                    f"unknown shard planner {planner!r}; "
-                    "valid: cost, profile, round-robin"
-                )
+            with self._lock:
+                costs = engine.key_costs(self, transducer, keys)
+            partitions, loads = plan_forward_shards(keys, costs, shards)
             plan_span.set(method=method, keys=len(keys), shards=len(partitions))
         engine.validate_kwargs(kwargs)
         snapshots = compute_shards(partitions, method)
@@ -933,36 +864,23 @@ class Session:
         # mergers ignore; pop them before merging so the explain report
         # can attribute work shard by shard.
         shard_kernel = [
-            snapshot.pop("kernel_counters", None)
-            for snapshot in snapshots
-            if isinstance(snapshot, dict)
+            snapshot.pop("kernel_counters", None) for snapshot in snapshots
         ]
-        with _trace.span("merge", method=method) as merge_span:
+        shard_wall = [
+            float(snapshot["elapsed_s"])
+            for snapshot in snapshots
+            if "elapsed_s" in snapshot
+        ]
+        with _trace.span("merge", method=method, shards=len(partitions)):
             tables = engine.merge_tables(snapshots)
-            shard_wall = tables.pop("shard_elapsed_s", None)
-            key_elapsed = tables.pop("key_elapsed_s", None)
-            merge_span.set(shards=len(partitions))
-            if key_elapsed:
-                # Per-key measured fixpoint seconds — previously popped and
-                # visible only to the profile planner; now on the span too.
-                merge_span.set(
-                    key_elapsed_s={
-                        str(key): round(float(elapsed), 6)
-                        for key, elapsed in key_elapsed.items()
-                    }
-                )
             with self._lock:
                 self.stats["calls"] = int(self.stats["calls"]) + 1
                 result = engine.typecheck(
                     self, transducer, max_tuple, kwargs, tables=tables
                 )
         result.stats["shards"] = len(partitions)
-        result.stats["shard_planner"] = planner
         result.stats["shard_method"] = method
-        if profile_source is not None:
-            result.stats["shard_profile"] = profile_source
-        if loads is not None:
-            result.stats["shard_costs"] = list(loads)
+        result.stats["shard_costs"] = list(loads)
         if shard_wall:
             result.stats["shard_wall_s"] = [round(s, 6) for s in shard_wall]
             result.stats["shard_spread"] = round(
@@ -972,20 +890,6 @@ class Session:
             result.stats["shard_kernel"] = [
                 counters or {} for counters in shard_kernel
             ]
-        # Feed the measurement back for the next planner="profile" run of
-        # this transducer on this pair: workers time each key's fixpoint
-        # individually, so the profile is measured truth per key.
-        assigned = set(keys)
-        profile_out = {
-            key: float(elapsed)
-            for key, elapsed in (key_elapsed or {}).items()
-            if key in assigned
-        }
-        if profile_out:
-            with self._lock:
-                engine.schema(self).record_shard_profile(
-                    transducer.content_hash(), profile_out
-                )
         return result
 
     def counterexample_nta(

@@ -139,7 +139,6 @@ class ForwardEngineDef(Engine):
             "shared_hedge": dict(ctx.shared_hedge),
             "shared_tree": dict(ctx.shared_tree),
             "transducer_tables": dict(ctx.transducer_tables),
-            "shard_profiles": dict(ctx.shard_profiles),
             "compiled": ctx.compiled,
         }
 
@@ -150,18 +149,13 @@ class ForwardEngineDef(Engine):
         ctx.shared_hedge.update(data.get("shared_hedge") or {})
         ctx.shared_tree.update(data.get("shared_tree") or {})
         ctx.transducer_tables.update(data.get("transducer_tables") or {})
-        ctx.shard_profiles.update(data.get("shard_profiles") or {})
         ctx.compiled = data["compiled"]
 
     def publish_state(self, session):
         ctx = self.peek_schema(session)
         if ctx is None:
-            return (0, 0, 0)
-        return (
-            len(ctx.shared_hedge),
-            len(ctx.shared_tree),
-            ctx.shard_profile_version,
-        )
+            return (0, 0)
+        return (len(ctx.shared_hedge), len(ctx.shared_tree))
 
     def side_store(self, session, build=False):
         ctx = self.schema(session) if build else self.peek_schema(session)
@@ -292,19 +286,13 @@ class BackwardEngineDef(Engine):
             return None
         return {
             "transducer_results": dict(ctx.transducer_results),
-            "shard_profiles": dict(ctx.shard_profiles),
             "compiled": ctx.compiled,
         }
 
     def restore_state(self, session, data):
         ctx = self.schema(session)
         ctx.transducer_results.update(data.get("transducer_results") or {})
-        ctx.shard_profiles.update(data.get("shard_profiles") or {})
         ctx.compiled = data["compiled"]
-
-    def publish_state(self, session):
-        ctx = self.peek_schema(session)
-        return (0,) if ctx is None else (ctx.shard_profile_version,)
 
     def side_store(self, session, build=False):
         ctx = self.schema(session) if build else self.peek_schema(session)

@@ -33,9 +33,7 @@ __all__ = [
 #: Shard-plan stats keys copied verbatim into the report's shard section.
 _SHARD_STAT_KEYS = (
     "shards",
-    "shard_planner",
     "shard_method",
-    "shard_profile",
     "shard_costs",
     "shard_wall_s",
     "shard_spread",
@@ -269,15 +267,7 @@ def render_report(data: Mapping[str, Any]) -> str:
     shards = data.get("shards")
     if shards:
         lines.append(
-            "  shards: "
-            + f"{shards.get('shards')} × {shards.get('shard_method')}"
-            + f" (planner={shards.get('shard_planner')}"
-            + (
-                f", profile={shards['shard_profile']}"
-                if "shard_profile" in shards
-                else ""
-            )
-            + ")"
+            f"  shards: {shards.get('shards')} × {shards.get('shard_method')}"
         )
         if shards.get("shard_wall_s"):
             lines.append(

@@ -11,7 +11,7 @@ worker, usually once per *machine*.
 
 Routing: single-instance requests hash their schema pair onto a fixed
 worker (the pair stays warm in one place); batch requests and shard
-fan-outs round-robin across all workers — the two hot paths that exercise
+fan-outs take the workers in turn — the two hot paths that exercise
 true parallelism.  Every query the TCP server forwards is one ``pinned``
 op: the pair digest plus transducer text, with the pair's schemas riding
 along when the request carried them inline (the worker pins on receipt).
@@ -754,7 +754,6 @@ class WorkerPool:
         transducer,
         shards: Optional[int] = None,
         max_tuple: Optional[int] = None,
-        planner: str = "cost",
         method: str = "auto",
         **kwargs,
     ):
@@ -762,8 +761,8 @@ class WorkerPool:
 
         The parent's warm session resolves the engine
         (``Session.route(T, method, max_tuple, shardable=True)``) and
-        plans the key partitions (LPT over predicted cell costs by
-        default — see ``Session.typecheck_sharded``); each worker
+        plans the key partitions (LPT over predicted cell costs — see
+        ``Session.typecheck_sharded``); each worker
         computes its partition's fixpoint closure against its own warm
         session and ships the (picklable) tables back; the parent merges
         and finishes.  Verdicts are identical to the unsharded engine,
@@ -795,7 +794,6 @@ class WorkerPool:
             compute_shards,
             shards=shards or self.workers,
             max_tuple=max_tuple,
-            planner=planner,
             method=method,
             **kwargs,
         )

@@ -458,8 +458,8 @@ class ServiceServer:
     ):
         """One ``pinned`` pool request, re-pinning on a stale pair.
 
-        ``fanout=True`` round-robins across the (broadcast-pinned)
-        workers — a batch item — instead of the pair's affine one.
+        ``fanout=True`` takes the (broadcast-pinned) workers in turn — a
+        batch item — instead of the pair's affine one.
 
         The server-global inflight gate is acquired *before* the request
         enters the pool, so the aggregate queued work is bounded no

@@ -12,6 +12,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Sequence, Tuple
 
 from repro.errors import InvalidSchemaError, NotDeterministicError
+from repro.obs import trace as _trace
 from repro.strings.nfa import NFA
 
 State = Hashable
@@ -33,7 +34,7 @@ class DFA:
 
     __slots__ = (
         "states", "alphabet", "transitions", "initial", "finals",
-        "_hash", "_kernel", "_nfa", "_content_hash",
+        "_hash", "_kernel", "_nfa", "_content_hash", "_complete",
     )
 
     def __init__(
@@ -62,6 +63,7 @@ class DFA:
         self._kernel = None
         self._nfa: NFA | None = None
         self._content_hash: str | None = None
+        self._complete: bool | None = None
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -75,7 +77,9 @@ class DFA:
         if self._kernel is None:
             from repro.kernel.dfa_kernel import InternedDFA
 
-            self._kernel = InternedDFA(self)
+            # Interning is compile work, wherever it is first asked for.
+            with _trace.span("compile", artifact="dfa_kernel"):
+                self._kernel = InternedDFA(self)
         return self._kernel
 
     def __eq__(self, other: object) -> bool:
@@ -246,12 +250,18 @@ class DFA:
         """A complete DFA for the same language, adding a sink if needed.
 
         ``alphabet`` may enlarge the alphabet; new symbols lead to the sink.
+        Asked for (a subset of) its own alphabet, a DFA already known to be
+        complete returns itself without re-scanning its transitions (the
+        automaton is immutable, so completeness is decided once).
         """
-        sigma = self.alphabet | (frozenset(alphabet) if alphabet is not None else frozenset())
-        if self.is_complete(sigma):
-            return self if sigma == self.alphabet else DFA(
-                self.states, sigma, self.transitions, self.initial, self.finals
-            )
+        sigma = self.alphabet if alphabet is None else self.alphabet | frozenset(alphabet)
+        if sigma == self.alphabet:
+            if self._complete is None:
+                self._complete = self.is_complete()
+            if self._complete:
+                return self
+        # A symbol outside the alphabet has no transitions, so any enlarged
+        # alphabet needs the sink.
         sink = ("__sink__", len(self.states))
         while sink in self.states:
             sink = (sink, 0)
@@ -260,7 +270,9 @@ class DFA:
         for q in states:
             for a in sigma:
                 transitions.setdefault((q, a), sink)
-        return DFA(states, sigma, transitions, self.initial, self.finals)
+        completed = DFA(states, sigma, transitions, self.initial, self.finals)
+        completed._complete = True
+        return completed
 
     def complement(self, alphabet: Iterable[Symbol] | None = None) -> "DFA":
         """Complement w.r.t. all words over ``alphabet`` (default: own)."""
@@ -372,6 +384,7 @@ class LazyProductDFA(DFA):
         self._hash = None
         self._nfa = None
         self._content_hash = None
+        self._complete = None
         self._parts = None
 
     def _materialize(self):

@@ -217,22 +217,35 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def _parse_hedge_tokens(tokens: list[tuple[str, str]], index: int) -> tuple[Hedge, int]:
+def _parse_hedge_tokens(tokens: list[tuple[str, str]]) -> tuple[Hedge, int]:
+    """The leading hedge of ``tokens`` and the index just past it.
+
+    An explicit stack of open nodes (label, the siblings before it) keeps
+    arbitrarily deep terms — served counterexamples included — off the
+    interpreter's recursion limit.
+    """
+    open_nodes: list[tuple[str, list[Tree]]] = []
     trees: list[Tree] = []
+    index = 0
     while index < len(tokens):
         kind, value = tokens[index]
         if (kind, value) == ("op", ")"):
-            break
-        if kind != "sym":
+            if not open_nodes:
+                break
+            label, siblings = open_nodes.pop()
+            siblings.append(Tree(label, trees))
+            trees = siblings
+        elif kind != "sym":
             raise ParseError(f"unexpected token {value!r} in tree term")
-        index += 1
-        children: Hedge = ()
-        if index < len(tokens) and tokens[index] == ("op", "("):
-            children, index = _parse_hedge_tokens(tokens, index + 1)
-            if index >= len(tokens) or tokens[index] != ("op", ")"):
-                raise ParseError("unbalanced parentheses in tree term")
+        elif index + 1 < len(tokens) and tokens[index + 1] == ("op", "("):
+            open_nodes.append((value, trees))
+            trees = []
             index += 1
-        trees.append(Tree(value, children))
+        else:
+            trees.append(Tree(value))
+        index += 1
+    if open_nodes:
+        raise ParseError("unbalanced parentheses in tree term")
     return tuple(trees), index
 
 
@@ -242,7 +255,7 @@ def parse_hedge(text: str) -> Hedge:
     The empty string denotes the empty hedge (the paper's ε).
     """
     tokens = _tokenize(text)
-    hedge, index = _parse_hedge_tokens(tokens, 0)
+    hedge, index = _parse_hedge_tokens(tokens)
     if index != len(tokens):
         raise ParseError(f"trailing input in tree term {text!r}")
     return hedge

@@ -142,3 +142,29 @@ class TestDeepSchemas:
         session = Session(din, dout)
         assert session.footprint_bytes() > 0
         assert session.typecheck(transducer).typechecks == expected
+
+
+class TestWarmRepeat:
+    def test_warm_repeat_reuses_completed_output_dfas(self, monkeypatch):
+        """A warm repeat reads the DTD's completed content DFAs and never
+        re-scans one for completeness (the grammar inclusion checks ask
+        for a subset of an already-complete DFA's alphabet)."""
+        import repro
+        from repro.strings.dfa import DFA
+        from repro.workloads.families import nd_bc_family
+
+        transducer, din, dout, expected = nd_bc_family(64)
+        session = repro.compile(din, dout)
+        first = session.typecheck(transducer)
+        assert first.stats["auto_method"] == "replus"
+        calls = []
+        original = DFA.is_complete
+
+        def counted(self, alphabet=None):
+            calls.append(self)
+            return original(self, alphabet)
+
+        monkeypatch.setattr(DFA, "is_complete", counted)
+        again = session.typecheck(transducer)
+        assert again.typechecks == first.typechecks == expected
+        assert calls == []

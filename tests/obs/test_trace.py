@@ -61,6 +61,21 @@ class TestSink:
         assert inner["trace"] == outer["trace"] == "trace0"
         assert inner["parent"] == outer["span"]
 
+    def test_dfa_interning_is_a_compile_span(self, sink):
+        """A lazily built DFA kernel is charged to ``compile``, not to
+        whichever fixpoint first asked for it — and only on the miss."""
+        from repro.strings.dfa import DFA
+
+        dfa = DFA({0, 1}, {"a"}, {(0, "a"): 1}, 0, {1})
+        with t.root("trace1"):
+            with t.span("fixpoint"):
+                dfa.kernel()
+                dfa.kernel()
+        inner, outer = _spans(sink)
+        assert inner["name"] == "compile"
+        assert inner["attrs"] == {"artifact": "dfa_kernel"}
+        assert inner["parent"] == outer["span"] and outer["name"] == "fixpoint"
+
     def test_orphan_span_mints_a_trace_id(self, sink):
         with t.span("merge"):
             pass

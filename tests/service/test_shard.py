@@ -68,8 +68,8 @@ class TestShardMergeEqualsUnsharded:
     def test_seeded_instances_verdicts_bit_identical(self, chunk):
         """Sharded verdicts equal unsharded across the shared 200-seed
         equivalence generator (the in-trac slice) — under the LPT cost
-        planner, with the round-robin partitioner spot-checked alongside
-        (partitioning must never affect the verdict)."""
+        planner, with a positional ``keys[i::2]`` split spot-checked
+        alongside (partitioning must never affect the verdict)."""
         for seed in range(chunk * 50, (chunk + 1) * 50):
             transducer, din, dout = seeded_instance(seed)
             if not _in_trac(transducer):
@@ -79,7 +79,6 @@ class TestShardMergeEqualsUnsharded:
             compute = _sequential_shards(session)
             compute._transducer = transducer
             sharded = session.typecheck_sharded(transducer, compute, shards=2)
-            assert sharded.stats.get("shard_planner") == "cost", f"seed {seed}"
             assert sharded.typechecks == unsharded.typechecks, f"seed {seed}"
             assert sharded.stats.get("violations") == unsharded.stats.get(
                 "violations"
@@ -89,11 +88,13 @@ class TestShardMergeEqualsUnsharded:
                     f"seed {seed}: sharded counterexample does not verify"
                 )
             if seed % 10 == 0:
-                rr = session.typecheck_sharded(
-                    transducer, compute, shards=2, planner="round-robin"
+                keys = session.check_keys(transducer)
+                merged = merge_forward_tables(
+                    compute([keys[index::2] for index in range(2)], "forward")
                 )
-                assert rr.typechecks == unsharded.typechecks, f"seed {seed}"
-                assert rr.stats.get("violations") == unsharded.stats.get(
+                split = typecheck_forward(transducer, din, dout, tables=merged)
+                assert split.typechecks == unsharded.typechecks, f"seed {seed}"
+                assert split.stats.get("violations") == unsharded.stats.get(
                     "violations"
                 ), f"seed {seed}"
 
@@ -189,18 +190,19 @@ class TestShardPlanner:
         compute._transducer = transducer
         result = session.typecheck_sharded(transducer, compute, shards=3)
         assert result.stats["shards"] == 3
-        assert result.stats["shard_planner"] == "cost"
         assert len(result.stats["shard_costs"]) == 3
         assert len(result.stats["shard_wall_s"]) == 3
         assert all(wall >= 0 for wall in result.stats["shard_wall_s"])
         assert result.stats["shard_spread"] >= 1.0
 
     def test_unknown_planner_rejected(self):
+        """LPT over predicted cell costs is the only partitioner, so a
+        ``planner=`` option is an unknown option like any other."""
         transducer, din, dout, _ = nd_bc_family(4)
         session = Session(din, dout, eager=False)
-        with pytest.raises(ValueError, match="unknown shard planner"):
+        with pytest.raises(TypeError, match="'planner'"):
             session.typecheck_sharded(
-                transducer, lambda partitions, method: [], planner="magic"
+                transducer, lambda partitions, method: [], planner="cost"
             )
 
 

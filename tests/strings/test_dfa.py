@@ -54,6 +54,12 @@ class TestCompletion:
         assert not completed.accepts(["b", "a"])
         assert not completed.accepts(["a", "b", "a"])
 
+    def test_complete_returns_a_known_complete_dfa_itself(self, partial_ab):
+        completed = partial_ab.complete()
+        assert completed.complete() is completed
+        assert completed.complete({"a"}) is completed
+        assert completed.complete({"a", "z"}) is not completed
+
     def test_complete_with_larger_alphabet(self, mod3):
         bigger = mod3.complete({"a", "b"})
         assert bigger.is_complete()

@@ -154,6 +154,14 @@ class TestDeepTrees:
         assert hash(copy) == hash(tree)
         assert len({tree, copy}) == 1
 
+    def test_deep_chain_parses_back(self):
+        """``parse_tree`` reads back the 3,000-deep chain ``str`` renders
+        (served counterexamples arrive in this form)."""
+        node = Tree("leaf")
+        for _ in range(3000):
+            node = Tree("n", [node, Tree("x")])
+        assert parse_tree(str(node)) == node
+
     def test_shared_subtrees_hash_like_copies(self):
         shared = Tree("s", [Tree("x"), Tree("x")])
         tree = Tree("r", [shared, Tree("q", [shared]), shared])
