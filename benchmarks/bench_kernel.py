@@ -12,6 +12,12 @@ The warm-vs-cold *session* family (compiled ``Session`` batches vs fresh
 per-call pipelines, plus the registry-backed one-shot repeat) is measured
 alongside and written to ``BENCH_session.json``.
 
+The *compile* family times eager ``repro.compile`` plus the first
+``method="auto"`` query on fresh ``nd_bc(n)`` pairs (rows in
+``BENCH_kernel.json``); the smoke gate fails if nd_bc(256) takes more
+than :data:`COMPILE_SMOKE_MAX_RATIO` times nd_bc(64) — linear compile
+reads ~4x.
+
 The *backward* family (PR 5) races the inverse-type-inference engine
 (``repro.backward``, ``method="backward"``) against the forward engine on
 the same workload families plus the wide-copy/small-output family built
@@ -70,10 +76,13 @@ Usage::
                                                  # session fails to beat
                                                  # cold setup, the worker
                                                  # pool misses its
-                                                 # (cpu-adaptive) gate, or
+                                                 # (cpu-adaptive) gate,
                                                  # incremental re-checking
                                                  # fails to beat
-                                                 # from-scratch
+                                                 # from-scratch, or cold
+                                                 # compile scales worse
+                                                 # than 8x from nd_bc(64)
+                                                 # to nd_bc(256)
 """
 
 from __future__ import annotations
@@ -151,13 +160,20 @@ OBS_MIN_SAMPLES = 41
 # equally schema-warmed session.  Locally the edit-arm family re-checks at
 # ~0.3x of from-scratch; 0.8x keeps the gate meaningful without flaking.
 INCREMENTAL_SMOKE_MAX_RATIO = 0.8
+# Linear-compile gate: eager compile plus the first auto query on a fresh
+# nd_bc(256) pair may take at most this multiple of nd_bc(64).  The chain
+# is 4x longer, so a cost linear in the schema reads ~4x; content automata
+# determinized, minimized and interned over the whole alphabet read ~17x.
+# A ratio of two sizes on one host does not depend on the host's speed.
+COMPILE_SMOKE_SIZES = (64, 256)
+COMPILE_SMOKE_MAX_RATIO = 8.0
 
 # ``--only`` choices; each family owns the BENCH_*.json row groups it
 # re-runs (forward/dfa/nta share BENCH_kernel.json, service covers every
 # service-* group).
 FAMILIES = (
-    "forward", "dfa", "nta", "backward", "auto", "session", "service",
-    "incremental", "obs",
+    "forward", "dfa", "nta", "compile", "backward", "auto", "session",
+    "service", "incremental", "obs",
 )
 
 
@@ -422,6 +438,49 @@ def bench_nta(results, sizes, repeat: int) -> None:
                 "speedup": old / new,
             }
         )
+
+
+def bench_compile(results, sizes, repeat: int) -> None:
+    """Eager compile plus the first auto query on never-compiled pairs.
+
+    Every repetition builds fresh ``nd_bc(n)`` DTD objects, so nothing is
+    cached, then times ``repro.compile(din, dout, reuse=False)`` and one
+    ``method="auto"`` typecheck: the cold path of a pair seen for the
+    first time.  Each row records the best compile and compile + query
+    times; the largest size also records its ratio over the smallest,
+    which the smoke gate bounds at :data:`COMPILE_SMOKE_MAX_RATIO`.
+    """
+    from repro import compile as compile_pair
+
+    rows = []
+    for n in sizes:
+        compile_s = total_s = float("inf")
+        for _ in range(repeat):
+            transducer, din, dout, expected = nd_bc_family(n)
+            gc.collect()
+            start = time.perf_counter()
+            session = compile_pair(din, dout, reuse=False)
+            compiled = time.perf_counter()
+            result = session.typecheck(transducer)
+            done = time.perf_counter()
+            assert result.typechecks == expected
+            compile_s = min(compile_s, compiled - start)
+            total_s = min(total_s, done - start)
+        rows.append(
+            {
+                "group": "compile",
+                "name": f"compile+first auto nd_bc(n={n})",
+                "family": "nd_bc",
+                "n": n,
+                "compile_ms": compile_s * 1e3,
+                "compile_and_first_query_ms": total_s * 1e3,
+            }
+        )
+    rows[-1]["over_smallest"] = (
+        rows[-1]["compile_and_first_query_ms"]
+        / rows[0]["compile_and_first_query_ms"]
+    )
+    results.extend(rows)
 
 
 def bench_session(results, sizes, repeat: int) -> None:
@@ -1094,6 +1153,7 @@ def main(argv=None) -> int:
         return not only or family in only
 
     results: list = []
+    compile_results: list = []
     session_results: list = []
     service_results: list = []
     backward_results: list = []
@@ -1123,6 +1183,8 @@ def main(argv=None) -> int:
             bench_dfa(results, [16], repeat)
         if want("nta"):
             bench_nta(results, [32], repeat)
+        if want("compile"):
+            bench_compile(compile_results, COMPILE_SMOKE_SIZES, repeat)
         if want("session"):
             bench_session(session_results, [SESSION_SMOKE_FAMILY], repeat)
         if want("service"):
@@ -1181,6 +1243,8 @@ def main(argv=None) -> int:
             bench_dfa(results, [16, 48, 96], repeat)
         if want("nta"):
             bench_nta(results, [32, 96, 256], repeat)
+        if want("compile"):
+            bench_compile(compile_results, (16, 64, 128, 256), repeat)
         if want("session"):
             bench_session(
                 session_results, [(16, 6), (32, 12), (64, 8)], repeat
@@ -1322,7 +1386,7 @@ def main(argv=None) -> int:
         }
 
     for path, rows, file_repeat, summarize in (
-        (args.output, results, repeat, kernel_summary),
+        (args.output, results + compile_results, repeat, kernel_summary),
         (args.output_session, session_results, repeat, session_summary),
         (args.output_service, service_results, min(repeat, 3),
          service_summary),
@@ -1338,8 +1402,8 @@ def main(argv=None) -> int:
 
     service_batches = [r for r in service_results if r["group"] == "service"]
     all_rows = (
-        results + session_results + service_results + backward_results
-        + auto_results + incremental_results + obs_results
+        results + compile_results + session_results + service_results
+        + backward_results + auto_results + incremental_results + obs_results
     )
     width = max((len(r["name"]) for r in all_rows), default=0)
     for r in results:
@@ -1347,6 +1411,13 @@ def main(argv=None) -> int:
             f"{r['name']:<{width}}  baseline {r['baseline_s'] * 1e3:8.2f} ms"
             f"  kernel {r['kernel_s'] * 1e3:8.2f} ms"
             f"  speedup {r['speedup']:6.2f}x"
+        )
+    for r in compile_results:
+        ratio = r.get("over_smallest")
+        print(
+            f"{r['name']:<{width}}  compile {r['compile_ms']:8.2f} ms"
+            f"  +first query {r['compile_and_first_query_ms']:8.2f} ms"
+            + (f"  over smallest {ratio:5.2f}x" if ratio is not None else "")
         )
     for r in backward_results:
         print(
@@ -1562,6 +1633,18 @@ def main(argv=None) -> int:
                     f"{row['plain_s'] * 1e3:.2f} ms with the span seam "
                     f"patched out; ratio {row['off_over_plain']:.3f}x > "
                     f"{OBS_SMOKE_MAX_OVERHEAD}x)",
+                    file=sys.stderr,
+                )
+                failed = True
+        for row in compile_results:
+            if row.get("over_smallest", 0.0) > COMPILE_SMOKE_MAX_RATIO:
+                print(
+                    f"SMOKE FAILURE: cold compile + first query does not "
+                    f"scale linearly: {row['name']} takes "
+                    f"{row['over_smallest']:.2f}x nd_bc(n="
+                    f"{COMPILE_SMOKE_SIZES[0]}) "
+                    f"({row['compile_and_first_query_ms']:.2f} ms; "
+                    f"> {COMPILE_SMOKE_MAX_RATIO}x)",
                     file=sys.stderr,
                 )
                 failed = True

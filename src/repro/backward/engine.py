@@ -300,7 +300,7 @@ class BackwardEngine:
         if cached is None:
             columns = []
             for idfa in self._out:
-                j = idfa.symbols.index(label)
+                j = idfa.column(label)
                 table = idfa.table
                 ns = idfa.n_symbols
                 columns.append(

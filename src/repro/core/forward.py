@@ -88,7 +88,7 @@ def canonical_cell_key(
 
 def input_dfa_useful(din: DTD, a: str, cache: Dict[str, Tuple]) -> Tuple:
     """The input content DFA of ``a`` with its useful-state set (pruning
-    the completion sink keeps the key fan-out at the *live* alphabet).
+    dead states keeps the key fan-out at the *live* alphabet).
 
     ``cache`` is the owning schema context's per-symbol memo.
     """

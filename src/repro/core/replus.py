@@ -156,11 +156,9 @@ def validate_output_dag(dout: DTD, dag: DagTree) -> bool:
     for node in distinct_tree_nodes(dag):
         table = tables.get(node.label)
         if table is None:
-            table = TransferTable(
-                dout.content_dfa_complete(
-                    node.label, dout.alphabet | {node.label}
-                )
-            )
+            # A partial content DFA accepts exactly the completed one's
+            # words: a run that dies is a run into the sink.
+            table = TransferTable(dout.content_dfa(node.label))
             tables[node.label] = table
         if not table.accepts_top(node.children):
             return False
@@ -240,6 +238,7 @@ def typecheck_replus(
         usable_cache=schema.usable_cache, word_cache=schema.word_cache,
     )
     stats = {"reachable_pairs": len(pairs), "grammars": 0}
+    out_alphabet = dout.alphabet | transducer.alphabet
     failing = None
     for (q, a) in sorted(pairs):
         rhs = transducer.rules.get((q, a))
@@ -250,9 +249,7 @@ def typecheck_replus(
                 continue
             grammar = build_grammar(transducer, din, q, a, path)
             stats["grammars"] += 1
-            target = dout.content_dfa_complete(
-                node.label, dout.alphabet | transducer.alphabet
-            )
+            target = dout.content_dfa_complete(node.label, out_alphabet)
             included, word = grammar.included_in_dfa(target)
             if not included:
                 failing = (q, a, path, node.label, word)

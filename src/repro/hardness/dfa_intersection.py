@@ -97,7 +97,7 @@ def _segment_checker(machines: List[DFA], delta_alphabet) -> DFA:
             states.append(state)
             transitions[(state, OK)] = accept
             for a in delta_alphabet:
-                transitions[(state, a)] = ("seg", index, machine.transitions[(q, a)])
+                transitions[(state, a)] = ("seg", index, machine.step(q, a))
             if index + 1 < n:
                 next_start = ("seg", index + 1, machines[index + 1].initial)
             else:

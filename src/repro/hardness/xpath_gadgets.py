@@ -133,7 +133,7 @@ def _copy_checker(machines: List[DFA], symbol: str) -> DFA:
             transitions[(state, symbol)] = (
                 "seg",
                 index,
-                machine.transitions[(q, symbol)],
+                machine.step(q, symbol),
             )
             if q in machine.finals:
                 transitions[(state, "$")] = (

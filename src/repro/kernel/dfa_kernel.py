@@ -1,8 +1,14 @@
 """Interned DFA core: flat transition tables and int-encoded product spaces.
 
-:class:`InternedDFA` maps a (possibly partial) DFA's states and symbols to
-dense integers once; the transition function becomes one flat list indexed
-by ``state * n_symbols + symbol`` with ``-1`` for undefined transitions.
+:class:`InternedDFA` maps a DFA's states and the symbols it stores moves
+for to dense integers once; the transition function becomes one flat list
+indexed by ``state * n_symbols + column`` with ``-1`` for undefined
+transitions.  Symbols the automaton never reads get no column: a sparse
+content DFA over a large schema alphabet interns only what its model
+mentions.  A completed view (:meth:`~repro.strings.dfa.DFA.complete`) adds
+one shared ``other`` column for every remaining alphabet symbol, and its
+implicit sink fills every undefined slot — completion costs one column,
+not ``|Σ|``.
 
 The module-level functions implement the hot DFA operations on top of the
 shared :class:`~repro.kernel.product.ProductBFS` engine and return plain
@@ -14,7 +20,7 @@ importing it back.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.kernel.interning import Interner, iter_bits
 from repro.kernel.product import ProductBFS
@@ -24,10 +30,14 @@ Symbol = Hashable
 
 
 class InternedDFA:
-    """A DFA over dense integer states and symbols.
+    """A DFA over dense integer states and symbol columns.
 
     ``table[q * n_symbols + a]`` is the successor state index or ``-1``;
-    ``finals_mask`` is the bitmask of accepting state indices.
+    ``finals_mask`` is the bitmask of accepting state indices.  Columns
+    ``0..len(symbols)-1`` are the symbols the automaton stores moves for;
+    ``other`` is the extra column of a completed view (every other symbol
+    of ``alphabet``, leading to the sink) or ``-1``.  Use :meth:`column`,
+    not ``symbols``, to look a symbol up.
     """
 
     __slots__ = (
@@ -38,17 +48,26 @@ class InternedDFA:
         "finals_mask",
         "n_states",
         "n_symbols",
+        "alphabet",
+        "other",
         "aux",
     )
 
     def __init__(self, dfa) -> None:
         self.states: Interner = Interner.from_sorted(dfa.states)
-        self.symbols: Interner = Interner.from_sorted(dfa.alphabet)
-        n_states = self.n_states = len(self.states)
-        n_symbols = self.n_symbols = len(self.symbols)
-        table = [-1] * (n_states * n_symbols)
+        self.symbols: Interner = Interner.from_sorted(
+            {symbol for (_src, symbol) in dfa.transitions}
+        )
+        self.alphabet: FrozenSet[Symbol] = dfa.alphabet
         state_index = self.states.index
         symbol_index = self.symbols.index
+        n_states = self.n_states = len(self.states)
+        if dfa.sink is None:
+            self.other, fill = -1, -1
+        else:
+            self.other, fill = len(self.symbols), state_index(dfa.sink)
+        n_symbols = self.n_symbols = len(self.symbols) + (self.other >= 0)
+        table = [fill] * (n_states * n_symbols)
         for (src, symbol), tgt in dfa.transitions.items():
             table[state_index(src) * n_symbols + symbol_index(symbol)] = state_index(tgt)
         self.table: List[int] = table
@@ -59,6 +78,15 @@ class InternedDFA:
         self.aux: dict = {}
 
     # ------------------------------------------------------------------
+    def column(self, symbol) -> int:
+        """The table column of ``symbol``: its own, the ``other`` column
+        for any further alphabet symbol of a completed view, else ``-1``
+        (a foreign symbol: the run dies)."""
+        index = self.symbols.get(symbol)
+        if index < 0 and self.other >= 0 and symbol in self.alphabet:
+            return self.other
+        return index
+
     def step(self, state: int, symbol: int) -> int:
         """Single transition; ``-1`` is the dead configuration (absorbing)."""
         if state < 0:
@@ -77,12 +105,12 @@ class InternedDFA:
         return state
 
     def intern_word(self, word) -> Optional[Tuple[int, ...]]:
-        """Interned form of a symbol sequence; ``None`` if any symbol is
+        """Column form of a symbol sequence; ``None`` if any symbol is
         foreign (a run on it necessarily dies)."""
-        get = self.symbols.get
+        column = self.column
         out = []
         for symbol in word:
-            index = get(symbol)
+            index = column(symbol)
             if index < 0:
                 return None
             out.append(index)
@@ -114,19 +142,19 @@ class InternedDFA:
 # Product (intersection-style) construction
 # ----------------------------------------------------------------------
 class PairInterner:
-    """An :class:`Interner` over product pair states, decoded lazily.
+    """The state decoder of a product kernel: pair states, decoded lazily.
 
     The product BFS works entirely on packed codes ``l * n_right + r``;
-    this interner stores those codes plus the two factors' state
+    this decoder stores those codes plus the two factors' state
     *interners* — not their decoded values, so chaining products over lazy
     factors stays decode-free all the way down — and materializes the
     object pair ``(left_state, right_state)`` of an index only when someone
-    asks for it.  Deliberately closure-free so kernel-backed products
-    pickle (see :mod:`repro.kernel.serialize`).
+    asks for it.  Decode-only: a product is never looked up by object
+    state.  Deliberately closure-free so kernel-backed products pickle
+    (see :mod:`repro.kernel.serialize`).
     """
 
-    __slots__ = ("_codes", "_left_states", "_right_states", "_n_right",
-                 "_decoded", "_object_index")
+    __slots__ = ("_codes", "_left_states", "_right_states", "_n_right", "_decoded")
 
     def __init__(self, codes, left_states, right_states, n_right: int) -> None:
         self._codes: List[int] = list(codes)
@@ -134,7 +162,6 @@ class PairInterner:
         self._right_states = right_states
         self._n_right = n_right
         self._decoded: Dict[int, Tuple] = {}
-        self._object_index: Optional[Dict[Tuple, int]] = None
 
     def value(self, index: int) -> Tuple:
         pair = self._decoded.get(index)
@@ -148,47 +175,11 @@ class PairInterner:
     def values(self) -> Tuple:
         return tuple(self.value(i) for i in range(len(self._codes)))
 
-    def _index_map(self) -> Dict[Tuple, int]:
-        mapping = self._object_index
-        if mapping is None:
-            mapping = self._object_index = {
-                self.value(i): i for i in range(len(self._codes))
-            }
-        return mapping
-
-    def index(self, value: Tuple) -> int:
-        return self._index_map()[value]
-
-    def get(self, value, default: int = -1) -> int:
-        return self._index_map().get(value, default)
-
-    def intern(self, value) -> int:
-        """Pair interners are fixed at construction — look up only."""
-        index = self._index_map().get(value)
-        if index is None:
-            raise KeyError(f"{value!r} is not a product state")
-        return index
-
-    def mask(self, values) -> int:
-        mapping = self._index_map()
-        mask = 0
-        for value in values:
-            index = mapping.get(value)
-            if index is not None:
-                mask |= 1 << index
-        return mask
-
     def unmask(self, mask: int) -> frozenset:
         return frozenset(self.value(i) for i in iter_bits(mask))
 
     def __len__(self) -> int:
         return len(self._codes)
-
-    def __contains__(self, value) -> bool:
-        return value in self._index_map()
-
-    def __iter__(self):
-        return iter(self.values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PairInterner({len(self._codes)} pair states)"
@@ -197,24 +188,19 @@ class PairInterner:
 def product_kernel(left, right, finals: str = "both") -> InternedDFA:
     """The reachable product of two DFA-like objects as an interned DFA.
 
-    Unlike :func:`product_components`, nothing is decoded: states are dense
-    ints assigned in BFS discovery order (deterministic — symbols are
-    iterated in repr-sorted order) and the pair objects materialize lazily
-    through the :class:`PairInterner`.  This is what makes small products
-    cheap — the seed path spent its time building object dicts, not
-    exploring the pair graph.
+    Nothing is decoded: states are dense ints assigned in BFS discovery
+    order (deterministic — symbols are iterated in repr-sorted order) and
+    the pair objects materialize lazily through the :class:`PairInterner`.
+    This is what makes small products cheap — the seed path spent its
+    time building object dicts, not exploring the pair graph.
     """
     ileft: InternedDFA = left.kernel()
     iright: InternedDFA = right.kernel()
     alphabet = sorted(left.alphabet & right.alphabet, key=repr)
-    shared = [
-        (ileft.symbols.index(symbol), iright.symbols.index(symbol))
-        for symbol in alphabet
-    ]
+    shared = [(ileft.column(symbol), iright.column(symbol)) for symbol in alphabet]
     n_right = iright.n_states
     ltab, rtab = ileft.table, iright.table
     lns, rns = ileft.n_symbols, iright.n_symbols
-    n_shared = len(shared)
 
     start = ileft.initial * n_right + iright.initial
     ids: Dict[int, int] = {start: 0}
@@ -227,11 +213,8 @@ def product_kernel(left, right, finals: str = "both") -> InternedDFA:
         lbase = l * lns
         rbase = r * rns
         for ls, rs in shared:
-            tl = ltab[lbase + ls]
-            if tl < 0:
-                table.append(-1)
-                continue
-            tr = rtab[rbase + rs]
+            tl = ltab[lbase + ls] if ls >= 0 else -1
+            tr = rtab[rbase + rs] if rs >= 0 and tl >= 0 else -1
             if tr < 0:
                 table.append(-1)
                 continue
@@ -266,86 +249,15 @@ def product_kernel(left, right, finals: str = "both") -> InternedDFA:
     idfa = InternedDFA.__new__(InternedDFA)
     idfa.states = PairInterner(codes, ileft.states, iright.states, n_right)
     idfa.symbols = Interner(alphabet)
+    idfa.alphabet = frozenset(alphabet)
+    idfa.other = -1
     idfa.table = table
     idfa.initial = 0
     idfa.finals_mask = finals_mask
     idfa.n_states = len(codes)
-    idfa.n_symbols = n_shared
+    idfa.n_symbols = len(alphabet)
     idfa.aux = {}
     return idfa
-
-
-def product_components(left, right, finals: str = "both"):
-    """Reachable product of two DFA-like objects over the shared alphabet.
-
-    Returns ``(states, transitions, initial, accept, alphabet)`` with states
-    decoded back to the seed representation — pairs ``(p, q)`` of original
-    states — so the caller can build a drop-in :class:`DFA`.
-    """
-    ileft: InternedDFA = left.kernel()
-    iright: InternedDFA = right.kernel()
-    alphabet = left.alphabet & right.alphabet
-    shared = [
-        (ileft.symbols.index(symbol), iright.symbols.index(symbol), symbol)
-        for symbol in sorted(alphabet, key=repr)
-    ]
-    n_right = iright.n_states
-    ltab, rtab = ileft.table, iright.table
-    lns, rns = ileft.n_symbols, iright.n_symbols
-    start = ileft.initial * n_right + iright.initial
-    lvalue = ileft.states.value
-    rvalue = iright.states.value
-
-    def decode(node: int) -> Tuple[State, State]:
-        l, r = divmod(node, n_right)
-        return (lvalue(l), rvalue(r))
-
-    # Decode each node the moment it is first seen, so transitions are
-    # written in their final object form in one pass.
-    decoded: Dict[int, Tuple[State, State]] = {start: decode(start)}
-    out_transitions: Dict[Tuple[Tuple[State, State], Symbol], Tuple[State, State]] = {}
-
-    def successors(node: int):
-        l, r = divmod(node, n_right)
-        lbase = l * lns
-        rbase = r * rns
-        src = decoded[node]
-        for ls, rs, symbol in shared:
-            tl = ltab[lbase + ls]
-            if tl < 0:
-                continue
-            tr = rtab[rbase + rs]
-            if tr < 0:
-                continue
-            succ = tl * n_right + tr
-            target = decoded.get(succ)
-            if target is None:
-                target = decoded[succ] = decode(succ)
-            out_transitions[(src, symbol)] = target
-            yield succ, symbol
-
-    engine = ProductBFS()
-    engine.run((start,), successors)
-
-    states: Set[Tuple[State, State]] = set(decoded.values())
-    lf, rf = ileft.finals_mask, iright.finals_mask
-    if finals == "both":
-        accept = {
-            decoded[n] for n in decoded
-            if lf >> (n // n_right) & 1 and rf >> (n % n_right) & 1
-        }
-    elif finals == "left":
-        accept = {decoded[n] for n in decoded if lf >> (n // n_right) & 1}
-    elif finals == "right":
-        accept = {decoded[n] for n in decoded if rf >> (n % n_right) & 1}
-    elif finals == "either":
-        accept = {
-            decoded[n] for n in decoded
-            if lf >> (n // n_right) & 1 or rf >> (n % n_right) & 1
-        }
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown finals mode {finals!r}")
-    return states, out_transitions, decode(start), accept, alphabet
 
 
 # ----------------------------------------------------------------------
@@ -355,18 +267,19 @@ def contains_dfa(big, small) -> bool:
     """Whether ``L(small) ⊆ L(big)`` for two DFA-like objects.
 
     Explores the pair graph ``(small state, big state-or-dead)`` over the
-    *small* automaton's alphabet, treating ``big`` as implicitly completed:
+    *small* automaton's columns, treating ``big`` as implicitly completed:
     the dead configuration is an absorbing non-final sink.  Early-exits on
     the first violating pair, so passing instances never materialize more
-    of the product than needed.
+    of the product than needed.  A completed-view ``small`` reads its
+    whole alphabet, so its symbols are grouped by the column pair they
+    select rather than iterated one by one.
     """
     ibig: InternedDFA = big.kernel()
     ismall: InternedDFA = small.kernel()
-    # Map each small symbol to the big symbol index (-1: leads to the sink).
-    symbol_map = [
-        (index, ibig.symbols.get(symbol))
-        for index, symbol in enumerate(ismall.symbols.values)
-    ]
+    symbols = ismall.alphabet if ismall.other >= 0 else ismall.symbols.values
+    # Distinct (small column, big column) pairs; -1 on the big side: the
+    # symbol leaves ``big``'s alphabet.
+    symbol_map = sorted({(ismall.column(s), ibig.column(s)) for s in symbols})
     nb = ibig.n_states + 1  # slot 0 encodes the dead big state
     stab, btab = ismall.table, ibig.table
     sns, bns = ismall.n_symbols, ibig.n_symbols
@@ -398,7 +311,7 @@ def contains_nfa(big, small_nfa) -> bool:
     """Whether ``L(small_nfa) ⊆ L(big)`` for an NFA small side."""
     ibig: InternedDFA = big.kernel()
     ismall = small_nfa.kernel()
-    symbol_map = [ibig.symbols.get(symbol) for symbol in ismall.symbols.values]
+    symbol_map = [ibig.column(symbol) for symbol in ismall.symbols.values]
     nb = ibig.n_states + 1
     btab = ibig.table
     bns = ibig.n_symbols
@@ -428,49 +341,64 @@ def contains_nfa(big, small_nfa) -> bool:
 # ----------------------------------------------------------------------
 # Minimization (Moore partition refinement over int arrays)
 # ----------------------------------------------------------------------
-def minimize_components(completed):
-    """Minimal-DFA components for a *complete* DFA-like object.
+def minimal_components(dfa):
+    """Minimal trim DFA components of a sink-free DFA-like object.
 
-    Returns ``(states, transitions, initial, finals)`` over block-id states;
-    the caller renumbers canonically.  Restricted to the reachable part,
-    matching the seed implementation (the sink block survives only when
-    reachable).
+    Returns ``(states, transitions, initial, finals)`` over block-id
+    states; the caller renumbers canonically.  Only live states —
+    reachable and able to reach acceptance — are refined: every other
+    state is the implicit dead block, so moves into it are simply absent.
+    ``None`` when the language is empty.  States are numbered locally in
+    BFS order (the throwaway input is never interned), and a signature
+    is a state's block plus the set of its ``(symbol, target block)``
+    moves into live blocks, so only stored moves are ever read.
     """
-    idfa: InternedDFA = completed.kernel()
-    reach = idfa.reachable()
-    table = idfa.table
-    n_symbols = idfa.n_symbols
-    finals_mask = idfa.finals_mask
+    rows: Dict[State, list] = {}
+    for (src, symbol), tgt in dfa.transitions.items():
+        rows.setdefault(src, []).append((symbol, tgt))
+    order = [dfa.initial]
+    index = {dfa.initial: 0}
+    for q in order:  # grows while iterating: BFS numbering
+        for _symbol, t in rows.get(q, ()):
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+    moves = [[(a, index[t]) for a, t in rows.get(q, ())] for q in order]
+    final = [q in dfa.finals for q in order]
 
-    block = [-1] * idfa.n_states
-    for q in reach:
-        block[q] = 0 if finals_mask >> q & 1 else 1
-    num_blocks = len({block[q] for q in reach})
-    symbol_range = range(n_symbols)
+    # Live states: backward search from the reachable finals.
+    preds: List[List[int]] = [[] for _ in order]
+    for i, row in enumerate(moves):
+        for _symbol, t in row:
+            preds[t].append(i)
+    live = [i for i in range(len(order)) if final[i]]
+    seen = set(live)
+    for i in live:  # grows while iterating: a BFS over predecessors
+        for p in preds[i]:
+            if p not in seen:
+                seen.add(p)
+                live.append(p)
+    if 0 not in seen:
+        return None
+
+    block = [-1] * len(order)  # -1: the implicit dead block
+    for i in live:
+        block[i] = 0 if final[i] else 1
+    n_blocks = len({block[i] for i in live})
     while True:
         signatures: Dict[tuple, List[int]] = {}
-        for q in reach:
-            base = q * n_symbols
-            sig = (block[q], tuple(block[table[base + a]] for a in symbol_range))
-            signatures.setdefault(sig, []).append(q)
-        if len(signatures) == num_blocks:
+        for i in live:
+            sig = frozenset((a, block[t]) for a, t in moves[i] if block[t] >= 0)
+            signatures.setdefault((block[i], sig), []).append(i)
+        if len(signatures) == n_blocks:
             break
-        num_blocks = len(signatures)
-        for index, group in enumerate(signatures.values()):
-            for q in group:
-                block[q] = index
+        n_blocks = len(signatures)
+        for number, group in enumerate(signatures.values()):
+            for i in group:
+                block[i] = number
 
-    symbols = idfa.symbols.values
     transitions = {
-        (block[q], symbols[a]): block[table[q * n_symbols + a]]
-        for q in reach
-        for a in symbol_range
+        (block[i], a): block[t] for i in live for a, t in moves[i] if block[t] >= 0
     }
-    finals = {block[q] for q in reach if finals_mask >> q & 1}
-    states = {block[q] for q in reach}
-    return states, transitions, block[idfa.initial], finals
-
-
-def finals_indices(idfa: InternedDFA):
-    """Convenience: indices of the accepting states."""
-    return list(iter_bits(idfa.finals_mask))
+    finals = {block[i] for i in live if final[i]}
+    return {block[i] for i in live}, transitions, block[0], finals

@@ -68,9 +68,13 @@ class Interner:
         return tuple(self._values)
 
     def mask(self, values: Iterable[Hashable]) -> int:
-        """Bitmask with the bit of every *known* value in ``values`` set."""
+        """Bitmask with the bit of every *known* value in ``values`` set (a
+        set larger than the interner is probed, not iterated: restricting
+        a small automaton to a schema-wide symbol set costs its own size)."""
         mask = 0
         index = self._index
+        if isinstance(values, (set, frozenset)) and len(values) > len(index):
+            values = [value for value in index if value in values]
         for value in values:
             i = index.get(value)
             if i is not None:

@@ -71,9 +71,13 @@ def dfa_contains_object(big, small) -> bool:
 
 
 def dfa_minimize_object(dfa):
-    """Seed ``DFA.minimize``: Moore refinement over object dicts."""
+    """``DFA.minimize`` on object dicts: Moore refinement of the completed
+    automaton, then the dead block (states that cannot reach acceptance)
+    dropped — the canonical minimal trim DFA."""
     completed = dfa.complete()
-    reachable = completed.to_nfa().reachable_states()
+    nfa = completed.to_nfa()
+    reachable = nfa.reachable_states()
+    live = nfa.coreachable_states()
     states = [q for q in completed.states if q in reachable]
     symbols = sorted(completed.alphabet, key=repr)
 
@@ -88,7 +92,7 @@ def dfa_minimize_object(dfa):
         for q in states:
             sig = (
                 block_of[q],
-                tuple(block_of[completed.transitions[(q, a)]] for a in symbols),
+                tuple(block_of[completed.step(q, a)] for a in symbols),
             )
             signatures.setdefault(sig, []).append(q)
         if len(signatures) != num_blocks:
@@ -97,15 +101,19 @@ def dfa_minimize_object(dfa):
             for index, group in enumerate(signatures.values()):
                 for q in group:
                     block_of[q] = index
+    if completed.initial not in live:
+        return DFA({0}, dfa.alphabet, {}, 0, set())
+    dead = {block_of[q] for q in states if q not in live}
     transitions = {
-        (block_of[q], a): block_of[completed.transitions[(q, a)]]
+        (block_of[q], a): block_of[completed.step(q, a)]
         for q in states
         for a in symbols
+        if q in live and completed.step(q, a) in live
     }
     finals = {block_of[q] for q in states if q in completed.finals}
     return DFA(
-        set(block_of.values()),
-        completed.alphabet,
+        set(block_of.values()) - dead,
+        dfa.alphabet,
         transitions,
         block_of[completed.initial],
         finals,

@@ -39,8 +39,9 @@ from typing import Optional, Tuple
 #: Bump whenever the layout of any interned structure changes shape —
 #: loads() then rejects stale blobs instead of resurrecting mismatched
 #: tables.  2: HedgeEntry grew the closure-free decoder and fixpoint
-#: tables became part of the persisted artifacts.
-KERNEL_FORMAT = 2
+#: tables became part of the persisted artifacts.  3: InternedDFA interns
+#: only the symbols it stores moves for, plus an ``other`` column.
+KERNEL_FORMAT = 3
 
 
 class HedgeDecoder:

@@ -206,9 +206,9 @@ class DTD:
         elif isinstance(model, REPlus):
             nfa = model.to_dfa(self.alphabet).to_nfa()
         elif isinstance(model, DFA):
-            nfa = model.to_nfa().with_alphabet(self.alphabet | model.alphabet)
+            nfa = model.to_nfa().with_alphabet(self.alphabet)
         else:
-            nfa = model.with_alphabet(self.alphabet | model.alphabet)
+            nfa = model.with_alphabet(self.alphabet)
         self._nfa_cache[symbol] = nfa
         return nfa
 
@@ -216,9 +216,11 @@ class DTD:
         """The content model as a DFA (cached; determinizes if needed).
 
         For an authored DFA this is the original automaton; otherwise the
-        content model is compiled — the potentially exponential subset
-        construction here is exactly the DTD(NFA) intractability the paper
-        charges to the schema class.
+        content model is compiled over the symbols it mentions (the DTD's
+        alphabet, moves only where the model reads: any other symbol kills
+        the run).  The potentially exponential subset construction here is
+        exactly the DTD(NFA) intractability the paper charges to the schema
+        class.
         """
         cached = self._dfa_cache.get(symbol)
         if cached is not None:
@@ -230,7 +232,7 @@ class DTD:
             elif isinstance(model, REPlus):
                 dfa = model.to_dfa(self.alphabet)
             else:
-                dfa = self.content_nfa(symbol).determinize().minimize().renumber()
+                dfa = self.content_nfa(symbol).determinize().minimize()
         self._dfa_cache[symbol] = dfa
         return dfa
 
@@ -238,10 +240,10 @@ class DTD:
         """The content DFA completed over ``alphabet`` (cached per
         ``(symbol, alphabet)``).
 
-        The forward engine completes every output content model over the
-        same enlarged alphabet on each run; caching here keeps the
-        completed automaton — and therefore its interned kernel form —
-        stable across engine instances.
+        The completion is a view (:meth:`DFA.complete`) sharing the content
+        DFA's moves plus an implicit sink; caching keeps it — and its
+        kernel, whose one ``other`` column stands for every unmentioned
+        symbol — stable across engine instances.
         """
         key = (symbol, frozenset(alphabet))
         cached = self._complete_cache.get(key)
@@ -291,16 +293,13 @@ class DTD:
 
         if dag.label != self.start:
             return False
-        alphabet = frozenset(self.alphabet) | {self.start}
         tables: Dict[str, TransferTable] = {}
         for node in distinct_tree_nodes(dag):
-            if node.label not in alphabet:
+            if node.label not in self.alphabet:
                 return False
             table = tables.get(node.label)
             if table is None:
-                table = TransferTable(
-                    self.content_dfa_complete(node.label, alphabet)
-                )
+                table = TransferTable(self.content_dfa(node.label))
                 tables[node.label] = table
             if not table.accepts_top(node.children):
                 return False
@@ -335,20 +334,25 @@ class DTD:
     # Structural analyses
     # ------------------------------------------------------------------
     def productive_symbols(self) -> FrozenSet[str]:
-        """Symbols ``a`` with ``L(d, a) ≠ ∅`` (fixpoint; cached — the set is
-        start-independent and the DTD immutable)."""
+        """Symbols ``a`` with ``L(d, a) ≠ ∅`` (cached — the set is
+        start-independent and the DTD immutable).  A worklist fixpoint: a
+        symbol is re-tested only when a symbol its content model reads becomes
+        productive, not on ``|Σ|`` passes over the alphabet."""
         if self._productive is not None:
             return self._productive
+        readers: Dict[str, List[str]] = {}
+        for symbol in self.alphabet:
+            for row in self.content_nfa(symbol).transitions.values():
+                for child in row:
+                    readers.setdefault(child, []).append(symbol)
         productive: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for symbol in self.alphabet:
-                if symbol in productive:
-                    continue
-                if not self.content_nfa(symbol).is_empty(productive):
-                    productive.add(symbol)
-                    changed = True
+        pending = sorted(self.alphabet, key=repr)
+        while pending:
+            symbol = pending.pop()
+            if symbol in productive or self.content_nfa(symbol).is_empty(productive):
+                continue
+            productive.add(symbol)
+            pending.extend(r for r in readers.get(symbol, ()) if r not in productive)
         self._productive = frozenset(productive)
         return self._productive
 

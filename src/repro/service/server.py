@@ -808,9 +808,16 @@ def run_server(
     slow_ms: float = DEFAULT_SLOW_MS,
     slow_log_max_bytes: Optional[int] = None,
 ) -> int:
-    """Blocking entry point behind ``python -m repro serve``."""
+    """Blocking entry point behind ``python -m repro serve``; Ctrl-C or
+    SIGTERM closes the server and the worker pool, then returns 0."""
+    import signal
 
     async def main() -> None:
+        stop = asyncio.Event()
+        try:
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
+        except NotImplementedError:  # pragma: no cover - no POSIX signals
+            pass
         service, pool = await serve(
             host,
             port,
@@ -830,7 +837,7 @@ def run_server(
             slow_log_max_bytes=slow_log_max_bytes,
         )
         try:
-            await asyncio.Event().wait()  # serve forever
+            await stop.wait()  # serve until SIGTERM
         finally:
             await service.close()
             pool.close()

@@ -198,7 +198,7 @@ class ECFG:
         def atom_relation(atom: ECFGAtom) -> Dict[Tuple, Tuple[Terminal, ...]]:
             if atom.is_terminal:
                 return {
-                    (s, complete.transitions[(s, atom.value)]): (atom.value,)
+                    (s, complete.step(s, atom.value)): (atom.value,)
                     for s in complete.states
                 }
             base = relations[atom.value]

@@ -1,9 +1,14 @@
 """Deterministic finite automata.
 
 A DFA here is an NFA with a single initial state and at most one successor
-per ``(state, symbol)`` pair (Section 2 of the paper).  DFAs may be
-*partial*; :meth:`DFA.complete` adds an explicit sink when a total transition
-function is needed (e.g. for complementation, Theorem 20).
+per ``(state, symbol)`` pair (Section 2 of the paper).  Transitions are
+*sparse*: a DFA stores moves only on the symbols its language reads, and a
+missing move kills the run, so compiling a content model costs the model's
+size, not the alphabet's.  A total transition function (complementation,
+Theorem 20) is a *view*: :meth:`DFA.complete` shares the transition dict
+and adds one implicit ``sink`` state that every missing move over the
+(possibly widened) alphabet leads to; :meth:`DFA.complement` flips the
+accepting states of that view, the sink included.
 """
 
 from __future__ import annotations
@@ -30,11 +35,14 @@ class DFA:
     transitions:
         Mapping ``(state, symbol) -> state``.  Missing entries are undefined
         transitions (the run dies).
+
+    The constructor validates; internal algorithms build through
+    :meth:`_trusted`.  ``sink`` is ``None`` except on completed views.
     """
 
     __slots__ = (
-        "states", "alphabet", "transitions", "initial", "finals",
-        "_hash", "_kernel", "_nfa", "_content_hash", "_complete",
+        "states", "alphabet", "transitions", "initial", "finals", "sink",
+        "_hash", "_kernel", "_nfa", "_content_hash",
     )
 
     def __init__(
@@ -45,11 +53,7 @@ class DFA:
         initial: State,
         finals: Iterable[State],
     ) -> None:
-        self.states: FrozenSet[State] = frozenset(states)
-        self.alphabet: FrozenSet[Symbol] = frozenset(alphabet)
-        self.transitions: Dict[Tuple[State, Symbol], State] = dict(transitions)
-        self.initial: State = initial
-        self.finals: FrozenSet[State] = frozenset(finals)
+        self._init(states, alphabet, dict(transitions), initial, finals, None)
         if initial not in self.states:
             raise InvalidSchemaError("initial state must be a state")
         if not self.finals <= self.states:
@@ -59,11 +63,20 @@ class DFA:
                 raise InvalidSchemaError("transition endpoints must be states")
             if symbol not in self.alphabet:
                 raise InvalidSchemaError(f"transition on unknown symbol {symbol!r}")
-        self._hash: int | None = None
-        self._kernel = None
-        self._nfa: NFA | None = None
-        self._content_hash: str | None = None
-        self._complete: bool | None = None
+
+    def _init(self, states, alphabet, transitions, initial, finals, sink) -> None:
+        self.states, self.alphabet = frozenset(states), frozenset(alphabet)
+        self.transitions: Dict[Tuple[State, Symbol], State] = transitions
+        self.initial, self.finals, self.sink = initial, frozenset(finals), sink
+        self._hash = self._kernel = self._nfa = self._content_hash = None
+
+    @classmethod
+    def _trusted(cls, states, alphabet, transitions, initial, finals, sink=None) -> "DFA":
+        """A DFA from components that are well-formed by construction: no
+        validation, and ``transitions`` is shared, not copied."""
+        dfa = DFA.__new__(DFA)
+        dfa._init(states, alphabet, transitions, initial, finals, sink)
+        return dfa
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -91,6 +104,7 @@ class DFA:
             and self.transitions == other.transitions
             and self.initial == other.initial
             and self.finals == other.finals
+            and self.sink == other.sink
         )
 
     def __hash__(self) -> int:
@@ -101,6 +115,7 @@ class DFA:
                     self.alphabet,
                     self.initial,
                     self.finals,
+                    self.sink,
                     frozenset(self.transitions.items()),
                 )
             )
@@ -108,7 +123,7 @@ class DFA:
 
     @property
     def size(self) -> int:
-        """Paper size measure ``|Q| + |Σ| + Σ|δ(q,a)|``."""
+        """Paper size measure ``|Q| + |Σ| + Σ|δ(q,a)|`` (stored moves)."""
         return len(self.states) + len(self.alphabet) + len(self.transitions)
 
     def content_hash(self) -> str:
@@ -131,6 +146,7 @@ class DFA:
                 repr(sorted(self.transitions.items(), key=repr)),
                 repr(self.initial),
                 repr(sorted(self.finals, key=repr)),
+                repr(self.sink),
             )
         return self._content_hash
 
@@ -175,55 +191,65 @@ class DFA:
                 (tgt,) = tgts
                 transitions[(src, symbol)] = tgt
         (initial,) = nfa.initial
-        return DFA(nfa.states, nfa.alphabet, transitions, initial, nfa.finals)
+        return DFA._trusted(nfa.states, nfa.alphabet, transitions, initial, nfa.finals)
 
     def to_nfa(self) -> NFA:
         """The same automaton as an :class:`NFA` (cached; both classes are
-        immutable)."""
+        immutable), a view's implicit sink moves spelled out."""
         if self._nfa is None:
             table: Dict[State, Dict[Symbol, set]] = {}
             for (src, symbol), tgt in self.transitions.items():
-                table.setdefault(src, {}).setdefault(symbol, set()).add(tgt)
-            self._nfa = NFA(
-                self.states, self.alphabet, table, {self.initial}, self.finals
-            )
+                table.setdefault(src, {})[symbol] = (tgt,)
+            for q in self.states if self.sink is not None else ():
+                row = table.setdefault(q, {})
+                row.update({a: (self.sink,) for a in self.alphabet - row.keys()})
+            self._nfa = NFA(self.states, self.alphabet, table, {self.initial}, self.finals)
         return self._nfa
 
     def map_states(self, mapping) -> "DFA":
         """Rename states through an injective ``mapping``."""
-        return DFA(
+        return DFA._trusted(
             {mapping(q) for q in self.states},
             self.alphabet,
             {(mapping(s), a): mapping(t) for (s, a), t in self.transitions.items()},
             mapping(self.initial),
             {mapping(q) for q in self.finals},
+            None if self.sink is None else mapping(self.sink),
         )
 
     def renumber(self) -> "DFA":
         """Canonically rename states to ``0..n-1`` by BFS order from the
-        initial state (unreachable states keep arbitrary later numbers)."""
+        initial state over the stored moves (symbols in ``repr`` order; a
+        view's sink and unreachable states take the later numbers)."""
+        moves: Dict[State, list] = {}
+        for (src, symbol), tgt in self.transitions.items():
+            moves.setdefault(src, []).append((repr(symbol), tgt))
         order: Dict[State, int] = {self.initial: 0}
         frontier = deque([self.initial])
-        symbols = sorted(self.alphabet, key=repr)
         while frontier:
-            src = frontier.popleft()
-            for symbol in symbols:
-                tgt = self.transitions.get((src, symbol))
-                if tgt is not None and tgt not in order:
+            row = moves.get(frontier.popleft(), ())
+            for _key, tgt in sorted(row, key=lambda move: move[0]):
+                if tgt not in order:
                     order[tgt] = len(order)
                     frontier.append(tgt)
+        if self.sink is not None and self.sink not in order:
+            order[self.sink] = len(order)
         for state in sorted(self.states - set(order), key=repr):
             order[state] = len(order)
-        return self.map_states(lambda q: order[q])
+        return self.map_states(order.__getitem__)
 
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
     def step(self, state: State | None, symbol: Symbol) -> State | None:
-        """Single transition; ``None`` represents the dead configuration."""
+        """Single transition; ``None`` represents the dead configuration
+        (on a view, a missing move on an alphabet symbol is the sink)."""
         if state is None:
             return None
-        return self.transitions.get((state, symbol))
+        target = self.transitions.get((state, symbol))
+        if target is None and self.sink is not None and symbol in self.alphabet:
+            return self.sink
+        return target
 
     def run(self, word: Iterable[Symbol], start: State | None = None) -> State | None:
         """Extended transition function δ*; ``None`` when the run dies."""
@@ -239,50 +265,52 @@ class DFA:
         return self.run(word) in self.finals
 
     # ------------------------------------------------------------------
-    # Completion / complementation
+    # Completion / complementation (views sharing the transition dict)
     # ------------------------------------------------------------------
     def is_complete(self, alphabet: Iterable[Symbol] | None = None) -> bool:
         """Whether every (state, symbol) pair has a transition."""
         sigma = self.alphabet if alphabet is None else frozenset(alphabet)
+        if self.sink is not None and sigma <= self.alphabet:
+            return True
         return all((q, a) in self.transitions for q in self.states for a in sigma)
 
     def complete(self, alphabet: Iterable[Symbol] | None = None) -> "DFA":
-        """A complete DFA for the same language, adding a sink if needed.
+        """A complete DFA for the same language: a view with a sink.
 
         ``alphabet`` may enlarge the alphabet; new symbols lead to the sink.
-        Asked for (a subset of) its own alphabet, a DFA already known to be
-        complete returns itself without re-scanning its transitions (the
-        automaton is immutable, so completeness is decided once).
+        The view shares the transition dict, so completing costs ``O(|Q|)``,
+        not ``O(|Q| × |Σ|)``.  Asked for (a subset of) its own alphabet, a
+        view — or a DFA whose stored moves are already total — returns
+        itself.
         """
-        sigma = self.alphabet if alphabet is None else self.alphabet | frozenset(alphabet)
-        if sigma == self.alphabet:
-            if self._complete is None:
-                self._complete = self.is_complete()
-            if self._complete:
-                return self
-        # A symbol outside the alphabet has no transitions, so any enlarged
-        # alphabet needs the sink.
-        sink = ("__sink__", len(self.states))
-        while sink in self.states:
-            sink = (sink, 0)
-        states = set(self.states) | {sink}
-        transitions = dict(self.transitions)
-        for q in states:
-            for a in sigma:
-                transitions.setdefault((q, a), sink)
-        completed = DFA(states, sigma, transitions, self.initial, self.finals)
-        completed._complete = True
-        return completed
+        if alphabet is None:
+            sigma = self.alphabet
+        else:
+            sigma = frozenset(alphabet)
+            if sigma <= self.alphabet:
+                sigma = self.alphabet
+            elif not self.alphabet <= sigma:
+                sigma = self.alphabet | sigma
+        if len(sigma) == len(self.alphabet) and (
+            self.sink is not None or self.is_complete()
+        ):
+            return self
+        sink, states = self.sink, self.states
+        if sink is None:
+            sink = ("__sink__", len(states))
+            while sink in states:
+                sink = (sink, 0)
+            states = states | {sink}
+        return DFA._trusted(states, sigma, self.transitions, self.initial, self.finals, sink)
 
     def complement(self, alphabet: Iterable[Symbol] | None = None) -> "DFA":
-        """Complement w.r.t. all words over ``alphabet`` (default: own)."""
-        completed = self.complete(alphabet)
-        return DFA(
-            completed.states,
-            completed.alphabet,
-            completed.transitions,
-            completed.initial,
-            completed.states - completed.finals,
+        """Complement w.r.t. all words over ``alphabet`` (default: own):
+        the completed view with the accepting states — sink included —
+        flipped."""
+        view = self.complete(alphabet)
+        flipped = view.states - view.finals
+        return DFA._trusted(
+            view.states, view.alphabet, view.transitions, view.initial, flipped, view.sink
         )
 
     # ------------------------------------------------------------------
@@ -339,22 +367,21 @@ class DFA:
         return LazyProductDFA(product_kernel(self, other, finals))
 
     # ------------------------------------------------------------------
-    # Minimization (Hopcroft-style partition refinement via Moore)
+    # Minimization (Moore partition refinement over the stored moves)
     # ------------------------------------------------------------------
     def minimize(self) -> "DFA":
-        """Language-minimal complete DFA (Moore partition refinement).
+        """The canonical language-minimal *trim* DFA, renumbered once.
 
-        The result is complete over the automaton's alphabet; the dead state,
-        if any, is retained only when it is reachable.  Refinement runs on
-        the interned kernel (int block arrays instead of object dicts).
+        Only reachable states that can still reach acceptance survive; the
+        dead state stays implicit (a missing move), and the empty language
+        is one non-accepting state.  Refinement reads only the stored
+        moves, never the whole alphabet (a view is spelled out first).
         """
-        from repro.kernel.dfa_kernel import minimize_components
+        from repro.kernel.dfa_kernel import minimal_components
 
-        completed = self.complete()
-        states, transitions, initial, finals = minimize_components(completed)
-        return DFA(
-            states, completed.alphabet, transitions, initial, finals
-        ).renumber()
+        source = self if self.sink is None else DFA.from_nfa(self.to_nfa())
+        parts = minimal_components(source) or ({0}, {}, 0, ())
+        return DFA._trusted(parts[0], self.alphabet, *parts[1:]).renumber()
 
 
 class LazyProductDFA(DFA):
@@ -364,10 +391,8 @@ class LazyProductDFA(DFA):
     tables); the seed representation — pair states ``(p, q)``, the
     transitions dict — is materialized only when an object-level view is
     first touched (``states``, ``transitions``, ``finals``, ``to_nfa``,
-    equality, ...).  This fixes the decode-bound small-product regime where
-    the kernel used to tie the object baseline: kernel consumers
-    (``accepts``, ``contains``, chained ``product``, the forward engine)
-    never decode at all.
+    equality, ...).  Kernel consumers (``accepts``, ``contains``, chained
+    ``product``) never decode at all.
 
     The decoded view is byte-for-byte the seed representation (same pair
     states, same transitions), so every downstream consumer — including
@@ -381,10 +406,10 @@ class LazyProductDFA(DFA):
         # Deliberately does NOT call DFA.__init__: kernel-built products
         # are well-formed by construction and the object views stay unbuilt.
         self._kernel = kernel
+        self.sink = None
         self._hash = None
         self._nfa = None
         self._content_hash = None
-        self._complete = None
         self._parts = None
 
     def _materialize(self):
@@ -405,7 +430,6 @@ class LazyProductDFA(DFA):
                         transitions[(src, symbols[a])] = value(target)
             parts = self._parts = (
                 frozenset(kernel.states.values),
-                frozenset(symbols),
                 transitions,
                 value(kernel.initial),
                 frozenset(kernel.states.unmask(kernel.finals_mask)),
@@ -414,13 +438,12 @@ class LazyProductDFA(DFA):
 
     # Object-level views (shadow the parent's slot descriptors).
     states = property(lambda self: self._materialize()[0])
-    transitions = property(lambda self: self._materialize()[2])
-    finals = property(lambda self: self._materialize()[4])
+    transitions = property(lambda self: self._materialize()[1])
+    finals = property(lambda self: self._materialize()[3])
 
     @property
     def alphabet(self) -> FrozenSet[Symbol]:
-        # Cheap: the symbol interner is decoded already.
-        return frozenset(self._kernel.symbols.values)
+        return self._kernel.alphabet
 
     @property
     def initial(self) -> State:

@@ -236,11 +236,14 @@ class NFA:
         )
 
     def with_alphabet(self, alphabet: Iterable[Symbol]) -> "NFA":
-        """The same automaton over a (larger) alphabet."""
+        """The same automaton over a (larger) alphabet — a view sharing the
+        transition table and kernel graph (see :meth:`with_endpoints`)."""
         sigma = frozenset(alphabet)
         if not self.alphabet <= sigma:
             raise InvalidSchemaError("new alphabet must contain the old one")
-        return NFA(self.states, sigma, self.transitions, self.initial, self.finals)
+        nfa = self.with_endpoints(self.initial, self.finals)
+        nfa.alphabet = sigma
+        return nfa
 
     def with_endpoints(self, initial: Iterable[State], finals: Iterable[State]) -> "NFA":
         """The same transition graph with other initial and final states.
@@ -509,23 +512,30 @@ class NFA:
         )
 
     def determinize(self) -> "DFA":
-        """Subset construction.  Exponential in the worst case."""
+        """Subset construction over the symbols the subsets read (a move
+        no subset state has stays undefined: no empty subset, and no cost
+        per alphabet symbol).  Exponential in the worst case."""
         from repro.strings.dfa import DFA
 
+        table = self.transitions
         start = self.initial
         states: set = {start}
         transitions: Dict[Tuple[FrozenSet[State], Symbol], FrozenSet[State]] = {}
         frontier = deque([start])
         while frontier:
             subset = frontier.popleft()
-            for symbol in self.alphabet:
-                target = self.step(subset, symbol)
+            moves: Dict[Symbol, set] = {}
+            for q in subset:
+                for symbol, tgts in table.get(q, {}).items():
+                    moves.setdefault(symbol, set()).update(tgts)
+            for symbol, tgts in moves.items():
+                target = frozenset(tgts)
                 transitions[(subset, symbol)] = target
                 if target not in states:
                     states.add(target)
                     frontier.append(target)
         finals = {subset for subset in states if subset & self.finals}
-        return DFA(states, self.alphabet, transitions, start, finals)
+        return DFA._trusted(states, self.alphabet, transitions, start, finals)
 
     def complement(self, alphabet: Iterable[Symbol] | None = None) -> "DFA":
         """Deterministic complement w.r.t. all words over ``alphabet``

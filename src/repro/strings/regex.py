@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re as _stdlib_re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, Tuple
 
 from repro.errors import ParseError
@@ -476,7 +475,10 @@ def regex_to_nfa(expr: Regex | str, alphabet=()) -> NFA:
     """
     if isinstance(expr, str):
         expr = parse_regex(expr)
-    sigma = set(alphabet) | set(expr.symbols())
+    symbols = expr.symbols()
+    sigma = frozenset(alphabet)
+    if not symbols <= sigma:
+        sigma |= symbols
 
     counter = iter(range(1, 10**9))
     annotated = expr._positions(counter)
@@ -516,16 +518,13 @@ def regex_to_nfa(expr: Regex | str, alphabet=()) -> NFA:
 def regex_to_dfa(expr: Regex | str, alphabet=(), minimize: bool = True) -> DFA:
     """Compile ``expr`` to a DFA (Glushkov + subset construction).
 
-    With ``minimize=True`` (default) the result is the canonical minimal
-    complete DFA, which keeps the DTD(DFA) instances small and reproducible.
+    The DFA's alphabet is ``alphabet`` plus the expression's symbols, but
+    it stores moves only on the symbols ``expr`` mentions: any other
+    symbol kills the run, and :meth:`DFA.complete` gives the total view
+    with an implicit sink.  With ``minimize=True`` (default) the result is
+    the canonical minimal trim DFA (:meth:`DFA.minimize`), which keeps the
+    DTD(DFA) instances small and reproducible; otherwise the subset
+    automaton, renumbered.
     """
     dfa = regex_to_nfa(expr, alphabet).determinize()
-    if minimize:
-        dfa = dfa.minimize()
-    return dfa.renumber()
-
-
-@lru_cache(maxsize=4096)
-def cached_regex_to_dfa(text: str, alphabet: tuple = ()) -> DFA:
-    """Memoized :func:`regex_to_dfa` for textual expressions."""
-    return regex_to_dfa(parse_regex(text), alphabet)
+    return dfa.minimize() if minimize else dfa.renumber()

@@ -229,8 +229,13 @@ class REPlus:
         return Concat(tuple(parts))
 
     def to_dfa(self, alphabet: Iterable[str] = ()) -> DFA:
-        """Linear-size DFA: a chain with self-loops on ``≥`` block ends."""
-        sigma = set(alphabet) | set(self.symbols())
+        """Linear-size DFA: a chain with self-loops on ``≥`` block ends,
+        storing moves only on the expression's symbols (the rest of
+        ``alphabet`` kills the run)."""
+        symbols = self.symbols()
+        sigma = frozenset(alphabet)
+        if not symbols <= sigma:
+            sigma |= symbols
         transitions: Dict[Tuple[int, str], int] = {}
         state = 0
         for factor in self.factors:
@@ -239,7 +244,7 @@ class REPlus:
                 state += 1
             if not factor.exact:
                 transitions[(state, factor.symbol)] = state
-        return DFA(range(state + 1), sigma, transitions, 0, {state})
+        return DFA._trusted(range(state + 1), sigma, transitions, 0, {state})
 
     def iter_words(self, max_length: int) -> Iterator[Tuple[str, ...]]:
         """All words up to ``max_length`` (testing helper)."""

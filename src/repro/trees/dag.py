@@ -286,11 +286,9 @@ class TransferTable:
         if cached is not None:
             return cached
         if isinstance(part, DagTree):
-            result = {
-                s: self.dfa.transitions[(s, part.label)]
-                for s in self.dfa.states
-                if (s, part.label) in self.dfa.transitions
-            }
+            step = self.dfa.step
+            result = {s: step(s, part.label) for s in self.dfa.states}
+            result = {s: t for s, t in result.items() if t is not None}
         else:
             result = {s: s for s in self.dfa.states}
             for sub in part.parts:

@@ -133,6 +133,4 @@ def pattern_to_dfa(pattern: Pattern, alphabet: Iterable[str], minimize: bool = T
     """
     sigma = frozenset(alphabet) | pattern.symbols()
     dfa = pattern_to_nfa(pattern, sigma).determinize()
-    if minimize:
-        dfa = dfa.minimize()
-    return dfa.renumber()
+    return dfa.minimize() if minimize else dfa.renumber()

@@ -124,6 +124,41 @@ class TestLegacySideFiles:
             assert result.typechecks == expected
             assert result.stats["table_cache"] == "miss", method
 
+    def test_format_4_artifact_is_a_miss(self, tmp_path):
+        """Format 5 changed the pickled DFA shape (sparse moves, completed
+        views with an implicit sink): a blob written with format 4 is a
+        miss, never a load — at its own key or at the current one."""
+        session, transducer, expected = _donor(tmp_path / "donor")
+        old_dir = tmp_path / "format4"
+        old_dir.mkdir()
+        old_key = stable_digest(
+            "session-artifact",
+            schema_fingerprint(session.sin),
+            schema_fingerprint(session.sout),
+            "cache-format:4",
+            f"kernel-format:{serialize.KERNEL_FORMAT}",
+            f"repro:{__version__}",
+        )
+        new_key = artifact_cache.artifact_key(session.sin, session.sout)
+        assert new_key != old_key
+        for key in (old_key, new_key):
+            payload = {
+                "cache_format": 4,
+                "version": __version__,
+                "key": key,
+                "artifacts": session.export_artifacts(),
+            }
+            artifact_cache.artifact_path(old_dir, key).write_bytes(
+                serialize.dumps(payload)
+            )
+
+        clear_registry()
+        _t, din, dout, _e = filtering_family(6)
+        assert artifact_cache.load_session(din, dout, cache_dir=old_dir) is None
+        loaded = compile_session(din, dout, cache_dir=old_dir, reuse=False)
+        assert loaded.stats["source"] == "fresh"
+        assert loaded.typecheck(transducer).typechecks == expected
+
     def test_new_side_files_carry_the_engine_name(self, tmp_path):
         session, transducer, _expected = _donor(tmp_path)
         key = artifact_cache.artifact_key(session.sin, session.sout)

@@ -146,9 +146,10 @@ class TestDeepSchemas:
 
 class TestWarmRepeat:
     def test_warm_repeat_reuses_completed_output_dfas(self, monkeypatch):
-        """A warm repeat reads the DTD's completed content DFAs and never
-        re-scans one for completeness (the grammar inclusion checks ask
-        for a subset of an already-complete DFA's alphabet)."""
+        """A warm repeat reads the DTD's cached completed views and builds
+        no new completion, nor re-scans a DFA for completeness (the
+        grammar inclusion checks ask for a subset of an already-complete
+        view's alphabet, which returns the view itself)."""
         import repro
         from repro.strings.dfa import DFA
         from repro.workloads.families import nd_bc_family
@@ -157,14 +158,21 @@ class TestWarmRepeat:
         session = repro.compile(din, dout)
         first = session.typecheck(transducer)
         assert first.stats["auto_method"] == "replus"
-        calls = []
-        original = DFA.is_complete
+        built, scanned = [], []
+        complete, is_complete = DFA.complete, DFA.is_complete
 
-        def counted(self, alphabet=None):
-            calls.append(self)
-            return original(self, alphabet)
+        def counted_complete(self, alphabet=None):
+            result = complete(self, alphabet)
+            if result is not self:
+                built.append(result)
+            return result
 
-        monkeypatch.setattr(DFA, "is_complete", counted)
+        def counted_scan(self, alphabet=None):
+            scanned.append(self)
+            return is_complete(self, alphabet)
+
+        monkeypatch.setattr(DFA, "complete", counted_complete)
+        monkeypatch.setattr(DFA, "is_complete", counted_scan)
         again = session.typecheck(transducer)
         assert again.typechecks == first.typechecks == expected
-        assert calls == []
+        assert built == [] and scanned == []

@@ -1,6 +1,7 @@
 """TCP front-end: protocol round-trips, batch smoke, the serve CLI."""
 
 import asyncio
+import signal
 import subprocess
 import sys
 import threading
@@ -169,6 +170,35 @@ class TestServeCommand:
                 process.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 process.kill()
+
+
+    def test_sigterm_closes_the_pool(self, tmp_path):
+        """SIGTERM (what process managers send) ends ``serve`` cleanly:
+        exit 0 within 10 s, and the pool's queues are closed, so the
+        resource tracker reports no leaked semaphore."""
+        repo_src = Path(__file__).resolve().parents[2] / "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={
+                "PYTHONPATH": str(repo_src),
+                "PATH": "/usr/bin:/bin",
+                "HOME": str(tmp_path),
+            },
+        )
+        try:
+            line = process.stdout.readline()
+            assert "listening on" in line, line
+            process.send_signal(signal.SIGTERM)
+            _out, err = process.communicate(timeout=10)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, err
+        assert "leaked semaphore" not in err, err
 
 
 class TestTicketFuture:

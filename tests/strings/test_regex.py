@@ -15,7 +15,7 @@ from repro.strings import (
     regex_to_dfa,
     regex_to_nfa,
 )
-from repro.strings.regex import Empty, Optional, cached_regex_to_dfa
+from repro.strings.regex import Empty, Optional
 
 
 class TestParser:
@@ -145,11 +145,6 @@ class TestGlushkov:
         assert dfa.accepts(["title", "author", "author", "chapter", "chapter"])
         assert not dfa.accepts(["title", "chapter"])
         assert not dfa.accepts(["author", "chapter"])
-
-    def test_cached_compilation(self):
-        first = cached_regex_to_dfa("a b | c")
-        second = cached_regex_to_dfa("a b | c")
-        assert first is second
 
 
 # ---------------------------------------------------------------------------
