@@ -215,10 +215,13 @@ class DTD:
     def content_dfa(self, symbol: str) -> DFA:
         """The content model as a DFA (cached; determinizes if needed).
 
-        For an authored DFA this is the original automaton; otherwise the
-        content model is compiled over the symbols it mentions (the DTD's
-        alphabet, moves only where the model reads: any other symbol kills
-        the run).  The potentially exponential subset construction here is
+        For an authored DFA this is the original automaton, except that a
+        completed view (:meth:`DFA.complete`, :meth:`DFA.complement`) is
+        spelled out: the engines enumerate a content DFA's children from
+        its stored moves, which omit a view's implicit sink moves.
+        Otherwise the content model is compiled over the symbols it
+        mentions (the DTD's alphabet, moves only where the model reads: any
+        other symbol kills the run).  The potentially exponential subset construction here is
         exactly the DTD(NFA) intractability the paper charges to the schema
         class.
         """
@@ -228,7 +231,7 @@ class DTD:
         model = self._raw.get(symbol)
         with _trace.span("compile", artifact="content_dfa"):
             if isinstance(model, DFA):
-                dfa = model
+                dfa = model if model.sink is None else DFA.from_nfa(model.to_nfa())
             elif isinstance(model, REPlus):
                 dfa = model.to_dfa(self.alphabet)
             else:

@@ -281,7 +281,9 @@ class DFA:
         The view shares the transition dict, so completing costs ``O(|Q|)``,
         not ``O(|Q| × |Σ|)``.  Asked for (a subset of) its own alphabet, a
         view — or a DFA whose stored moves are already total — returns
-        itself.
+        itself.  Widening a view whose sink accepts (a complement) spells
+        the view out first, so the new symbols reach a fresh rejecting sink
+        instead of the accepting one.
         """
         if alphabet is None:
             sigma = self.alphabet
@@ -295,6 +297,8 @@ class DFA:
             self.sink is not None or self.is_complete()
         ):
             return self
+        if self.sink is not None and self.sink in self.finals:
+            return DFA.from_nfa(self.to_nfa()).complete(sigma)
         sink, states = self.sink, self.states
         if sink is None:
             sink = ("__sink__", len(states))

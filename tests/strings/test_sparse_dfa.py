@@ -14,8 +14,11 @@ import random
 
 import pytest
 
+from repro.core import typecheck
 from repro.schemas.dtd import DTD
+from repro.strings.dfa import DFA
 from repro.strings.regex import Concat, Optional, Plus, Star, Sym, Union, regex_to_nfa
+from repro.transducers import TreeTransducer
 from repro.workloads.families import nd_bc_family
 
 MENTIONABLE = ("a", "b", "c")
@@ -120,3 +123,76 @@ def test_sparse_views_agree_with_glushkov(seed):
     assert complement.is_empty() == nfa.complement(sigma).is_empty()
     minimal = complement.minimize()
     assert all(minimal.accepts(w) == complement.accepts(w) for w in words)
+
+
+class TestWideningComplementViews:
+    """A complement view's sink accepts, so widening must not reuse it."""
+
+    def test_complete_sends_new_symbols_to_a_rejecting_sink(self):
+        not_a = DFA.from_word(("a",), {"a", "b"}).complement()
+        widened = not_a.complete({"a", "b", "c"})
+        assert not widened.accepts(["c"])
+        assert not widened.accepts(["b", "c"])
+        assert widened.accepts(["b"]) and widened.accepts(["a", "a"])
+        assert not widened.accepts(["a"])
+        assert widened.sink not in widened.finals
+        assert not widened.kernel().is_final(
+            widened.kernel().run(widened.kernel().intern_word(["c"]), 0)
+        )
+
+    def test_complement_over_a_wider_alphabet(self):
+        not_a = DFA.from_word(("a",), {"a", "b"}).complement()
+        back = not_a.complement({"a", "b", "c"})
+        for word, expected in (
+            (["a"], True), (["c"], True), (["a", "c"], True),
+            (["b"], False), ([], False), (["a", "a"], False),
+        ):
+            assert back.accepts(word) == expected, word
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_widened_views_agree_with_glushkov(self, seed):
+        model = _random_regex(random.Random(seed), 3)
+        dtd = DTD({"r": model}, start="r", alphabet=set(UNMENTIONED))
+        own = dtd.alphabet
+        sigma = own | set(WIDENED)
+        nfa = regex_to_nfa(model, own)
+        view = dtd.content_dfa("r").complement()
+        widened, back = view.complete(sigma), view.complement(sigma)
+        letters = sorted(sigma)
+        for length in range(4):
+            for word in itertools.product(letters, repeat=length):
+                over_own = all(symbol in own for symbol in word)
+                in_view = over_own and not nfa.accepts(word)
+                assert view.accepts(word) == in_view, word
+                assert widened.accepts(word) == in_view, word
+                assert back.accepts(word) == (not in_view), word
+
+
+class TestViewsAsContentModels:
+    """An authored complement DFA is a view; every engine must see its
+    implicit sink moves, on the input and on the output side."""
+
+    @pytest.fixture(scope="class")
+    def identity(self):
+        rules = {("q", s): (f"{s}(q)" if s == "r" else s) for s in "rabc"}
+        return TreeTransducer({"q"}, set("rabc"), "q", rules)
+
+    @pytest.fixture(scope="class")
+    def not_a(self):
+        return DFA.from_word(("a",), {"a", "b"}).complement()
+
+    @pytest.mark.parametrize("method", ["forward", "backward", "auto"])
+    def test_input_view_children_are_explored(self, identity, not_a, method):
+        din = DTD({"r": not_a}, start="r")  # r(b) is valid ...
+        dout = DTD({"r": "a*"}, start="r")  # ... and its copy is not
+        oracle = typecheck(identity, din, dout, method="bruteforce")
+        assert not oracle.typechecks
+        assert typecheck(identity, din, dout, method=method).typechecks is False
+
+    @pytest.mark.parametrize("method", ["forward", "backward", "auto"])
+    def test_output_view_rejects_foreign_children(self, identity, not_a, method):
+        din = DTD({"r": "c"}, start="r")
+        dout = DTD({"r": not_a}, start="r", alphabet={"c"})
+        oracle = typecheck(identity, din, dout, method="bruteforce")
+        assert not oracle.typechecks
+        assert typecheck(identity, din, dout, method=method).typechecks is False
