@@ -27,11 +27,11 @@ engine's slowdown on the forward-friendly family and requires it to beat
 forward on the wide-copy family.
 
 The *auto* family (PR 6) scores the ``method="auto"`` router: the
-calibrated cost comparison resolves forward vs backward per instance and
-the routed engine races both explicit engines; ``BENCH_auto.json``
-records the predictions and the over-best ratio, and the smoke gate
-fails if auto loses more than ~1.2x to the better engine on ``nd_bc`` or
-``wide_copy``.
+schema-class ladder resolves an engine per instance (``backward`` on
+every DTD pair in the sharded view) and the routed engine races both
+explicit engines; ``BENCH_auto.json`` records the choice and the
+over-best ratio, and the smoke gate fails if auto loses more than ~1.2x
+to the better engine on ``nd_bc`` or ``wide_copy``.
 
 The *service* family (PR 3) measures the multi-process worker pool on the
 ``nd_bc_batch`` workload — batch throughput with 1/2/4 workers against the
@@ -140,9 +140,9 @@ STICKY_SMOKE_MAX_BYTES_RATIO = 0.8
 BACKWARD_SMOKE_MAX_RATIO = 3.0
 BACKWARD_WIDE_COPY_MAX_RATIO = 0.5
 # Auto-routing gate: the routed engine must land within this factor of the
-# faster explicit engine on every gated family — the router may pay a
-# (memoized, ~µs) decision, but it must never pick badly enough to lose
-# the engine race.
+# faster explicit engine on every gated family.  Auto routes every DTD
+# pair to backward without pricing the alternatives, so this gate guards
+# that design's premise: backward is never far behind forward.
 AUTO_SMOKE_MAX_OVER_BEST = 1.2
 # Observability gate: the disabled telemetry path (null-span check plus
 # the unmetered kernel drain) must cost no more than 5% over a build with
@@ -320,17 +320,16 @@ def bench_backward(results, sizes, repeat: int) -> None:
 
 
 def bench_auto(results, sizes, repeat: int) -> None:
-    """The ``method="auto"`` forward/backward router vs both engines.
+    """The ``method="auto"`` router's choice vs both complete engines.
 
-    For each family ``Session.route(T, shardable=True)`` — the cost
-    comparison that ``typecheck_sharded(method="auto")`` and auto on
-    in-trac DTD pairs both run — resolves an engine; the row records the
-    prediction, the actual wall time of both explicit engines, and the
-    routed engine's time.  ``auto_over_best`` is the router's figure of
-    merit: 1.0 means it picked the winner, and the smoke gate bounds it
-    at :data:`AUTO_SMOKE_MAX_OVER_BEST` on both gated families.  The
-    decision itself is memoized per transducer (``routing_cold_s`` is the
-    one-time two-key-scan price, ``routing_warm_s`` the steady state).
+    For each family ``Session.route(T, shardable=True)`` — the ladder
+    ``typecheck_sharded(method="auto")`` runs, which sends every DTD pair
+    to backward — resolves an engine; the row records the choice, the
+    route's own price (``routing_s``), the actual wall time of both
+    explicit engines, and the routed engine's time.  ``auto_over_best``
+    is the router's figure of merit: 1.0 means it picked the winner, and
+    the smoke gate bounds it at :data:`AUTO_SMOKE_MAX_OVER_BEST` on both
+    gated families.
 
     Timings race the *raw* engines on purpose: a session's per-transducer
     table cache would serve every repeat in ~40µs and flatter whichever
@@ -339,14 +338,10 @@ def bench_auto(results, sizes, repeat: int) -> None:
     for name, family, n in sizes:
         transducer, din, dout, expected = family(n)
         session = Session(din, dout, eager=False)
-        routing_cold = time.perf_counter()
-        chosen, costs_ms = session.route(transducer, shardable=True)
-        routing_cold_s = time.perf_counter() - routing_cold
-        routing_warm_s = best_of(
+        chosen = session.route(transducer, shardable=True)
+        routing_s = best_of(
             lambda: session.route(transducer, shardable=True), repeat
         )
-        fcost_ms = costs_ms.get("forward", 0.0)
-        bcost_ms = costs_ms.get("backward", 0.0)
         forward_r = typecheck_forward(transducer, din, dout)
         backward_r = typecheck_backward(transducer, din, dout)
         assert forward_r.typechecks == backward_r.typechecks == expected, (
@@ -366,10 +361,7 @@ def bench_auto(results, sizes, repeat: int) -> None:
                 "family": name,
                 "n": n,
                 "chosen": chosen,
-                "predicted_forward_ms": fcost_ms,
-                "predicted_backward_ms": bcost_ms,
-                "routing_cold_s": routing_cold_s,
-                "routing_warm_s": routing_warm_s,
+                "routing_s": routing_s,
                 "forward_s": forward_s,
                 "backward_s": backward_s,
                 "auto_s": auto_s,
@@ -1341,11 +1333,11 @@ def main(argv=None) -> int:
         return {
             "note": (
                 "auto_over_best is the routed engine's wall time over the "
-                "faster explicit engine's: 1.0 means the calibrated cost "
-                "comparison picked the winner; the smoke gate bounds it at "
+                "faster explicit engine's: 1.0 means the schema-class "
+                "ladder (backward on every DTD pair in the sharded view) "
+                "picked the winner; the smoke gate bounds it at "
                 f"{AUTO_SMOKE_MAX_OVER_BEST}x on nd_bc and wide_copy.  The "
-                "routing decision itself is memoized per transducer "
-                "(routing_warm_s is the steady-state price)"
+                "route prices nothing (routing_s is its whole cost)"
             ),
             "worst_family": worst["name"],
             "worst_auto_over_best": worst["auto_over_best"],

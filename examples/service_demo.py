@@ -19,6 +19,7 @@ for its ready line, then drives it with the thin client:
 Run:  python examples/service_demo.py
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -74,7 +75,7 @@ def main() -> int:
         [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
         stdout=subprocess.PIPE,
         text=True,
-        env={"PYTHONPATH": str(REPO_SRC), "PATH": "/usr/bin:/bin"},
+        env=dict(os.environ, PYTHONPATH=str(REPO_SRC)),
     )
     try:
         ready = server.stdout.readline().strip()

@@ -31,13 +31,10 @@ Options::
     --method METHOD    algorithm override: auto (default), forward, backward
                        (inverse type inference — the cross-checking second
                        engine), replus, replus-witnesses, delrelab, bruteforce.
-                       auto routes DTD instances between the forward and
-                       backward engines by their predicted key costs
-                       (compiled schema shape only — output content-DFA
-                       sizes × copying width) and falls back to backward
-                       where the forward engine would refuse the instance
-                       as out of every tractable class; the report line
-                       names the engine that ran
+                       auto routes by schema class alone: DTD(RE+) pairs
+                       to replus, other DTD pairs to backward, del-relab
+                       transducers over tree automata to delrelab; the
+                       report line names the engine that ran
     --cache-dir DIR    persist/reuse compiled schema artifacts in DIR
                        (see repro.cache)
     --update FILE      update-validation mode: FILE is an XML edit script
@@ -51,9 +48,9 @@ Options::
                        shard_plan, merge, ...) to FILE; each instance is
                        checked under its own trace ID (see repro.obs.trace)
     --explain          print each instance's query attribution report after
-                       its verdict: the engine that ran with every routable
-                       engine's predicted vs. measured ms, cache provenance,
-                       and the query's own kernel counters (repro.obs.explain)
+                       its verdict: the engine that ran with its measured
+                       ms, cache provenance, and the query's own kernel
+                       counters (repro.obs.explain)
 
 Several instance files may be given; all instances sharing a schema pair
 are checked against one warm compiled session (``repro.compile``), so the
@@ -93,17 +90,6 @@ then always run with explain on (the log's documented overhead).  It
 speaks the JSON-lines protocol of :mod:`repro.service.protocol` (v2
 sticky pairs included); drive it with
 :class:`repro.service.client.ServiceClient`.
-
-The ``calibrate`` subcommand re-fits the auto router's cost models from
-recorded telemetry::
-
-    python -m repro calibrate FILE [FILE ...]
-
-FILEs are JSON-lines telemetry: ``--trace`` files (their
-``router_audit`` records) and/or ``--slow-query-log`` files (their
-``explain`` sections).  For each engine it reports the measured/predicted
-ratio distribution and the ``ms_per_unit`` the median ratio implies —
-apply by overriding the engine's ``ms_per_unit``.
 """
 
 from __future__ import annotations
@@ -356,101 +342,10 @@ def _serve(argv: List[str]) -> int:
         return 2
 
 
-def _calibration_samples(path: str):
-    """Yield ``(engine, actual_ms, predicted_ms)`` from one telemetry file.
-
-    Understands both JSON-lines shapes the serving plane writes:
-    ``router_audit`` records in ``--trace`` files and slow-query-log
-    entries carrying an ``explain`` report.  Unparseable lines and
-    records of other kinds are skipped — telemetry files interleave many
-    record types.
-    """
-    import json
-
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if record.get("kind") == "router_audit":
-                engine = record.get("choice")
-                actual = record.get("actual_ms")
-                predicted = record.get(f"predicted_{engine}_ms")
-                if engine and actual and predicted:
-                    yield str(engine), float(actual), float(predicted)
-                continue
-            explain = record.get("explain")
-            if isinstance(explain, dict):
-                engine = explain.get("engine")
-                values = (explain.get("engines") or {}).get(engine) or {}
-                actual = values.get("measured_ms")
-                predicted = values.get("predicted_ms")
-                if engine and actual and predicted:
-                    yield str(engine), float(actual), float(predicted)
-
-
-def _calibrate(argv: List[str]) -> int:
-    """``python -m repro calibrate FILE...`` — re-fit router cost models.
-
-    For every routable engine with samples: the distribution of
-    measured/predicted ratios and the ``ms_per_unit`` the median ratio
-    implies (current × median — a multiplicative residual correction,
-    robust to the heavy right tail cold compiles produce).
-    """
-    from statistics import median
-
-    from repro.engines import get_engine, routable_engines
-
-    if not argv or any(arg in ("-h", "--help") for arg in argv):
-        print(__doc__)
-        return 2
-    ratios: dict = {}
-    try:
-        for path in argv:
-            for engine, actual, predicted in _calibration_samples(path):
-                ratios.setdefault(engine, []).append(actual / predicted)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not ratios:
-        print("no calibration samples found (need router_audit records "
-              "from --trace or explain entries from --slow-query-log)")
-        return 1
-    print("engine calibration (measured/predicted ratio; ratio 1.0 = "
-          "perfectly calibrated):")
-    routable = {engine.name for engine in routable_engines()}
-    for engine in sorted(ratios):
-        samples = sorted(ratios[engine])
-        mid = median(samples)
-        line = (
-            f"  {engine}: n={len(samples)} median={mid:.3f} "
-            f"p10={samples[int(0.1 * (len(samples) - 1))]:.3f} "
-            f"p90={samples[int(0.9 * (len(samples) - 1))]:.3f}"
-        )
-        current = None
-        if engine in routable:
-            current = get_engine(engine).ms_per_unit
-        if current:
-            line += (
-                f" ms_per_unit: current={current:g} "
-                f"proposed={current * mid:.6g}"
-            )
-        print(line)
-    return 0
-
-
 def main(argv: List[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "serve":
         return _serve(argv[1:])
-    if argv and argv[0] == "calibrate":
-        return _calibrate(argv[1:])
     parsed = _parse_args(argv)
     if parsed is None:
         print(__doc__)

@@ -1,29 +1,21 @@
 """One-call typechecking API with algorithm selection.
 
-``typecheck(T, Sin, Sout)`` picks the paper's algorithm for the instance:
+``typecheck(T, Sin, Sout)`` picks the engine by schema class alone
+(:meth:`repro.core.session.Session.route`):
 
 * DTD(RE⁺) schemas → the Section 5 grammar algorithm (any transducer);
-* transducers in some ``T^{C,K}_trac`` + DTDs → the cheaper of the two
-  complete engines, chosen from measurable schema shape: the Lemma 14
-  forward engine's predicted key cost (``n_out^m`` tuple seeds plus its
-  dependency-closure content-DFA sizes) is compared against the backward
-  inverse-type-inference engine's (input content-DFA sizes × tracked
-  behavior monoid), and the smaller predicted total runs (XPath/DFA calls
-  are compiled away first, Theorems 23/29; an explicit ``max_tuple``
-  forces forward);
+* an explicit ``max_tuple`` on DTDs → the Lemma 14 forward engine, the
+  paper's (possibly exponential) best-effort run;
+* any other DTD pair → the backward engine: inverse type inference is
+  complete for every deterministic top-down transducer over DTDs
+  (budget-guarded), in ``T_trac`` or not;
 * ``T_del-relab`` + tree-automaton schemas → the Theorem 20 pipeline;
-* any other transducer over DTDs → the backward engine (inverse type
-  inference is complete for every deterministic top-down transducer over
-  DTDs, budget-guarded) — where the forward engine would raise a
-  :class:`~repro.errors.ClassViolationError`, auto now degrades to the
-  classical route instead of refusing;
-* anything else (out-of-class transducers over non-DTD schemas) → a
+* anything else (other transducers over tree automata) → a
   :class:`~repro.errors.ClassViolationError` explaining which frontier
   was crossed (that is the paper's message: outside these classes,
   complete typechecking is provably intractable).
 
-``result.stats["auto_method"]`` records the routed engine; cost-compared
-routes also carry ``auto_forward_cost`` / ``auto_backward_cost``.
+``result.stats["auto_method"]`` records the routed engine.
 
 Since the compiled-session redesign this module is a thin facade over
 :mod:`repro.core.session`: every call resolves the schema pair through the

@@ -53,14 +53,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.errors import BudgetExceededError, ClassViolationError
 from repro.obs import explain as _explain
 from repro.obs import metrics as _metrics
-from repro.obs import record_router_decision
 from repro.obs import trace as _trace
 from repro.core.problem import TypecheckResult
 from repro.engines import (
     Engine,
     get_engine,
     persistent_engines,
-    routable_engines,
     shardable_engines,
 )
 from repro.schemas.dtd import DTD
@@ -76,10 +74,9 @@ Schema = Union[DTD, NTA]
 #: Default node budget of the forward engine (mirrors ``typecheck_forward``).
 DEFAULT_MAX_PRODUCT_NODES = 500_000
 
-#: Bound on the per-session transducer memos (call-compiled transducer +
-#: analysis, and the auto-route decision), keyed by content hash like the
-#: engines' table caches (``TRANSDUCER_TABLE_LIMIT``,
-#: ``BACKWARD_TABLE_LIMIT``).
+#: Bound on the per-session transducer memo (call-compiled transducer +
+#: analysis), keyed by content hash like the engines' table caches
+#: (``TRANSDUCER_TABLE_LIMIT``, ``BACKWARD_TABLE_LIMIT``).
 TRANSDUCER_MEMO_LIMIT = 64
 
 # ----------------------------------------------------------------------
@@ -192,12 +189,6 @@ class Session:
         self._analyses: "OrderedDict[str, Tuple[TreeTransducer, TransducerAnalysis]]" = (
             OrderedDict()
         )
-        # Route-cost memo: content hash -> (cheapest routable engine,
-        # {engine: predicted ms}).  The schema pair is fixed, so a serving
-        # session pays the cost models' key scans once per transducer.
-        self._auto_routes: "OrderedDict[str, Tuple[str, Dict[str, float]]]" = (
-            OrderedDict()
-        )
         # (calibrated base bytes, structural estimate at calibration) —
         # see footprint_bytes().
         self._footprint: Optional[Tuple[int, int]] = None
@@ -215,9 +206,9 @@ class Session:
     # ------------------------------------------------------------------
     def warm(self) -> "Session":
         """Eagerly compile what an auto query on this pair reads, whatever
-        the transducer: the slots of the engines ``route(None)`` names
-        (``replus`` alone on RE⁺ pairs, the routable engines on other DTD
-        pairs, ``delrelab`` on automaton pairs), each with only its
+        the transducer: the slot of the engine ``route(None)`` names
+        (``replus`` on RE⁺ pairs, ``backward`` on other DTD pairs,
+        ``delrelab`` on automaton pairs), with only its
         transducer-independent artifacts.  Everything else — other
         engines, completions over a transducer's output alphabet, the §6
         witness DAGs — is built on first use.
@@ -226,9 +217,7 @@ class Session:
             "compile", source=str(self.stats["source"])
         ):
             start = time.perf_counter()
-            choice, reachable = self.route(None)
-            for name in [choice] if choice is not None else reachable:
-                get_engine(name).schema(self).warm()
+            get_engine(self.route(None)).schema(self).warm()
             self.stats["compile_s"] = float(self.stats["compile_s"]) + (
                 time.perf_counter() - start
             )
@@ -336,7 +325,7 @@ class Session:
 
         ``explain=True`` additionally attaches a
         :class:`repro.obs.explain.QueryReport` as ``result.report``:
-        engine routing with every predicted cost, cache provenance, and
+        the engine that ran with its measured ms, cache provenance, and
         this query's own kernel counters (delta-scoped around the run).
         The verdict is identical either way.
         """
@@ -344,32 +333,22 @@ class Session:
             if not explain:
                 return self._typecheck(transducer, method, max_tuple, **kwargs)
             return self._explained(
-                "typecheck", transducer, method,
+                "typecheck", method,
                 lambda: self._typecheck(transducer, method, max_tuple, **kwargs),
             )
 
     def _explained(
         self,
         kind: str,
-        transducer: TreeTransducer,
         method: str,
         run: Callable[[], TypecheckResult],
-        shardable: bool = False,
     ) -> TypecheckResult:
-        """Run ``run()`` inside an explain scope and attach its report.
-
-        The report's predictions are what :meth:`route` prices ``T`` at
-        under ``method="auto"`` (``{}`` when auto does not compare costs).
-        """
+        """Run ``run()`` inside an explain scope and attach its report."""
         with _explain.query_scope() as scope:
             start = time.perf_counter()
             result = run()
             measured_ms = (time.perf_counter() - start) * 1e3
         with self._lock:
-            try:
-                predicted = self.route(transducer, shardable=shardable)[1]
-            except Exception:  # noqa: BLE001 - explain must never fail a query
-                predicted = {}
             source = str(self.stats.get("source", "")) or None
         result.report = _explain.build_report(
             kind,
@@ -377,7 +356,6 @@ class Session:
             result=result,
             measured_ms=measured_ms,
             scope=scope,
-            predicted_ms=predicted,
             session_source=source,
         )
         return result
@@ -390,7 +368,7 @@ class Session:
         **kwargs,
     ) -> TypecheckResult:
         self.stats["calls"] = int(self.stats["calls"]) + 1
-        choice, costs = self.route(transducer, method, max_tuple)
+        choice = self.route(transducer, method, max_tuple)
         engine = get_engine(choice)
         engine.validate_kwargs(kwargs)
         if not engine.accepts_max_tuple:
@@ -400,26 +378,12 @@ class Session:
                 _reject_max_tuple(method, max_tuple)
             max_tuple = None
         if method == "auto" and transducer.uses_calls():
-            # Run the call-compiled transducer the route analysed (memoized)
-            # rather than have the engine compile the calls again.
+            # Run the memoized call-compiled transducer rather than have
+            # the engine compile the calls again.
             transducer = self._compiled_transducer(transducer)[0]
-        run_start = time.perf_counter()
         result = engine.typecheck(self, transducer, max_tuple, kwargs)
         if method == "auto":
             result.stats["auto_method"] = choice
-        if costs:
-            # Router audit: predicted vs. measured cost of this decision —
-            # the data needed to re-fit the engines' ms_per_unit weights.
-            record_router_decision(
-                choice,
-                actual_ms=round((time.perf_counter() - run_start) * 1e3, 3),
-                predicted_ms={
-                    name: round(cost, 3) for name, cost in costs.items()
-                },
-                transducer=transducer.content_hash()[:12],
-            )
-            for name, cost in costs.items():
-                result.stats[f"auto_{name}_cost"] = round(cost, 3)
         return result
 
     def route(
@@ -429,42 +393,31 @@ class Session:
         max_tuple: Optional[int] = None,
         *,
         shardable: bool = False,
-    ) -> Tuple[Optional[str], Dict[str, float]]:
-        """``(engine, {engine: predicted ms})``: the engine a query of
-        ``T`` runs on this pair — the one routing policy behind
-        :meth:`typecheck`, :meth:`retypecheck`, :meth:`typecheck_sharded`,
-        the explain reports and :meth:`warm`.
+    ) -> str:
+        """The engine a query of ``T`` runs on this pair — the one routing
+        policy behind :meth:`typecheck`, :meth:`retypecheck`,
+        :meth:`typecheck_sharded`, the explain reports and :meth:`warm`.
 
-        The ladder, first match wins:
+        A fixed ladder by schema class, first match wins:
 
         1. an explicit ``method`` is its own engine (``ValueError`` when
            unknown);
-        2. RE⁺ pairs → ``replus`` (Theorem 37), before any transducer
-           analysis;
+        2. RE⁺ pairs → ``replus`` (Theorem 37);
         3. ``max_tuple`` on a DTD pair pins ``forward`` — a caller
            bounding the tuple width asks for the (possibly exponential)
            forward run, never a routed alternative;
-        4. ``T_trac`` over DTDs → the routable engine with the smallest
-           predicted wall time (``Engine.predict_cost_ms``: each engine's
-           shard cost model over its own check keys, weighed by its
-           calibrated ``ms_per_unit``; ties go to the earliest
-           registrant).  The models read compiled schema shape only, and
-           the costs are memoized per transducer content hash;
-        5. del-relab → ``delrelab`` (Theorem 20).  Only non-DTD pairs get
-           here: over DTDs every del-relab transducer is in ``T_trac``;
-        6. any other DTD pair → ``backward``: inverse type inference is
-           complete for every deterministic top-down transducer over
-           DTDs (budget-guarded), so auto does not refuse the instance;
-        7. otherwise :class:`~repro.errors.ClassViolationError`.
+        4. any other DTD pair → ``backward``: inverse type inference is
+           complete for every deterministic top-down transducer over DTDs
+           (budget-guarded), in ``T_trac`` or not;
+        5. a del-relab transducer over automaton schemas → ``delrelab``
+           (Theorem 20);
+        6. otherwise :class:`~repro.errors.ClassViolationError`.
 
-        ``shardable=True`` is the sharded fan-out's view: the rungs whose
-        engine cannot shard are skipped, so RE⁺ pairs reach the cost
-        comparison and non-DTD pairs are refused.  The predictions are
-        non-empty exactly when rung 4 chose.
-
-        ``transducer=None`` is the pair-level view :meth:`warm` reads:
-        rungs 1-3 answer as usual, and otherwise ``(None, {engine: 0.0})``
-        names, unpriced, every engine rungs 4-6 can return on the pair.
+        Only rung 5 reads the transducer.  ``shardable=True`` is the
+        sharded fan-out's view: the rungs whose engine cannot shard are
+        skipped, so RE⁺ pairs go to ``backward`` and automaton pairs are
+        refused.  ``transducer=None`` names the one slot :meth:`warm`
+        compiles.
         """
         if method != "auto":
             if shardable:
@@ -475,60 +428,26 @@ class Session:
                         + ", ".join(names)
                     )
             get_engine(method)
-            return method, {}
-
-        def usable(name: str) -> bool:
-            return not shardable or get_engine(name).shardable
-
+            return method
+        if self._dtd_pair_value is not None:
+            if self._replus_pair and not shardable:  # replus cannot shard
+                return "replus"
+            return "forward" if max_tuple is not None else "backward"
+        if shardable:
+            self._dtd_pair()  # every shardable engine needs DTDs
+        if transducer is None:
+            return "delrelab"
         with self._lock:
-            dtd_pair = self._dtd_pair_value is not None
-            if self._replus_pair and usable("replus"):
-                return "replus", {}
-            if dtd_pair and max_tuple is not None and usable("forward"):
-                return "forward", {}
-            if not dtd_pair and shardable:
-                self._dtd_pair()  # every shardable engine needs DTDs
-            if transducer is None:
-                names = ["delrelab"]
-                if dtd_pair:
-                    names = [engine.name for engine in routable_engines()]
-                return None, {name: 0.0 for name in names if usable(name)}
-            plain, analysis = self._compiled_transducer(transducer)
-            if dtd_pair and analysis.in_trac:
-                memo_key = plain.content_hash()
-                cached = lru_get(self._auto_routes, memo_key)
-                if cached is None:
-                    costs = {
-                        engine.name: float(engine.predict_cost_ms(self, plain))
-                        for engine in routable_engines()
-                    }
-                    cached = (min(costs, key=costs.get), costs)
-                    lru_store(
-                        self._auto_routes, memo_key, cached,
-                        TRANSDUCER_MEMO_LIMIT,
-                    )
-                best, costs = cached
-                if not usable(best):
-                    best = min(
-                        [name for name in costs if usable(name)], key=costs.get
-                    )
-                return best, costs
-            if analysis.is_del_relab and usable("delrelab"):
-                return "delrelab", {}
-            if dtd_pair and usable("backward"):
-                return "backward", {}
+            analysis = self._compiled_transducer(transducer)[1]
+        if analysis.is_del_relab:
+            return "delrelab"
         raise ClassViolationError(
-            "instance crosses the tractability frontier: the transducer has "
-            f"copying width {analysis.copying_width} and "
-            f"{'unbounded' if analysis.deletion_path_width is None else analysis.deletion_path_width} "
-            "deletion path width, and the schemas are "
-            f"{type(self.sin).__name__}/{type(self.sout).__name__}. "
-            "Options: restrict the transducer (Theorem 15/20), use "
-            "DTD(RE+) schemas (Theorem 37), use DTD schemas to enable "
-            "method='backward' (inverse type inference — complete for any "
-            "deterministic top-down transducer over DTDs, budget-guarded), "
-            "or pass max_tuple for a best-effort (possibly exponential) "
-            "run of the forward engine."
+            "instance crosses the tractability frontier: over "
+            f"{type(self.sin).__name__}/{type(self.sout).__name__} schemas "
+            "only del-relab transducers are supported (Theorem 20), and "
+            "this one is not. Use DTD schemas to enable method='backward' "
+            "(inverse type inference — complete for any deterministic "
+            "top-down transducer over DTDs, budget-guarded)."
         )
 
     # ------------------------------------------------------------------
@@ -553,10 +472,11 @@ class Session:
         frontiers) carry over.  The new tables are stored under the
         edited transducer's content hash, so chains of edits stay warm
         link to link.  ``method`` is resolved by :meth:`route`, exactly
-        as :meth:`typecheck` resolves it: only the ``forward`` and
-        ``backward`` engines diff tables; any other engine (``replus``
-        on RE⁺ pairs under auto, ``delrelab``, ...) re-runs against its
-        already-compiled schema, reported ``warmed``.  Anything that the
+        as :meth:`typecheck` resolves it (under auto: ``replus`` on RE⁺
+        pairs, ``forward`` with ``max_tuple``, ``backward`` on other DTD
+        pairs, ``delrelab`` on automaton pairs).  Only the ``forward`` and
+        ``backward`` engines diff tables; any other engine re-runs against
+        its already-compiled schema, reported ``warmed``.  Anything that the
         delta path cannot serve (cold base, non-DTD pair, blown budgets,
         XPath calls, alphabet/behavior-shape changes) falls back to a
         plain cold check, reported in ``stats["retypecheck_mode"]``.
@@ -572,7 +492,7 @@ class Session:
                     transducer, base, method, max_tuple, **kwargs
                 )
             return self._explained(
-                "retypecheck", transducer, method,
+                "retypecheck", method,
                 lambda: self._retypecheck(
                     transducer, base, method, max_tuple, **kwargs
                 ),
@@ -589,7 +509,7 @@ class Session:
         # The route _typecheck takes, so the resolved engine (and hence
         # the reported mode) matches the run; a refused instance raises
         # the same ClassViolationError a plain typecheck would.
-        resolved = self.route(transducer, method, max_tuple)[0]
+        resolved = self.route(transducer, method, max_tuple)
         engine = get_engine(resolved)
 
         def cold(reason: str) -> TypecheckResult:
@@ -803,7 +723,7 @@ class Session:
         ``"backward"`` partitions the per-input-symbol product cells, and
         ``"auto"`` resolves through ``route(T, shardable=True)`` — the
         typecheck ladder without its unshardable rungs, so RE⁺ pairs
-        compare the forward and backward costs too.  The resolved engine
+        shard on ``backward`` like every other DTD pair.  The resolved engine
         is ``stats["shard_method"]``.  ``compute_shards(partitions,
         method)`` maps a list of key partitions to the list of their
         table snapshots under the resolved ``method`` — the worker pool
@@ -833,9 +753,7 @@ class Session:
 
         if not explain:
             return run()
-        return self._explained(
-            "typecheck_sharded", transducer, method, run, shardable=True
-        )
+        return self._explained("typecheck_sharded", method, run)
 
     def _typecheck_sharded_impl(
         self,
@@ -849,7 +767,7 @@ class Session:
         from repro.core.forward import plan_forward_shards
 
         with _trace.span("shard_plan") as plan_span:
-            method = self.route(transducer, method, max_tuple, shardable=True)[0]
+            method = self.route(transducer, method, max_tuple, shardable=True)
             engine = get_engine(method)
             if not engine.accepts_max_tuple:
                 _reject_max_tuple(method, max_tuple)

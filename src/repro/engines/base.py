@@ -18,9 +18,10 @@ NTA(NFA) backward lift, macro tree transducers) is one subclass plus one
   ``Session.typecheck_sharded`` are engine-generic, and the sharded view
   of the routing policy (``Session.route(..., shardable=True)``) skips
   every rung whose engine is not shardable;
-* ``ms_per_unit`` + ``predict_cost_ms`` enroll a complete engine in the
-  cost comparison of ``Session.route`` — the one ``method="auto"``
-  routing function — for in-trac DTD pairs (``routable = True``);
+* ``routable = True`` marks the engines ``Session.route`` — the one
+  ``method="auto"`` routing function — answers a DTD pair with when no
+  ``max_tuple`` pins ``forward``: ``replus`` on RE⁺ pairs, ``backward``
+  on the rest;
 * ``cached_tables`` / ``incremental_tables`` / ``saturate_tables`` back
   ``Session.retypecheck``'s warm edit chains (``incremental = True``);
 * ``export_state`` / ``restore_state`` and the side-file declarations
@@ -69,9 +70,9 @@ class Engine:
     #: README method-table columns (one source of truth for the docs).
     algorithm: str = ""
     applies_to: str = ""
-    #: Priced in ``Session.route``'s cost comparison (requires
-    #: ``ms_per_unit`` and the shard-cost hooks; routable engines must be
-    #: complete on every instance they support).
+    #: An engine ``Session.route`` picks for a DTD pair without
+    #: ``max_tuple`` (routable engines must be complete on every instance
+    #: they support).
     routable: bool = False
     #: Participates in the shard fan-out (``check_keys`` /
     #: ``compute_tables`` / ``merge_tables`` are implemented); the only
@@ -90,8 +91,6 @@ class Engine:
     #: shares the ``replus`` schema).  Defaults to ``name`` in
     #: ``__init_subclass__``.
     schema_slot: str = ""
-    #: Calibrated wall-milliseconds per shard-cost unit (``Session.route``).
-    ms_per_unit: Optional[float] = None
     #: Payload field of this engine's side files (``None``: the engine
     #: persists no per-transducer side files).
     side_field: Optional[str] = None
@@ -219,8 +218,8 @@ class Engine:
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     def key_costs(self, session, transducer, keys) -> List[float]:
-        """Predicted cost per check key (the LPT planner's weights and
-        ``Session.route``'s cost model)."""
+        """Predicted cost per check key (the LPT shard planner's
+        weights)."""
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     def compute_tables(
@@ -233,13 +232,6 @@ class Engine:
     def merge_tables(self, snapshots) -> Dict[str, object]:
         """Union the disjoint per-shard tables into one snapshot."""
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
-
-    def predict_cost_ms(self, session, plain) -> float:
-        """Predicted wall-milliseconds of a full run (``Session.route``)."""
-        keys = self.check_keys(session, plain)
-        return float(self.ms_per_unit) * sum(
-            self.key_costs(session, plain, keys)
-        )
 
     # ------------------------------------------------------------------
     # Incremental re-typechecking (incremental engines)
@@ -295,10 +287,8 @@ _ENGINES: "Dict[str, Engine]" = {}
 
 
 def register(engine: Engine) -> Engine:
-    """Add an engine to the registry (insertion order is significant:
-    ``Session.route`` prices, and ``Session.warm`` and the docs list,
-    engines in registration order — cost ties go to the earliest
-    registrant)."""
+    """Add an engine to the registry (insertion order is significant: the
+    docs and ``--method`` list engines in registration order)."""
     if not engine.name:
         raise ValueError("engine must declare a name")
     if engine.name in _ENGINES:
@@ -326,7 +316,8 @@ def get_engine(name: str) -> Engine:
 
 
 def routable_engines() -> List[Engine]:
-    """Engines ``Session.route``'s cost comparison chooses between."""
+    """Engines ``Session.route`` answers a DTD pair with when no
+    ``max_tuple`` pins ``forward``."""
     return [engine for engine in _ENGINES.values() if engine.routable]
 
 
@@ -348,20 +339,16 @@ def method_table_markdown() -> str:
     rendering, so the registry is the single source of truth for the
     documented method surface.
     """
-    routed = "/".join(engine.name for engine in routable_engines())
     incrementals = " and ".join(
         engine.name for engine in _ENGINES.values() if engine.incremental
     )
     rows = [
         "| method | algorithm | applies to |",
         "|---|---|---|",
-        "| `auto` | routed by `Session.route`: RE⁺ → grammar; `max_tuple` "
-        "pins forward on DTDs; in-trac DTDs → the *cheaper* "
-        f"of {routed} by calibrated cost models (output content-DFA sizes "
-        "× copying width forward, input-DFA × behavior-monoid products "
-        "backward); del-relab over tree automata → Theorem 20 (over DTDs "
-        "every del-relab transducer is in-trac); other DTD pairs → "
-        "backward fallback instead of refusing | everything below |",
+        "| `auto` | routed by `Session.route` on the schema class alone: "
+        "RE⁺ pairs → replus; `max_tuple` pins forward on DTDs; other DTD "
+        "pairs → backward; del-relab over tree automata → delrelab | "
+        "everything below |",
     ]
     for engine in _ENGINES.values():
         rows.append(

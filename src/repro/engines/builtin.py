@@ -1,8 +1,8 @@
 """The built-in engines, ported onto the :class:`~repro.engines.Engine`
 protocol.
 
-Registration order is load-bearing (see :func:`repro.engines.register`):
-``forward`` before ``backward`` keeps router ties on the paper's engine;
+Registration order is the documented method order (see
+:func:`repro.engines.register`): the paper's ``forward`` engine first;
 ``replus-witnesses`` rides on the ``replus`` schema slot; ``delrelab``
 is the only engine applicable to automaton pairs; ``bruteforce`` is the
 testing oracle.
@@ -33,18 +33,12 @@ class ForwardEngineDef(Engine):
     name = "forward"
     algorithm = "Lemma 14 forward accumulation (Theorem 15)"
     applies_to = "`T^{C,K}_trac` + DTDs"
-    routable = True
     shardable = True
     incremental = True
     accepts_max_tuple = True
     persistent = True
     side_field = "tables"
     side_strip_fields = ("transducer_tables",)
-    # Calibrated wall-clock per forward cost unit (DFA cells of the tuple
-    # fixpoint), in milliseconds — measured on the workload families
-    # (BENCH_auto.json re-derives it every run): ~33µs per unit, stable
-    # across family sizes.
-    ms_per_unit = 0.033
     explain_stat_keys = (
         "product_nodes", "reachable_pairs", "violations", "table_cache",
     )
@@ -177,9 +171,6 @@ class BackwardEngineDef(Engine):
     persistent = True
     side_field = "result"
     side_strip_fields = ("transducer_results",)
-    # ~0.2µs per backward product cell (input content-DFA states ×
-    # behavior monoid) — see the forward constant above.
-    ms_per_unit = 0.0002
     explain_stat_keys = (
         "product_nodes", "derived_pairs", "behaviors", "tracked_sigmas",
         "tracked_states", "witness_fallback", "table_cache",
@@ -305,6 +296,7 @@ class ReplusEngineDef(Engine):
     name = "replus"
     algorithm = "the Section 5 grammar algorithm (Theorem 37)"
     applies_to = "DTD(RE⁺), any transducer"
+    routable = True
     persistent = True
     explain_stat_keys = ("grammars",)
 
@@ -350,6 +342,7 @@ class ReplusWitnessesEngineDef(ReplusEngineDef):
     name = "replus-witnesses"
     algorithm = "the §6 two-witness DAG algorithm (Corollary 38)"
     schema_slot = "replus"  # shares the compiled ReplusSchema
+    routable = False  # auto answers RE⁺ pairs with plain replus
     persistent = False  # the replus engine owns the shared blob section
 
     def func(self):

@@ -2,12 +2,12 @@
 
 PR 8's metrics are process-cumulative and its spans need a trace file;
 neither answers "what did *this* query cost and why" at the call site.
-A :class:`QueryReport` does: which engine ran and what every routable
-engine's cost model predicted, cache provenance per stage, the shard
-plan with measured per-shard walls, the query's own kernel counters
-(captured with :class:`repro.obs.metrics.DeltaScope` around the run —
-the global counters are snapshotted, never forked), the retypecheck
-mode, and counterexample shape.  Reports are plain-data
+A :class:`QueryReport` does: which engine ran and its measured ms,
+cache provenance per stage, the shard plan with measured per-shard
+walls, the query's own kernel counters (captured with
+:class:`repro.obs.metrics.DeltaScope` around the run — the global
+counters are snapshotted, never forked), the retypecheck mode, and
+counterexample shape.  Reports are plain-data
 (:meth:`QueryReport.to_dict` is JSON-safe), ship over the wire as an
 optional ``explain`` response field, and render human-readable with
 :func:`render_report` (the CLI ``--explain`` view).
@@ -85,9 +85,8 @@ def kernel_section(
 class QueryReport:
     """One query's attribution record (see module docstring).
 
-    ``engines`` maps every engine the router priced to its predicted ms
-    (the engine that ran also carries ``measured_ms``); sections that do
-    not apply to the query (``shards`` on an unsharded run,
+    ``engines`` maps the engine that ran to its ``measured_ms``;
+    sections that do not apply to the query (``shards`` on an unsharded run,
     ``retypecheck`` on a plain typecheck) are ``None``.
     """
 
@@ -150,7 +149,6 @@ def build_report(
     result,
     measured_ms: float,
     scope=None,
-    predicted_ms: Optional[Mapping[str, float]] = None,
     session_source: Optional[str] = None,
     shard_kernel: Optional[List[Dict[str, int]]] = None,
 ) -> QueryReport:
@@ -166,19 +164,7 @@ def build_report(
     if engine is None:
         engine = method if method != "auto" else str(result.algorithm)
 
-    engines: Dict[str, Dict[str, float]] = {}
-    for name, cost in (predicted_ms or {}).items():
-        engines[name] = {"predicted_ms": round(float(cost), 3)}
-    prefix, suffix = "auto_", "_cost"
-    for key, value in stats.items():
-        # The router's per-decision record beats the memoized model view.
-        if key.startswith(prefix) and key.endswith(suffix):
-            name = key[len(prefix) : -len(suffix)]
-            if name and isinstance(value, (int, float)):
-                engines.setdefault(name, {})["predicted_ms"] = round(
-                    float(value), 3
-                )
-    engines.setdefault(str(engine), {})["measured_ms"] = round(measured_ms, 3)
+    engines = {str(engine): {"measured_ms": round(measured_ms, 3)}}
 
     cache: Dict[str, Any] = {}
     if session_source:
@@ -253,8 +239,6 @@ def render_report(data: Mapping[str, Any]) -> str:
         for name in sorted(engines):
             values = engines[name]
             bits = []
-            if "predicted_ms" in values:
-                bits.append(f"predicted {values['predicted_ms']} ms")
             if "measured_ms" in values:
                 bits.append(f"measured {values['measured_ms']} ms")
             ran = " (ran)" if name == data.get("engine") else ""

@@ -101,7 +101,11 @@ class TestCLI:
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PYTHONDONTWRITEBYTECODE": "1",
+                "PATH": "/usr/bin:/bin",
+            },
             timeout=120,
         )
 

@@ -138,34 +138,32 @@ class TestShardPlanner:
 
 
 class TestAutoResolution:
-    def test_auto_resolves_per_cost_model(self):
-        """The sharded route (``route(T, shardable=True)``) follows the
-        calibrated cost models: both workload families predict (and
-        measure) cheaper backward runs, and a huge input-content DFA
-        against a huge tracked output alphabet blows the backward product
-        up enough to route forward."""
+    def test_auto_resolves_by_schema_class(self):
+        """The sharded route (``route(T, shardable=True)``) is the
+        schema-class ladder: every DTD pair shards on backward, RE⁺ ones
+        included (replus cannot shard), unless ``max_tuple`` pins
+        forward."""
         transducer, din, dout, _ = nd_bc_family(8)
         session = Session(din, dout, eager=False)
-        assert session.route(transducer, shardable=True)[0] == "backward"
-        # The escape hatch overrides the comparison.
+        assert din.kind == dout.kind == "RE+"
+        assert session.route(transducer) == "replus"
+        assert session.route(transducer, shardable=True) == "backward"
         assert session.route(
             transducer, max_tuple=4, shardable=True
-        )[0] == "forward"
+        ) == "forward"
 
         wide_t, wide_din, wide_dout, _ = wide_copy_family(6)
         wide_session = Session(wide_din, wide_dout, eager=False)
-        assert wide_session.route(wide_t, shardable=True)[0] == "backward"
+        assert wide_session.route(wide_t, shardable=True) == "backward"
         assert wide_session.route(
             wide_t, max_tuple=4, shardable=True
-        )[0] == "forward"
+        ) == "forward"
         with pytest.raises(ValueError, match="unknown shard method"):
             wide_session.route(wide_t, method="magic", shardable=True)
 
-    def test_large_product_prediction_routes_forward(self):
-        """The comparison goes both ways: a long input chain × a long
-        tracked output chain makes every backward product cell count
-        ``n_in_states × n_out_states`` while the copy-free forward
-        fixpoint stays linear, so auto picks forward."""
+    def test_wide_chain_routes_without_compiling(self):
+        """Routing reads the schema class only: a 400-wide chain routes
+        without building any engine's schema or analysing ``T``."""
         from repro.schemas.dtd import DTD
         from repro.transducers.transducer import TreeTransducer
 
@@ -183,7 +181,9 @@ class TestAutoResolution:
             ),
         )
         session = Session(din, din, eager=False)
-        assert session.route(transducer, shardable=True)[0] == "forward"
+        assert session.route(transducer) == "replus"
+        assert session.route(transducer, shardable=True) == "backward"
+        assert session._schemas == {} and len(session._analyses) == 0
 
     def test_auto_sharded_run_reports_resolved_method(self):
         import repro

@@ -7,12 +7,13 @@ against the explicit engines:
 
 * the routed engine is recorded in ``stats["auto_method"]`` and matches
   ``result.algorithm``;
-* in-tractability DTD instances are routed by the two key-cost models
-  (both recorded) and the routed verdict is bit-identical to *both*
-  explicit complete engines;
-* instances outside every ``T^{C,K}_trac`` — where ``method="forward"``
-  still raises :class:`~repro.errors.ClassViolationError` — are degraded
-  to the backward engine instead of refused;
+* RE⁺ pairs run ``replus`` and every other DTD pair runs ``backward``,
+  whatever the transducer;
+* on in-tractability instances the routed verdict is bit-identical to
+  *both* explicit complete engines;
+* on instances outside every ``T^{C,K}_trac`` — where
+  ``method="forward"`` raises :class:`~repro.errors.ClassViolationError`
+  — the backward verdict stands alone;
 * rejecting verdicts carry verifying counterexamples.
 """
 
@@ -41,8 +42,9 @@ def test_auto_routes_and_matches_explicit_engines(chunk):
         transducer, din, dout = seeded_instance(seed)
         result = repro.typecheck(transducer, din, dout)
         method = result.stats.get("auto_method")
-        assert method in ("replus", "forward", "backward", "delrelab"), (
-            f"seed {seed}: unrecorded route {method!r}"
+        replus_pair = din.kind == dout.kind == "RE+"
+        assert method == ("replus" if replus_pair else "backward"), (
+            f"seed {seed}: routed {method!r}"
         )
         assert result.algorithm == method, f"seed {seed}"
         if not result.typechecks:
@@ -52,23 +54,15 @@ def test_auto_routes_and_matches_explicit_engines(chunk):
         if method == "replus":
             continue
         if _in_trac(transducer):
-            # Both complete engines apply: the route is the cost
-            # comparison, and whichever engine ran must agree with both
-            # explicit ones.
-            if method in ("forward", "backward"):
-                fcost = result.stats["auto_forward_cost"]
-                bcost = result.stats["auto_backward_cost"]
-                assert (method == "forward") == (fcost <= bcost), (
-                    f"seed {seed}: routed {method} with costs {fcost}/{bcost}"
-                )
+            # Both complete engines apply: the routed verdict must agree
+            # with both explicit ones.
             forward = typecheck_forward(transducer, din, dout)
             backward = typecheck_backward(transducer, din, dout)
             assert forward.typechecks == backward.typechecks, f"seed {seed}"
             assert result.typechecks == forward.typechecks, f"seed {seed}"
         else:
-            # The forward engine refuses the class; auto must degrade to
-            # the complete backward engine, never raise.
-            assert method == "backward", f"seed {seed}: routed {method}"
+            # The forward engine refuses the class; auto's backward run
+            # answers instead of raising.
             with pytest.raises(ClassViolationError):
                 repro.typecheck(transducer, din, dout, method="forward")
             backward = typecheck_backward(transducer, din, dout)
@@ -77,10 +71,9 @@ def test_auto_routes_and_matches_explicit_engines(chunk):
 
 def _wide_copy_non_replus():
     """A wide-copying in-tractability instance whose DTDs are *not*
-    DTD(RE+) (optional factors), so auto reaches the forward/backward
-    cost comparison instead of the grammar algorithm — and the ``m = 4``
-    tuple seeds against a multi-state output content DFA make the
-    comparison prefer backward."""
+    DTD(RE+) (optional factors), so auto runs backward instead of the
+    grammar algorithm — where the ``m = 4`` tuple seeds against a
+    multi-state output content DFA would make forward expensive."""
     from repro.schemas.dtd import DTD
     from repro.transducers.transducer import TreeTransducer
 
@@ -93,13 +86,13 @@ def _wide_copy_non_replus():
     return transducer, din, dout
 
 
-def test_cost_comparison_routes_wide_copying_backward():
+def test_auto_routes_wide_copying_backward():
     transducer, din, dout = _wide_copy_non_replus()
     result = repro.typecheck(transducer, din, dout)
     assert result.stats["auto_method"] == "backward"
     assert (
-        result.stats["auto_backward_cost"]
-        < result.stats["auto_forward_cost"]
+        typecheck_forward(transducer, din, dout).typechecks
+        == result.typechecks
     )
     explicit = typecheck_backward(transducer, din, dout)
     assert result.typechecks == explicit.typechecks
@@ -108,9 +101,9 @@ def test_cost_comparison_routes_wide_copying_backward():
 
 
 def test_max_tuple_still_forces_forward():
-    """The escape hatch bypasses the cost comparison entirely: with
-    ``max_tuple`` given, auto always runs the (budgeted) forward engine,
-    even on instances the comparison would route backward."""
+    """The escape hatch: with ``max_tuple`` given, auto always runs the
+    (budgeted) forward engine on a DTD pair it would otherwise route
+    backward."""
     transducer, din, dout = _wide_copy_non_replus()
     plain_auto = repro.typecheck(transducer, din, dout)
     assert plain_auto.stats["auto_method"] == "backward"

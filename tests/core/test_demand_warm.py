@@ -1,9 +1,9 @@
 """An eager session compiles what an auto query on its pair reads.
 
-``Session.warm`` builds the slots that ``Session.route(None)`` names —
-``replus`` alone on RE⁺ pairs, the routable engines on other DTD pairs,
-``delrelab`` on automaton pairs — and each slot compiles only its
-transducer-independent artifacts.  Eager and lazy sessions must still
+``Session.warm`` builds the one slot that ``Session.route(None)`` names —
+``replus`` on RE⁺ pairs, ``backward`` on other DTD pairs, ``delrelab`` on
+automaton pairs — and that slot compiles only its transducer-independent
+artifacts.  Eager and lazy sessions must still
 answer identically: the 200 differential seeds and every family template
 of the end-to-end benchmark's ``cold_pairs`` workload, both polarities.
 """
@@ -28,8 +28,7 @@ FAMILY_SIZES = {
 
 
 def _pair_slots(session):
-    choice, reachable = session.route(None)
-    return {choice} if choice is not None else set(reachable)
+    return {session.route(None)}
 
 
 @pytest.fixture()
@@ -57,17 +56,17 @@ def test_replus_pair_builds_only_the_grammar_engine(completions):
     assert session._replus._witness_dags == {}
 
 
-def test_regex_pair_builds_the_routable_engines_without_completions(
-    completions,
-):
+def test_regex_pair_builds_only_backward_without_completions(completions):
     transducer, din, dout, expected = families.filtering_family(16)
+    assert din.kind != "RE+"
     session = repro.compile(din, dout, reuse=False)
     assert {slot for slot, _variant in session._schemas} == {
-        "forward", "backward",
+        "backward",
     } == _pair_slots(session)
     assert completions == []
-    assert session._forward.compiled and session._backward.compiled
+    assert session._backward.compiled and session._forward is None
     assert session.typecheck(transducer).typechecks == expected
+    assert {slot for slot, _variant in session._schemas} == {"backward"}
 
 
 def test_automaton_pair_builds_only_delrelab():

@@ -33,8 +33,7 @@ def test_registration_order_is_the_documented_method_surface():
         "forward", "backward", "replus", "replus-witnesses", "delrelab",
         "bruteforce",
     )
-    # Router ties go to the earliest registrant: forward must come first.
-    assert [e.name for e in routable_engines()] == ["forward", "backward"]
+    assert [e.name for e in routable_engines()] == ["backward", "replus"]
     assert [e.name for e in shardable_engines()] == ["forward", "backward"]
 
 
@@ -62,10 +61,22 @@ def test_allowed_kwargs_lookup_is_memoized():
     assert "tables" not in get_engine("backward").allowed_kwargs()
 
 
-def test_routable_engines_declare_cost_models():
+def test_routable_engines_are_what_auto_picks_on_dtd_pairs():
+    """``routable`` marks the engines ``Session.route`` answers a DTD pair
+    with when no ``max_tuple`` pins forward: one per schema class."""
+    regex_t, regex_din, regex_dout, _ = relabeling_family(2)
+    replus_t, replus_din, replus_dout, _ = replus_family(2)
+    assert regex_din.kind != "RE+" and replus_din.kind == "RE+"
+    picked = [
+        repro.compile(din, dout, eager=False).route(transducer)
+        for transducer, din, dout in (
+            (regex_t, regex_din, regex_dout),
+            (replus_t, replus_din, replus_dout),
+        )
+    ]
+    assert picked == [e.name for e in routable_engines()]
     for engine in routable_engines():
-        assert engine.ms_per_unit is not None and engine.ms_per_unit > 0
-        assert engine.shardable  # the router prices via the shard keys
+        assert engine.supports(replus_din, replus_dout) is True
 
 
 def test_shared_schema_slots_resolve_to_one_context():

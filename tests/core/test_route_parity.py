@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.core.session import Session
-from repro.engines import get_engine, routable_engines
+from repro.engines import get_engine
 from repro.errors import ClassViolationError
 from repro.schemas.dtd import DTD
 from repro.service import WorkerPool, protocol
@@ -113,7 +113,7 @@ def _sequential_shards(session, transducer):
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_every_entry_point_reads_the_route(group):
     for name, transducer, din, dout, base in GROUPS[group]():
-        engine = Session(din, dout, eager=False).route(transducer)[0]
+        engine = Session(din, dout, eager=False).route(transducer)
 
         result = Session(din, dout, eager=False).typecheck(transducer)
         assert result.stats["auto_method"] == engine, name
@@ -142,35 +142,48 @@ def test_every_entry_point_reads_the_route(group):
             assert sharded.typechecks == result.typechecks, name
 
 
-def test_sharded_replus_pairs_keep_the_cost_choice():
+def _ladder(din, dout, shardable):
+    """The engine the schema-class ladder names for an auto query."""
+    if not isinstance(din, DTD):
+        return "delrelab"
+    if din.kind == dout.kind == "RE+" and not shardable:
+        return "replus"
+    return "backward"
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_auto_routes_by_schema_class_alone(group):
+    """Every instance of the set routes by its schema class: RE⁺ pairs
+    to ``replus`` (``backward`` in the sharded view, since replus cannot
+    shard), every other DTD pair to ``backward`` in both views, and the
+    del-relab transducers over automaton pairs to ``delrelab``, whatever
+    the transducer."""
+    for name, transducer, din, dout, _base in GROUPS[group]():
+        session = Session(din, dout, eager=False)
+        assert session.route(transducer) == _ladder(din, dout, False), name
+        if isinstance(din, DTD):
+            assert session.route(transducer, shardable=True) == _ladder(
+                din, dout, True
+            ), name
+
+
+def test_sharded_replus_pairs_route_backward():
     """RE⁺ pairs route to ``replus`` unsharded; the sharded view skips
-    that rung (``replus`` cannot shard) and compares the forward and
-    backward cost models, as it did before the ladders were merged."""
+    that rung (``replus`` cannot shard) and runs ``backward``."""
     checked = 0
     for name, transducer, din, dout, _ in _families():
         if not (din.kind == dout.kind == "RE+"):
             continue
         session = Session(din, dout, eager=False)
-        assert session.route(transducer) == ("replus", {}), name
-        choice, costs = session.route(transducer, shardable=True)
-        assert set(costs) == {e.name for e in routable_engines()}, name
-        assert choice == min(costs, key=costs.get), name
-        for engine_name, cost in costs.items():
-            assert cost == get_engine(engine_name).predict_cost_ms(
-                session, transducer
-            ), name
+        assert session.route(transducer) == "replus", name
+        assert session.route(transducer, shardable=True) == "backward", name
         sharded = session.typecheck_sharded(
             transducer, _sequential_shards(session, transducer),
             shards=2, method="auto",
         )
-        assert sharded.stats["shard_method"] == choice, name
+        assert sharded.stats["shard_method"] == "backward", name
         checked += 1
     assert checked >= 10
-    # The calibrated models pick backward on nd_bc (see BENCH_auto.json).
-    transducer, din, dout, _ = families.nd_bc_family(8)
-    assert Session(din, dout, eager=False).route(
-        transducer, shardable=True
-    )[0] == "backward"
 
 
 def test_sharded_view_refuses_tree_automata():
@@ -178,7 +191,7 @@ def test_sharded_view_refuses_tree_automata():
     session = Session(
         repro.dtd_to_nta(din), repro.dtd_to_dtac(dout), eager=False
     )
-    assert session.route(transducer)[0] == "delrelab"
+    assert session.route(transducer) == "delrelab"
     with pytest.raises(ClassViolationError, match="needs DTD schemas"):
         session.route(transducer, shardable=True)
     with pytest.raises(ValueError, match="unknown shard method"):
@@ -210,7 +223,7 @@ def test_session_tests_the_schema_classes_only_inside_route():
     visit(tree, None)
     assert offenders == []
     for gone in ("shard_method", "_resolve_auto", "_auto_choice",
-                 "_predicted_costs", "_run_auto"):
+                 "_predicted_costs", "_run_auto", "_auto_routes"):
         assert not hasattr(Session, gone), gone
 
 
@@ -232,7 +245,7 @@ def test_pool_sharded_auto_matches_the_route(pool, family, n):
     )
     engine = Session(din, dout, eager=False).route(
         transducer, shardable=True
-    )[0]
+    )
     result = pool.typecheck_sharded(din, dout, transducer, shards=2)
     assert result.stats["shard_method"] == engine
     assert result.typechecks == expected

@@ -51,6 +51,5 @@ def test_memos_hold_at_most_their_bound(monkeypatch):
     for transducer in variants:
         session.typecheck(transducer)
     assert len(session._analyses) == 3
-    assert len(session._auto_routes) == 3
     # The evicted oldest transducer is recomputed, with the same verdict.
     assert session.typecheck(variants[0]).typechecks

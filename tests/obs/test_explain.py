@@ -114,23 +114,16 @@ class TestQueryReport:
         result = session.typecheck(transducer)
         assert result.report is None
 
-    def test_auto_routed_query_reports_every_engines_prediction(self):
-        """A DTD pair + in-trac transducer goes through the cost router;
-        the report must carry each routable engine's predicted ms.
-        (``nd_bc_family`` pairs are RE+ — auto short-circuits to replus
-        there and no cost prediction exists — so use the DTD family.)"""
+    def test_report_carries_only_the_engine_that_ran(self):
+        """Auto routes by schema class and prices nothing, so a regex
+        DTD pair's report names ``backward`` alone, measured."""
         clear_registry()
         transducer, din, dout, _ = filtering_family(5)
         session = Session(din, dout, eager=False)
-        result = session.typecheck(transducer, method="forward", explain=True)
-        report = result.report
-        predicted = {
-            name: values
-            for name, values in report.engines.items()
-            if "predicted_ms" in values
-        }
-        assert "forward" in predicted and "backward" in predicted
-        assert all(v["predicted_ms"] >= 0 for v in predicted.values())
+        report = session.typecheck(transducer, explain=True).report
+        assert report.engine == "backward"
+        assert set(report.engines) == {"backward"}
+        assert set(report.engines["backward"]) == {"measured_ms"}
 
     def test_sharded_explain_carries_plan_and_per_shard_kernel(self):
         clear_registry()

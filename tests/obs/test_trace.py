@@ -134,65 +134,6 @@ class TestContextTransport:
         assert record["attrs"] == {"op": "x"}
 
 
-class TestRouterAudit:
-    def test_record_and_read_back(self, sink):
-        from repro.obs import record_router_decision, router_audit
-
-        record_router_decision(
-            "backward", 0.9,
-            predicted_ms={"forward": 12.5, "backward": 0.4},
-            transducer="cafe",
-        )
-        entries = router_audit()
-        assert entries and entries[-1]["choice"] == "backward"
-        assert entries[-1]["predicted_forward_ms"] == 12.5
-        assert entries[-1]["predicted_backward_ms"] == 0.4
-        assert entries[-1]["actual_ms"] == 0.9
-        # the decision also lands in the trace sink as an audit record
-        kinds = [json.loads(l).get("kind") for l in sink.read_text().splitlines()]
-        assert "router_audit" in kinds
-
-    def test_auto_typecheck_populates_audit(self, sink):
-        import repro
-        from repro.core.session import clear_registry
-        from repro.obs import router_audit
-        from repro.service.protocol import load_instance
-
-        # The paper's Example 10/11 instance: an in-trac DTD pair that the
-        # auto policy routes by the forward/backward cost models (replus
-        # and delrelab shortcut instances never consult the router).
-        instance = """start book
-book -> title author+ chapter+
-chapter -> title intro section+
-section -> title paragraph+ section*
----
-initial q states q
-q, book -> book(q)
-q, chapter -> chapter q
-q, title -> title
-q, section -> q
----
-start book
-book -> title (chapter title+)*
-"""
-        transducer, din, dout = load_instance(instance)
-        clear_registry()
-        # earlier tests may have filled the bounded audit ring, where a
-        # new entry no longer changes len() — start from an empty ring
-        from repro import obs
-
-        obs._ROUTER_AUDIT.clear()
-        result = repro.typecheck(transducer, din, dout, method="auto")
-        entries = router_audit()
-        assert entries
-        latest = entries[-1]
-        assert latest["choice"] in ("forward", "backward")
-        assert latest["choice"] == result.algorithm
-        assert latest["predicted_forward_ms"] >= 0
-        assert latest["predicted_backward_ms"] >= 0
-        assert latest["actual_ms"] >= 0
-
-
 class TestLineSink:
     def test_partial_os_write_is_resumed(self, tmp_path, monkeypatch):
         """A short write (pipe/full-disk semantics) must not tear a line."""

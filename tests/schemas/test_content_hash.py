@@ -88,7 +88,11 @@ class TestCrossProcessStability:
                 [sys.executable, "-c", script],
                 capture_output=True,
                 text=True,
-                env={"PYTHONPATH": src, "PYTHONHASHSEED": "random"},
+                env={
+                    "PYTHONPATH": src,
+                    "PYTHONHASHSEED": "random",
+                    "PYTHONDONTWRITEBYTECODE": "1",
+                },
             )
             assert run.returncode == 0, run.stderr
             outs.add(run.stdout.strip())

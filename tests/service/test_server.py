@@ -144,6 +144,7 @@ class TestServeCommand:
             text=True,
             env={
                 "PYTHONPATH": str(repo_src),
+                "PYTHONDONTWRITEBYTECODE": "1",
                 "PATH": "/usr/bin:/bin",
                 "HOME": str(tmp_path),
             },
@@ -184,6 +185,7 @@ class TestServeCommand:
             text=True,
             env={
                 "PYTHONPATH": str(repo_src),
+                "PYTHONDONTWRITEBYTECODE": "1",
                 "PATH": "/usr/bin:/bin",
                 "HOME": str(tmp_path),
             },

@@ -185,42 +185,3 @@ class TestExplainFlag:
         good = self._write(tmp_path, "good.txt", GOOD)
         assert main([good]) == 0
         assert "explain:" not in capsys.readouterr().out
-
-
-class TestCalibrateCommand:
-    def test_reads_router_audit_and_slow_log_shapes(self, tmp_path, capsys):
-        import json
-
-        telemetry = tmp_path / "telemetry.jsonl"
-        records = [
-            # --trace shape: a router_audit record.
-            {"kind": "router_audit", "choice": "forward",
-             "actual_ms": 6.0, "predicted_forward_ms": 3.0,
-             "predicted_backward_ms": 9.0},
-            # slow-query-log shape: an explain entry.
-            {"op": "typecheck", "elapsed_ms": 8.0,
-             "explain": {"engine": "forward", "engines": {
-                 "forward": {"predicted_ms": 4.0, "measured_ms": 8.0}}}},
-            # Interleaved noise must be skipped, not fatal.
-            {"kind": "span", "name": "fixpoint"},
-            "not even a dict",
-        ]
-        telemetry.write_text(
-            "\n".join(json.dumps(r) for r in records) + "\nnot json\n",
-            encoding="utf-8",
-        )
-        assert main(["calibrate", str(telemetry)]) == 0
-        out = capsys.readouterr().out
-        # Both samples have ratio 2.0 — the proposed rate doubles.
-        assert "forward: n=2 median=2.000" in out
-        assert "ms_per_unit: current=0.033 proposed=0.066" in out
-
-    def test_no_samples_exits_one(self, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("", encoding="utf-8")
-        assert main(["calibrate", str(empty)]) == 1
-        assert "no calibration samples" in capsys.readouterr().out
-
-    def test_usage_errors(self, tmp_path, capsys):
-        assert main(["calibrate"]) == 2
-        assert main(["calibrate", str(tmp_path / "missing.jsonl")]) == 2
