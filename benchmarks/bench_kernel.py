@@ -41,13 +41,14 @@ speedups are hardware-bound: the file records ``cpu_count`` and the smoke
 gate adapts (on a single-CPU runner it only asserts bounded pool overhead
 and correctness; with >= 2 CPUs it requires a real 2-worker speedup).
 
-The *incremental* family (PR 7) races ``Session.retypecheck`` — the
-incremental re-check behind the ``repro.updates`` edit-script workloads —
-against from-scratch re-checks of the same single-rule edits on the
+The *incremental* family times ``Session.retypecheck`` — the warm
+re-check behind the ``repro.updates`` edit-script workloads, a plain
+``method="auto"`` query on a compiled session — against a fresh
+session's compile plus check of the same single-rule edits on the
 edit-arm family, asserting verdict parity with a cold session on both
 polarities of every edit, and writes ``BENCH_incremental.json``; the
-smoke gate requires the incremental path to beat the from-scratch
-re-check by a real margin.
+smoke gate requires the warm re-check to beat the fresh session by a
+real margin.
 
 The *obs* family (PR 8) prices the ``repro.obs`` telemetry layer on the
 ``nd_bc`` forward family: ``plain_s`` patches the span seam out entirely
@@ -67,8 +68,10 @@ Usage::
 
     python benchmarks/bench_kernel.py            # full run
     python benchmarks/bench_kernel.py --only incremental,session
-                                                 # refresh two families,
-                                                 # keep other sections
+                                                 # re-time the warm edit
+                                                 # re-check and the session
+                                                 # family, keep the other
+                                                 # sections
     python benchmarks/bench_kernel.py --smoke    # CI guard: fails (exit 1)
                                                  # if the kernel is slower
                                                  # than the baseline on the
@@ -77,9 +80,9 @@ Usage::
                                                  # cold setup, the worker
                                                  # pool misses its
                                                  # (cpu-adaptive) gate,
-                                                 # incremental re-checking
-                                                 # fails to beat
-                                                 # from-scratch, or cold
+                                                 # a warm edit re-check
+                                                 # fails to beat a fresh
+                                                 # session, or cold
                                                  # compile scales worse
                                                  # than 8x from nd_bc(64)
                                                  # to nd_bc(256)
@@ -155,10 +158,9 @@ OBS_SMOKE_MAX_OVERHEAD = 1.05
 # read 0.88x-1.30x for unchanged code, which no 5% bound can resolve.
 OBS_SAMPLE_S = 0.05
 OBS_MIN_SAMPLES = 41
-# Incremental re-check gate: after a single-rule edit the retypecheck path
-# must beat a from-scratch re-check of the edited transducer on an
-# equally schema-warmed session.  Locally the edit-arm family re-checks at
-# ~0.3x of from-scratch; 0.8x keeps the gate meaningful without flaking.
+# Warm edit re-check gate: after a single-rule edit, ``retypecheck`` on
+# the compiled session must beat a fresh session's compile plus check of
+# the edited transducer; 0.8x keeps the gate meaningful without flaking.
 INCREMENTAL_SMOKE_MAX_RATIO = 0.8
 # Linear-compile gate: eager compile plus the first auto query on a fresh
 # nd_bc(256) pair may take at most this multiple of nd_bc(64).  The chain
@@ -872,23 +874,21 @@ def bench_service_shard(results, n: int, repeat: int, shards: int) -> None:
 
 
 def bench_incremental(results, sizes, repeat: int) -> None:
-    """``Session.retypecheck`` vs from-scratch on single-rule edits.
+    """Warm ``Session.retypecheck`` vs a fresh session on single-rule edits.
 
-    The edit-arm family isolates one arm per edit: the incremental path
-    diffs the edited rule set against the base, keeps every fixpoint cell
-    independent of the touched arm, and recomputes only the rest.  Before
-    any timing, every edit (both polarities) is re-checked incrementally
-    *and* by a cold session, and the verdicts must agree — an incremental
-    path that drifts from from-scratch is a correctness failure, not a
-    data point.
+    The edit-arm family changes one arm's rules per edit.  Before any
+    timing, every edit (both polarities) is re-checked on the warm
+    session *and* by a cold session, and the verdicts must agree — a
+    re-check that drifts from a cold check is a correctness failure, not
+    a data point.
 
     Each timing repetition re-checks a *distinct* edited transducer
-    (fresh content hash, different arm) so neither side is served by the
-    per-transducer table cache.  ``scratch_s`` is the honest baseline: a
-    full re-check on an equally schema-warmed session; ``cold_s`` also
-    pays fresh session construction.  ``method="forward"`` is pinned —
-    auto routes this family to the backward engine, and the gate scores
-    the forward incremental path specifically.
+    (fresh content hash, different arm) so the warm session's
+    per-transducer result cache never answers it.  ``retypecheck_s`` is
+    the ``method="auto"`` re-check on a session that already checked the
+    base; ``cold_s`` builds a fresh session over freshly parsed schemas
+    and checks the same edit, so it pays the schema compile the warm
+    session amortizes.  ``incremental_over_cold`` is their ratio.
     """
     from repro.workloads.updates import edit_arm_pair, edit_arm_transducer
 
@@ -897,68 +897,47 @@ def bench_incremental(results, sizes, repeat: int) -> None:
         base = edit_arm_transducer(arms)
 
         parity = Session(din, dout)
-        assert parity.typecheck(base, method="forward").typechecks
-        modes = set()
+        assert parity.typecheck(base).typechecks
         for i in range(arms):
             for variant, expected in (("safe", True), ("unsafe", False)):
                 edited = edit_arm_transducer(arms, edited=i, variant=variant)
-                inc = parity.retypecheck(edited, base, method="forward")
-                cold = Session(din, dout).typecheck(edited, method="forward")
-                assert inc.typechecks == cold.typechecks == expected, (
+                warm_result = parity.retypecheck(edited, base)
+                cold = Session(*edit_arm_pair(arms)).typecheck(edited)
+                assert warm_result.typechecks == cold.typechecks == expected, (
                     arms, i, variant,
                 )
-                modes.add(inc.stats["retypecheck_mode"])
-        assert "incremental" in modes, modes
 
-        # Fresh sessions for timing: ``parity`` has every edit's tables
-        # cached, which would turn the timed re-checks into cache hits.
+        # A fresh warm session for timing: ``parity`` has every edit's
+        # result cached, which would turn the timed re-checks into hits.
         warm = Session(din, dout)
-        assert warm.typecheck(base, method="forward").typechecks
-        scratch = Session(din, dout)
-        assert scratch.typecheck(base, method="forward").typechecks
+        assert warm.typecheck(base).typechecks
         variants = [
             edit_arm_transducer(arms, edited=i % arms, variant="safe")
             for i in range(min(repeat, arms))
         ]
+        fresh_pairs = [edit_arm_pair(arms) for _ in variants]
 
-        def timed(run) -> float:
-            times = []
-            for edited in variants:
-                start = time.perf_counter()
-                run(edited)
-                times.append(time.perf_counter() - start)
-            return min(times)
-
-        incremental_s = timed(
-            lambda e: warm.retypecheck(e, base, method="forward")
-        )
-        scratch_s = timed(lambda e: scratch.typecheck(e, method="forward"))
-        cold_s = timed(
-            lambda e: Session(din, dout).typecheck(e, method="forward")
-        )
-        detail = warm.retypecheck(
-            edit_arm_transducer(arms, edited=0, variant="unsafe"), base,
-            method="forward",
-        ).stats.get("retypecheck", {})
+        # Each edit is timed on both sides back to back, so a drift in the
+        # host's speed moves both samples alike.
+        warm_times, cold_times = [], []
+        for edited, pair in zip(variants, fresh_pairs):
+            start = time.perf_counter()
+            warm.retypecheck(edited, base)
+            mid = time.perf_counter()
+            Session(*pair).typecheck(edited)
+            warm_times.append(mid - start)
+            cold_times.append(time.perf_counter() - mid)
+        retypecheck_s, cold_s = min(warm_times), min(cold_times)
         results.append(
             {
                 "group": "incremental",
                 "name": f"edit_arm({arms})",
                 "family": "edit_arm",
                 "n": arms,
-                "incremental_s": incremental_s,
-                "scratch_s": scratch_s,
+                "engine": warm.route(base),
+                "retypecheck_s": retypecheck_s,
                 "cold_s": cold_s,
-                "incremental_over_scratch": incremental_s / scratch_s,
-                "incremental_over_cold": incremental_s / cold_s,
-                "modes": sorted(modes),
-                "reuse": {
-                    key: detail.get(key)
-                    for key in (
-                        "changed_states", "dirty_states", "reused_hedge",
-                        "reachable_hedge", "reused_tree", "reachable_tree",
-                    )
-                },
+                "incremental_over_cold": retypecheck_s / cold_s,
             }
         )
 
@@ -1106,8 +1085,8 @@ def main(argv=None) -> int:
                         help="small sizes; exit 1 if the kernel is slower "
                              "than the baseline on the smoke family, a "
                              "warm session fails to beat cold setup, or "
-                             "incremental re-checking fails to beat "
-                             "from-scratch")
+                             "a warm edit re-check fails to beat a fresh "
+                             "session")
     parser.add_argument("--only", action="append", metavar="FAMILY",
                         help="run only these bench families (repeatable or "
                              f"comma-separated; choices: {', '.join(FAMILIES)}"
@@ -1344,19 +1323,20 @@ def main(argv=None) -> int:
         }
 
     def incremental_summary(rows):
-        worst = max(rows, key=lambda r: r["incremental_over_scratch"])
+        worst = max(rows, key=lambda r: r["incremental_over_cold"])
         return {
             "note": (
-                "incremental_over_scratch is Session.retypecheck's wall "
-                "time over a from-scratch re-check of the same single-rule "
-                "edit on an equally schema-warmed session "
-                "(incremental_over_cold races a fresh session instead); "
-                "verdict parity with a cold session is asserted on both "
-                "polarities of every edit before timing; the smoke gate "
-                f"bounds the worst ratio at {INCREMENTAL_SMOKE_MAX_RATIO}x"
+                "incremental_over_cold is the method='auto' "
+                "Session.retypecheck of a single-rule edit on a session "
+                "that already checked the base, over a fresh session's "
+                "compile plus check of the same edit on freshly parsed "
+                "schemas; verdict parity with a cold session is asserted "
+                "on both polarities of every edit before timing; the "
+                "smoke gate bounds the worst ratio at "
+                f"{INCREMENTAL_SMOKE_MAX_RATIO}x"
             ),
             "worst_family": worst["name"],
-            "worst_incremental_over_scratch": worst["incremental_over_scratch"],
+            "worst_incremental_over_cold": worst["incremental_over_cold"],
         }
 
     def obs_summary(rows):
@@ -1467,10 +1447,10 @@ def main(argv=None) -> int:
             )
     for r in incremental_results:
         print(
-            f"{r['name']:<{width}}  scratch  {r['scratch_s'] * 1e3:8.2f} ms"
-            f"  incr   {r['incremental_s'] * 1e3:8.2f} ms"
-            f"  ratio  {r['incremental_over_scratch']:6.2f}x"
-            f"  (vs cold {r['incremental_over_cold']:.2f}x)"
+            f"{r['name']:<{width}}  cold     {r['cold_s'] * 1e3:8.2f} ms"
+            f"  warm   {r['retypecheck_s'] * 1e3:8.2f} ms"
+            f"  ratio  {r['incremental_over_cold']:6.2f}x"
+            f"  ({r['engine']})"
         )
     for r in obs_results:
         print(
@@ -1641,13 +1621,13 @@ def main(argv=None) -> int:
                 )
                 failed = True
         for row in incremental_results:
-            if row["incremental_over_scratch"] > INCREMENTAL_SMOKE_MAX_RATIO:
+            if row["incremental_over_cold"] > INCREMENTAL_SMOKE_MAX_RATIO:
                 print(
-                    f"SMOKE FAILURE: incremental re-check does not beat "
-                    f"from-scratch on {row['name']} "
-                    f"({row['incremental_s'] * 1e3:.2f} ms vs "
-                    f"{row['scratch_s'] * 1e3:.2f} ms; ratio "
-                    f"{row['incremental_over_scratch']:.2f}x > "
+                    f"SMOKE FAILURE: warm edit re-check does not beat a "
+                    f"fresh session on {row['name']} "
+                    f"({row['retypecheck_s'] * 1e3:.2f} ms vs "
+                    f"{row['cold_s'] * 1e3:.2f} ms; ratio "
+                    f"{row['incremental_over_cold']:.2f}x > "
                     f"{INCREMENTAL_SMOKE_MAX_RATIO}x)",
                     file=sys.stderr,
                 )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""XML-update validation and incremental re-typechecking, end to end.
+"""XML-update validation and edit-chain re-checking, end to end.
 
 The ``repro.updates`` workload class: an edit script (insert / delete /
 rename / wrap ops, optionally guarded by the parent label) is compiled
@@ -13,9 +13,9 @@ transducer — "does this update keep every valid document valid?"
 3. the same script applied directly to a tree (``apply_script`` and the
    compiled transducer agree by construction);
 4. a chain of single-rule edits re-checked with ``Session.retypecheck``
-   — the incremental engine diffs each edit against the previous
-   transducer and recomputes only the fixpoint cells that depend on the
-   touched rules (watch ``reused``/``reachable`` in the stats).
+   — each link is a plain warm query on the compiled session, and the
+   link back to the base is answered from the result cache (watch
+   ``table_cache`` in the stats).
 
 Run:  python examples/update_validation.py
 """
@@ -76,24 +76,31 @@ def main() -> int:
     compiled = compile_script(safe_script(), din.alphabet)
     assert compiled.apply(doc) == updated  # compiler and interpreter agree
 
-    print("\nincremental re-checks over a chain of single-rule edits:")
+    print("\nwarm re-checks over a chain of single-rule edits:")
     arms = 8
     din, dout = edit_arm_pair(arms)
     session = Session(din, dout)
     base = edit_arm_transducer(arms)
-    result = session.typecheck(base, method="forward")
-    print(f"  base: typechecks={result.typechecks} (full forward fixpoint)")
-    for i, variant in ((1, "safe"), (3, "safe"), (5, "unsafe")):
-        edited = edit_arm_transducer(arms, edited=i, variant=variant)
-        result = session.retypecheck(edited, base, method="forward")
-        detail = result.stats["retypecheck"]
+    result = session.typecheck(base)
+    print(
+        f"  {'base':19s}: typechecks={result.typechecks!s:5s}"
+        f"  engine={result.stats['auto_method']}"
+    )
+    chain = [
+        (f"edit arm {i} ({variant})",
+         edit_arm_transducer(arms, edited=i, variant=variant))
+        for i, variant in ((1, "safe"), (3, "safe"), (5, "unsafe"))
+    ]
+    chain.append(("back to the base", base))
+    prev = base
+    for label, edited in chain:
+        result = session.retypecheck(edited, prev)
         print(
-            f"  edit arm {i} ({variant:6s}): typechecks={result.typechecks!s:5s}"
-            f"  mode={result.stats['retypecheck_mode']}"
-            f"  reused {detail['reused_hedge']}/{detail['reachable_hedge']}"
-            f" hedge + {detail['reused_tree']}/{detail['reachable_tree']}"
-            f" tree cells"
+            f"  {label:19s}: typechecks={result.typechecks!s:5s}"
+            f"  engine={result.stats['auto_method']}"
+            f"  table_cache={result.stats.get('table_cache')}"
         )
+        prev = edited
     return 0
 
 

@@ -127,11 +127,6 @@ class BackwardSchema(DTDPairSchema):
         # transducer content hash -> result snapshot (LRU).
         self.transducer_results: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self.transducer_result_limit = BACKWARD_TABLE_LIMIT
-        # transducer content hash -> externalized table snapshot (LRU),
-        # the warm base :func:`incremental_backward_tables` diffs against.
-        # Result snapshots above carry only the finished answer; edit
-        # chains additionally need the derived Φ lists themselves.
-        self.transducer_tables: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
 
     def out_kernel(self, sigma: str, out_alphabet: frozenset):
         """Interned completed output content DFA of ``sigma``.
@@ -149,14 +144,6 @@ class BackwardSchema(DTDPairSchema):
 
     def store_result(self, table_key: str, snapshot: Dict[str, object]) -> None:
         lru_store(self.transducer_results, table_key, snapshot,
-                  self.transducer_result_limit)
-
-    def cached_tables(self, table_key: str) -> Optional[Dict[str, object]]:
-        """A previous run's externalized table snapshot (LRU-touched)."""
-        return lru_get(self.transducer_tables, table_key)
-
-    def store_tables(self, table_key: str, tables: Dict[str, object]) -> None:
-        lru_store(self.transducer_tables, table_key, tables,
                   self.transducer_result_limit)
 
 
@@ -469,33 +456,20 @@ class BackwardEngine:
             stack.extend(c for c, _c_sym in child_syms if c not in seen)
         return seen
 
-    def run(
-        self,
-        symbols: Optional[Iterable[str]] = None,
-        *,
-        expand: bool = True,
-    ) -> None:
+    def run(self, symbols: Optional[Iterable[str]] = None) -> None:
         """Chaotic iteration over the per-symbol product cells.
 
         ``symbols`` restricts the evaluation to the downward dependency
         closure of the given input symbols (a shard's slice of the
         per-symbol cells); by default every ``din``-reachable symbol is
         registered — the complete fixpoint.
-
-        ``expand=False`` registers *exactly* the given symbols, no
-        closure: the incremental warm start pre-installs the clean child
-        symbols' complete derived Φ lists (``_eval_cell`` reads them from
-        the plain ``derived`` dict, no cell required) and re-runs only
-        the dirty cells.
         """
         if symbols is None:
             symbols = self.din.reachable_symbols()
-            if not symbols:
-                return
-        elif expand:
+        else:
             symbols = self.closure_symbols(symbols)
-            if not symbols:
-                return
+        if not symbols:
+            return
         for a in sorted(symbols, key=repr):
             self._register(a)
         dirty = self._dirty
@@ -855,180 +829,6 @@ def hydrate_backward_tables(
         if engine.bad(phi):
             engine.violation = (start, phi)
             break
-
-
-def _behavior_signature(
-    transducer: TreeTransducer,
-) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """The ``(domain, sigmas)`` shape of a transducer's behavior values.
-
-    Externalized Φs are tuples over the sorted domain of behaviors whose
-    transformations run over the sorted tracked-σ kernels — two
-    transducers' tables are exchange-compatible exactly when these match
-    (same construction as ``BackwardEngine.__init__``).
-    """
-    leaves: Set[str] = {transducer.initial}
-    tracked: Set[str] = set()
-    for rhs in transducer.rules.values():
-        for _path, node in iter_rhs_nodes(rhs):
-            if isinstance(node, (RhsState, RhsCall)):
-                leaves.add(node.state)
-            elif any(
-                isinstance(child, (RhsState, RhsCall))
-                for child in node.children
-            ):
-                tracked.add(node.label)
-    return tuple(sorted(leaves)), tuple(sorted(tracked))
-
-
-def changed_rule_symbols(
-    transducer: TreeTransducer, base: TreeTransducer
-) -> Set[str]:
-    """Input symbols whose rule column differs between two transducers.
-
-    A backward cell for input symbol ``a`` is a function of the rules of
-    every symbol in ``closure_symbols({a})`` (its own rules across all
-    states, plus recursively the child symbols' — behaviors mention the
-    rules throughout), so a cell survives an edit exactly when its
-    closure avoids this set.
-    """
-    from repro.transducers.transducer import _canonical_rhs
-
-    changed: Set[str] = set()
-    for key in set(transducer.rules) | set(base.rules):
-        _q, b = key
-        if b in changed:
-            continue
-        new_rhs = transducer.rules.get(key)
-        old_rhs = base.rules.get(key)
-        if (new_rhs is None) != (old_rhs is None):
-            changed.add(b)
-        elif new_rhs is not None and _canonical_rhs(new_rhs) != _canonical_rhs(old_rhs):
-            changed.add(b)
-    return changed
-
-
-def incremental_backward_tables(
-    transducer: TreeTransducer,
-    base_transducer: TreeTransducer,
-    din: DTD,
-    dout: DTD,
-    base_tables: Dict[str, object],
-    *,
-    max_product_nodes: int = 500_000,
-    schema: Optional[BackwardSchema] = None,
-) -> Optional[Tuple[Dict[str, object], Dict[str, int]]]:
-    """Backward tables for ``transducer`` by delta from a base snapshot.
-
-    Diffs the rule columns per input symbol, keeps the derived Φ lists of
-    every symbol whose dependency closure avoids the changed symbols (the
-    per-symbol fixpoints are untouched by the edit), pre-installs them
-    into a fresh engine without registering their cells, and re-runs
-    exactly the dirty cells (``run(expand=False)``) — their delta passes
-    consume the pre-installed children from the plain ``derived`` dict.
-    Saturating (``early_exit=False``-equivalent by construction: the
-    export needs complete lists), so the snapshot hydrates into
-    :func:`typecheck_backward` exactly like merged shard tables.
-
-    Returns ``(tables, info)`` with reuse counters, or ``None`` when the
-    delta path does not apply (XPath calls, alphabet change, behavior
-    shape change — domain states or tracked σs differ, which re-indexes
-    every externalized value).
-    """
-    if transducer.uses_calls() or base_transducer.uses_calls():
-        return None
-    if frozenset(transducer.alphabet) != frozenset(base_transducer.alphabet):
-        return None
-    if _behavior_signature(transducer) != _behavior_signature(base_transducer):
-        return None
-    if schema is None:
-        schema = BackwardSchema(din, dout)
-
-    changed = changed_rule_symbols(transducer, base_transducer)
-    keys = backward_check_keys(transducer, din)
-
-    engine = BackwardEngine(
-        transducer, din, dout, max_product_nodes,
-        schema=schema, early_exit=False,
-    )
-
-    closure_memo: Dict[str, Set[str]] = {}
-
-    def closure(a: str) -> Set[str]:
-        cached = closure_memo.get(a)
-        if cached is None:
-            cached = closure_memo[a] = engine.closure_symbols((a,))
-        return cached
-
-    base_derived: Dict[str, List[Tuple]] = base_tables["derived"]  # type: ignore
-    base_witness: Dict = base_tables["witness"]  # type: ignore
-    clean: Set[str] = set()
-    dirty: List[str] = []
-    for a in keys:
-        if a in base_derived and not (closure(a) & changed):
-            clean.add(a)
-        else:
-            dirty.append(a)
-
-    int_memo: Dict[Tuple, int] = {}
-
-    def internal(value: Tuple) -> int:
-        phi = int_memo.get(value)
-        if phi is None:
-            phi = int_memo[value] = engine.internalize(value)
-        return phi
-
-    reused_pairs = 0
-    for a in clean:
-        ints = [internal(value) for value in base_derived[a]]
-        engine.derived[a] = ints
-        reused_pairs += len(ints)
-
-    start = time.perf_counter()
-    engine.run(symbols=dirty, expand=False)
-    # A clean din.start carries its (possibly bad) Φs from the base run;
-    # mirror the hydrate-path violation scan.
-    if engine.violation is None:
-        root = din.start
-        for phi in engine.derived.get(root, ()):
-            if engine.bad(phi):
-                engine.violation = (root, phi)
-                break
-
-    ext_memo: Dict[int, Tuple] = {}
-
-    def ext(phi_int: int) -> Tuple:
-        value = ext_memo.get(phi_int)
-        if value is None:
-            value = ext_memo[phi_int] = engine.externalize(phi_int)
-        return value
-
-    dirty_set = set(dirty)
-    derived = {
-        a: (base_derived[a] if a in clean
-            else [ext(phi) for phi in engine.derived.get(a, ())])
-        for a in keys
-    }
-    witness = {
-        pair: word for pair, word in base_witness.items() if pair[0] in clean
-    }
-    for (a, phi), word in engine.witness.items():
-        if a in dirty_set:
-            witness[(a, ext(phi))] = tuple((c, ext(p)) for c, p in word)
-    tables = {
-        "derived": derived,
-        "witness": witness,
-        "work": engine.work,
-        "elapsed_s": time.perf_counter() - start,
-    }
-    info = {
-        "changed_symbols": len(changed),
-        "dirty_symbols": len(dirty),
-        "reused_symbols": len(clean),
-        "reused_pairs": reused_pairs,
-        "product_nodes": engine.work,
-    }
-    return tables, info
 
 
 # ----------------------------------------------------------------------

@@ -512,15 +512,6 @@ class ForwardEngine:
                 if cell is None:
                     cell = shared.shared_tree[key] = ({}, {}, [], {})
                 vals, int_table, order, index = cell
-            elif key in self.tree_vals:
-                # Adopt a cell pre-installed by the incremental warm start
-                # (incremental_forward_tables): already at its fixpoint.
-                vals, int_table, order, index = (
-                    self.tree_vals[key],
-                    self._tree_int[key],
-                    self._tree_order[key],
-                    self._tree_index[key],
-                )
             else:
                 vals, int_table, order, index = ({}, {}, [], {})
             self.tree_vals[key] = vals
@@ -533,9 +524,7 @@ class ForwardEngine:
                 if entry is None:
                     entry = shared.shared_hedge[key] = HedgeEntry()
             else:
-                entry = self.hedge_vals.get(key)
-                if entry is None:
-                    entry = HedgeEntry()
+                entry = HedgeEntry()
             self.hedge_vals[key] = entry
         self._dirty.append(node)
         self._dirty_set.add(node)
@@ -844,24 +833,11 @@ class ForwardEngine:
         """The child word (with per-child τ) realizing π."""
         return self.hedge_vals[key].accepted[pi]
 
-    def build_tree(self, sigma: str, b: str, P: Tuple[str, ...], tau) -> Tree:
-        """A concrete input tree realizing configuration (σ, b, P, τ)."""
-        pi = self.tree_vals[self.key_for(sigma, b, P)][tau]
-        deferred = self.deferred_tuple(P, b)
-        return Tree(b, self.build_hedge(sigma, b, deferred, pi))
-
-    def build_hedge(
-        self, sigma: str, a: str, P: Tuple[str, ...], pi
-    ) -> List[Tree]:
-        children: List[Tree] = []
-        for c, tau in self.hedge_witness(self.key_for(sigma, a, P), pi):
-            children.append(self.build_tree(sigma, c, P, tau))
-        return children
-
     def build_dag_tree(
         self, sigma: str, b: str, P: Tuple[str, ...], tau, _memo=None
     ) -> DagTree:
-        """The :meth:`build_tree` witness with subtree sharing.
+        """A concrete input tree realizing configuration (σ, b, P, τ),
+        with subtree sharing.
 
         The construction is a function of the *canonical* cell key and the
         realized tuple alone (empty-``P`` cells canonicalize σ away and
@@ -1156,234 +1132,6 @@ def merge_forward_tables(shards: Iterable[Dict[str, object]]) -> Dict[str, objec
         for key, cell in shard["tree"].items():
             tree.setdefault(key, cell)
     return merged
-
-
-def changed_rule_states(
-    transducer: TreeTransducer, base: TreeTransducer
-) -> Set[str]:
-    """States whose rule set differs between two transducers.
-
-    A state counts as changed when it exists in only one of the two, or
-    when any ``(state, symbol)`` rule differs by canonical rhs content
-    (the same canonicalization :meth:`TreeTransducer.content_hash` uses,
-    so call selectors compare by content, not identity).
-    """
-    from repro.transducers.transducer import _canonical_rhs
-
-    changed: Set[str] = set()
-    for state in set(transducer.states) | set(base.states):
-        if state not in transducer.states or state not in base.states:
-            changed.add(state)
-            continue
-        symbols = {b for (q, b) in transducer.rules if q == state}
-        symbols.update(b for (q, b) in base.rules if q == state)
-        for b in symbols:
-            new_rhs = transducer.rules.get((state, b))
-            old_rhs = base.rules.get((state, b))
-            if (new_rhs is None) != (old_rhs is None):
-                changed.add(state)
-                break
-            if new_rhs is not None and _canonical_rhs(new_rhs) != _canonical_rhs(old_rhs):
-                changed.add(state)
-                break
-    return changed
-
-
-def _dirty_states(transducer: TreeTransducer, changed: Set[str]) -> Set[str]:
-    """Closure of ``changed`` under reverse deferral reachability.
-
-    A forward cell ``(σ, a, P)`` is a function of the rules of every
-    state deferral-reachable from ``P`` (tree cells defer to
-    ``top_states`` of their rhs; nested rhs states start *separate*
-    check keys, not cell dependencies), so a cell survives an edit
-    exactly when no state in ``P`` can reach a changed state.  States
-    outside ``changed`` have identical rules in both transducers, which
-    makes the closure under either rule set the same; the new
-    transducer's rules are used.
-    """
-    dirty = set(changed)
-    grew = True
-    while grew:
-        grew = False
-        for (state, _b), rhs in transducer.rules.items():
-            if state in dirty:
-                continue
-            if any(t in dirty for t in top_states(rhs)):
-                dirty.add(state)
-                grew = True
-    return dirty
-
-
-def incremental_forward_tables(
-    transducer: TreeTransducer,
-    base_transducer: TreeTransducer,
-    din: DTD,
-    dout: DTD,
-    base_tables: Dict[str, object],
-    *,
-    max_tuple: Optional[int] = None,
-    max_product_nodes: int = 500_000,
-    schema: Optional[ForwardSchema] = None,
-) -> Optional[Tuple[Dict[str, object], Dict[str, int]]]:
-    """Forward tables for ``transducer`` by delta from a base snapshot.
-
-    Diffs the rule sets, keeps every base cell whose behavior tuple
-    avoids the dirty-state closure (those least fixpoints are untouched
-    by the edit), pre-installs the survivors into a fresh engine, and
-    runs the chaotic iteration only over the remaining cells — re-using
-    the survivors' persisted :class:`~repro.kernel.product.ProductBFS`
-    frontiers instead of re-seeding them.  The result is the same least
-    fixpoint snapshot a cold :func:`compute_forward_tables` over all
-    check keys would produce, restricted to the cells reachable from the
-    *new* transducer's checks (stale base cells are dropped, so chains
-    of edits don't accumulate garbage).
-
-    Returns ``(tables, info)`` with reuse counters, or ``None`` when the
-    delta path does not apply (XPath calls, alphabet change) — callers
-    fall back to a cold run.
-    """
-    if transducer.uses_calls() or base_transducer.uses_calls():
-        return None
-    if frozenset(transducer.alphabet) != frozenset(base_transducer.alphabet):
-        # The completed output content DFAs are built over
-        # ``transducer.alphabet | dout.alphabet`` — an alphabet change
-        # re-interns them and invalidates every cell.
-        return None
-    if schema is None:
-        schema = ForwardSchema(din, dout)
-    if max_tuple is None:
-        analysis = analyze(transducer)
-        if analysis.deletion_path_width is None:
-            raise ClassViolationError(
-                "transducer has unbounded deletion path width (not in any "
-                "T^{C,K}_trac); pass max_tuple to run the general engine"
-            )
-        max_tuple = max(1, analysis.copying_width * analysis.deletion_path_width)
-
-    changed = changed_rule_states(transducer, base_transducer)
-    dirty = _dirty_states(transducer, changed)
-
-    keys = forward_check_keys(transducer, din, schema)
-
-    # Reachability pre-walk over the *new* dependency graph: hedge
-    # (σ, a, P) reads tree (σ, c, P) per child symbol c of a; tree
-    # (σ, b, P) reads hedge (σ, b, deferred(P, b)).  Empty-P cells live
-    # in the schema's shared region and manage themselves.
-    decomp_memo: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-
-    def deferred(P: Tuple[str, ...], b: str) -> Tuple[str, ...]:
-        out: List[str] = []
-        for state in P:
-            d = decomp_memo.get((state, b))
-            if d is None:
-                rhs = transducer.rules.get((state, b))
-                d = top_states(rhs) if rhs is not None else ()
-                decomp_memo[(state, b)] = d
-            out.extend(d)
-        result = tuple(out)
-        if len(result) > max_tuple:
-            raise BudgetExceededError(
-                f"behavior tuple grew to {len(result)} > {max_tuple} "
-                "(transducer outside the configured T_trac class)"
-            )
-        return result
-
-    reach_hedge: Set[TupleKey] = set()
-    reach_tree: Set[TupleKey] = set()
-    stack: List[Tuple[str, TupleKey]] = [
-        ("hedge", key) for key in keys if key[2]
-    ]
-    productive = schema.productive
-    while stack:
-        kind, key = stack.pop()
-        sigma, a, P = key
-        if kind == "hedge":
-            if key in reach_hedge:
-                continue
-            reach_hedge.add(key)
-            _idfa, _mask, child_syms = schema.in_kernel_info(a)
-            for c, _index in child_syms:
-                child = canonical_cell_key(sigma, c, P)
-                if child[2] and child not in reach_tree:
-                    stack.append(("tree", child))
-        else:
-            if key in reach_tree:
-                continue
-            reach_tree.add(key)
-            if a not in productive:
-                continue
-            supplier = canonical_cell_key(sigma, a, deferred(P, a))
-            if supplier[2] and supplier not in reach_hedge:
-                stack.append(("hedge", supplier))
-
-    engine = ForwardEngine(
-        transducer, din, dout, max_tuple, max_product_nodes, schema=schema
-    )
-
-    # Pre-install the surviving cells (clean ∩ reachable ∩ base): the
-    # same live objects as the base snapshot — complete least fixpoints,
-    # never mutated again — so the new run's dirty cells re-drain from
-    # them at zero cost and ``_register`` adopts instead of rebuilding.
-    base_hedge: Dict = base_tables["hedge"]  # type: ignore[assignment]
-    base_tree: Dict = base_tables["tree"]  # type: ignore[assignment]
-    reused_hedge = reused_tree = 0
-    # σ-independent (empty-P) cells mention no transducer state, so every
-    # one the base run materialized is valid verbatim.  They are excluded
-    # from the reachability pre-walk (the schema's shared region manages
-    # their evaluation), but they must still ride into this engine's
-    # tables: witness extraction through a *reused* cell recurses into
-    # them without ever requesting them, and the exported snapshot is the
-    # next link's base — dropping them here would leave a chain of edits
-    # with dangling witness references (KeyError under some hash orders).
-    # ``_register`` re-adopts the live shared object for any cell the
-    # dirty run also evaluates, so pre-installing never masks a reset.
-    for key, entry in base_hedge.items():
-        if not key[2]:
-            engine.hedge_vals[key] = entry
-    for key, cell in base_tree.items():
-        if not key[2]:
-            vals, int_table, order, index = cell
-            engine.tree_vals[key] = vals
-            engine._tree_int[key] = int_table
-            engine._tree_order[key] = order
-            engine._tree_index[key] = index
-    for key in reach_hedge:
-        if any(state in dirty for state in key[2]):
-            continue
-        entry = base_hedge.get(key)
-        if entry is not None:
-            engine.hedge_vals[key] = entry
-            reused_hedge += 1
-    for key in reach_tree:
-        if any(state in dirty for state in key[2]):
-            continue
-        cell = base_tree.get(key)
-        if cell is not None:
-            vals, int_table, order, index = cell
-            engine.tree_vals[key] = vals
-            engine._tree_int[key] = int_table
-            engine._tree_order[key] = order
-            engine._tree_index[key] = index
-            reused_tree += 1
-
-    try:
-        for key in keys:
-            engine.request_hedge(*key)
-        engine.run()
-    except BaseException:
-        schema.reset_shared()
-        raise
-    tables = export_forward_tables(engine)
-    info = {
-        "changed_states": len(changed),
-        "dirty_states": len(dirty),
-        "reused_hedge": reused_hedge,
-        "reused_tree": reused_tree,
-        "reachable_hedge": len(reach_hedge),
-        "reachable_tree": len(reach_tree),
-        "product_nodes": engine.work,
-    }
-    return tables, info
 
 
 def _chain_top_level(

@@ -32,7 +32,6 @@ from repro.strings.replus import REPlus
 from repro.transducers.rhs import RhsSym, iter_rhs_nodes, top_decomposition, top_states
 from repro.transducers.transducer import TreeTransducer
 from repro.trees.dag import DagTree, TransferTable, distinct_tree_nodes, unfold_tree
-from repro.trees.tree import Tree
 
 
 def _require_replus(dtd: DTD, name: str) -> None:
@@ -271,30 +270,27 @@ def typecheck_replus(
         stats=stats,
     )
     # Corollary 38: t_min or t_vast is a concrete counterexample.
-    witness = _two_witness_counterexample(
-        transducer, dout, max_counterexample_nodes, schema
-    )
+    witness = _failing_witness(transducer, dout, schema)
     if witness is not None:
-        result.counterexample, result.output = witness
+        try:
+            result.counterexample = unfold_tree(witness[1], max_counterexample_nodes)
+        except Exception:
+            return result
+        result.output = transducer.apply(result.counterexample)
     return result
 
 
-def _two_witness_counterexample(
-    transducer: TreeTransducer,
-    dout: DTD,
-    max_nodes: int,
-    schema: ReplusSchema,
-) -> Optional[Tuple[Tree, Optional[Tree]]]:
+def _failing_witness(
+    transducer: TreeTransducer, dout: DTD, schema: ReplusSchema
+) -> Optional[Tuple[str, DagTree]]:
+    """The first §6 witness (``"t_min"``, then ``"t_vast"``) whose image
+    under ``T`` does not conform to ``dout``, as ``(name, dag)``; ``None``
+    when both conform (Lemma 36)."""
     for name in ("t_min", "t_vast"):
         dag = schema.witness_dag(name)
         image = transducer.apply_dag(dag)
-        if image is not None and validate_output_dag(dout, image):
-            continue
-        try:
-            tree = unfold_tree(dag, max_nodes)
-        except Exception:
-            return None
-        return tree, transducer.apply(tree)
+        if image is None or not validate_output_dag(dout, image):
+            return name, dag
     return None
 
 
@@ -317,24 +313,22 @@ def typecheck_replus_witnesses(
     if early is not None:
         return early
 
-    for name in ("t_min", "t_vast"):
-        dag = schema.witness_dag(name)
-        image = transducer.apply_dag(dag)
-        if image is not None and validate_output_dag(dout, image):
-            continue
-        result = TypecheckResult(
-            False,
+    witness = _failing_witness(transducer, dout, schema)
+    if witness is None:
+        return TypecheckResult(
+            True,
             "replus-witnesses",
-            reason=f"{name} is a counterexample",
+            reason="both t_min and t_vast conform (Lemma 36)",
         )
-        try:
-            result.counterexample = unfold_tree(dag, max_counterexample_nodes)
-            result.output = transducer.apply(result.counterexample)
-        except Exception:
-            result.stats["counterexample_dag"] = dag
-        return result
-    return TypecheckResult(
-        True,
+    name, dag = witness
+    result = TypecheckResult(
+        False,
         "replus-witnesses",
-        reason="both t_min and t_vast conform (Lemma 36)",
+        reason=f"{name} is a counterexample",
     )
+    try:
+        result.counterexample = unfold_tree(dag, max_counterexample_nodes)
+        result.output = transducer.apply(result.counterexample)
+    except Exception:
+        result.stats["counterexample_dag"] = dag
+    return result

@@ -50,7 +50,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.errors import BudgetExceededError, ClassViolationError
+from repro.errors import ClassViolationError
 from repro.obs import explain as _explain
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -63,7 +63,6 @@ from repro.engines import (
 )
 from repro.schemas.dtd import DTD
 from repro.transducers.analysis import TransducerAnalysis, analyze
-from repro.transducers.rhs import RhsSym
 from repro.transducers.transducer import TreeTransducer
 from repro.tree_automata.nta import NTA
 from repro.trees.tree import Tree
@@ -451,7 +450,7 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # Incremental re-typechecking (edit chains)
+    # Edit chains
     # ------------------------------------------------------------------
     def retypecheck(
         self,
@@ -459,168 +458,30 @@ class Session:
         base: TreeTransducer,
         method: str = "auto",
         max_tuple: Optional[int] = None,
+        explain: bool = False,
         **kwargs,
     ) -> TypecheckResult:
         """Typecheck ``transducer`` as an *edit* of ``base``.
 
-        Same verdict, counterexample semantics, and exceptions as
-        :meth:`typecheck` of ``transducer`` alone — the differential
-        suites enforce bit-identical results — but when ``base``'s
-        fixpoint tables are warm in this session, only the cells whose
-        dependency closure touches the edited rules are recomputed; the
-        surviving cells (and their persisted kernel ``ProductBFS``
-        frontiers) carry over.  The new tables are stored under the
-        edited transducer's content hash, so chains of edits stay warm
-        link to link.  ``method`` is resolved by :meth:`route`, exactly
-        as :meth:`typecheck` resolves it (under auto: ``replus`` on RE⁺
-        pairs, ``forward`` with ``max_tuple``, ``backward`` on other DTD
-        pairs, ``delrelab`` on automaton pairs).  Only the ``forward`` and
-        ``backward`` engines diff tables; any other engine re-runs against
-        its already-compiled schema, reported ``warmed``.  Anything that the
-        delta path cannot serve (cold base, non-DTD pair, blown budgets,
-        XPath calls, alphabet/behavior-shape changes) falls back to a
-        plain cold check, reported in ``stats["retypecheck_mode"]``.
+        The verdict is a function of ``(T, din, dout)`` alone, so an edit
+        is re-checked as a plain warm query: the result is
+        :meth:`typecheck` of ``transducer`` — same verdict,
+        counterexample, stats and exceptions.  The compiled schema
+        artifacts and the engines' per-transducer result caches carry
+        over from link to link, so a link back to an already-checked
+        transducer (``base`` itself included) is a ``table_cache`` hit.
+        ``base`` names the link for callers that track the chain (the
+        wire ``retypecheck`` op requires it); the check does not read it.
 
-        ``explain=True`` attaches a :class:`repro.obs.explain.QueryReport`
-        (including the retypecheck mode and reuse counters) as
-        ``result.report``, exactly as :meth:`typecheck` does.
+        ``explain=True`` attaches a report of kind ``retypecheck``.
         """
-        explain = bool(kwargs.pop("explain", False))
         with self._lock:
             if not explain:
-                return self._retypecheck(
-                    transducer, base, method, max_tuple, **kwargs
-                )
+                return self._typecheck(transducer, method, max_tuple, **kwargs)
             return self._explained(
                 "retypecheck", method,
-                lambda: self._retypecheck(
-                    transducer, base, method, max_tuple, **kwargs
-                ),
+                lambda: self._typecheck(transducer, method, max_tuple, **kwargs),
             )
-
-    def _retypecheck(
-        self,
-        transducer: TreeTransducer,
-        base: TreeTransducer,
-        method: str,
-        max_tuple: Optional[int],
-        **kwargs,
-    ) -> TypecheckResult:
-        # The route _typecheck takes, so the resolved engine (and hence
-        # the reported mode) matches the run; a refused instance raises
-        # the same ClassViolationError a plain typecheck would.
-        resolved = self.route(transducer, method, max_tuple)
-        engine = get_engine(resolved)
-
-        def cold(reason: str) -> TypecheckResult:
-            result = self._typecheck(transducer, method, max_tuple, **dict(kwargs))
-            result.stats["retypecheck_mode"] = "cold"
-            result.stats["retypecheck"] = {
-                "mode": "cold",
-                "method": resolved,
-                "reason": reason,
-            }
-            return result
-
-        if not engine.incremental:
-            # No diffable tables for this engine — but the compiled schema
-            # context (grammar views, witness DAGs, lifted automata) is
-            # reusable when only the transducer changed: re-run against it
-            # and report the schema-warm mode with the fallback reason.
-            reason = engine.no_incremental_reason
-            ctx = (
-                engine.peek_schema(self, engine.schema_variant(kwargs))
-                if engine.has_schema
-                else None
-            )
-            if ctx is None or not getattr(ctx, "compiled", False):
-                return cold(
-                    reason if not engine.has_schema else "schema not compiled"
-                )
-            result = self._typecheck(
-                transducer, method, max_tuple, **dict(kwargs)
-            )
-            result.stats["retypecheck_mode"] = "warmed"
-            result.stats["retypecheck"] = {
-                "mode": "warmed",
-                "method": resolved,
-                "reason": reason,
-            }
-            return result
-
-        # Incremental engines (forward/backward): diff the base snapshot.
-        engine.validate_kwargs(kwargs)
-        if not engine.accepts_max_tuple:
-            _reject_max_tuple(resolved, max_tuple)
-        din, dout = self._dtd_pair()
-        plain, _analysis = self._compiled_transducer(transducer)
-        base_plain, _base_analysis = self._compiled_transducer(base)
-
-        # The engines' preambles (empty input language, missing/ill-formed
-        # root rule, wrong output root) answer before any fixpoint — a
-        # cold call is free there and keeps exception parity exactly.
-        root_rule = plain.rules.get((plain.initial, din.start))
-        if (
-            din.is_empty()
-            or root_rule is None
-            or len(root_rule) != 1
-            or not isinstance(root_rule[0], RhsSym)
-            or root_rule[0].label != dout.start
-        ):
-            return cold("preamble case")
-
-        base_key = base_plain.content_hash()
-        new_key = plain.content_hash()
-        max_nodes = int(kwargs.get("max_product_nodes", self.max_product_nodes))
-
-        base_tables = engine.cached_tables(self, base_key)
-        tables = None
-        info = None
-        if base_tables is not None:
-            with _trace.span(
-                "retypecheck_diff", engine=resolved
-            ) as diff_span:
-                try:
-                    out = engine.incremental_tables(
-                        self, plain, base_plain, base_tables,
-                        max_tuple=max_tuple, max_product_nodes=max_nodes,
-                    )
-                except BudgetExceededError:
-                    return cold("incremental budget exceeded")
-                if out is not None:
-                    tables, info = out
-                    diff_span.set(
-                        **{k: v for k, v in info.items() if k != "mode"}
-                    )
-        if tables is None:
-            # Cold link: engines whose plain run stores no tables (the
-            # backward early-exit) saturate once so the next edit in the
-            # chain has a base to diff against; for the others the cold
-            # run itself stores tables under the new hash, warming the
-            # *next* link by construction.
-            try:
-                tables = engine.saturate_tables(
-                    self, plain, max_product_nodes=max_nodes
-                )
-            except BudgetExceededError:
-                return cold("saturation budget exceeded")
-            if tables is None:
-                return cold(
-                    "no base tables" if base_tables is None
-                    else "delta path not applicable"
-                )
-        engine.store_tables(self, new_key, tables)
-        self.stats["calls"] = int(self.stats["calls"]) + 1
-        result = engine.typecheck(self, plain, max_tuple, kwargs, tables=tables)
-        if info is not None:
-            result.stats["retypecheck_mode"] = "incremental"
-            result.stats["retypecheck"] = dict(info, mode="incremental", method=resolved)
-        else:
-            result.stats["retypecheck_mode"] = "warmed"
-            result.stats["retypecheck"] = {"mode": "warmed", "method": resolved}
-        if method == "auto":
-            result.stats.setdefault("auto_method", resolved)
-        return result
 
     def typecheck_many(
         self,
@@ -907,12 +768,6 @@ class Session:
                 stats = snapshot.get("stats")
                 if snapshot.get("counterexample") is not None and stats:
                     units += _NODE_BYTES * int(stats.get("derived_pairs", 0))
-            for tables in backward.transducer_tables.values():
-                units += _SNAPSHOT_BYTES
-                derived = tables.get("derived") or {}
-                units += _ACCEPT_BYTES * sum(
-                    len(phis) for phis in derived.values()
-                )
         replus = self._replus
         if replus is not None:
             units += _WITNESS_DAG_BYTES * len(replus._witness_dags)

@@ -22,8 +22,6 @@ NTA(NFA) backward lift, macro tree transducers) is one subclass plus one
   ``method="auto"`` routing function — answers a DTD pair with when no
   ``max_tuple`` pins ``forward``: ``replus`` on RE⁺ pairs, ``backward``
   on the rest;
-* ``cached_tables`` / ``incremental_tables`` / ``saturate_tables`` back
-  ``Session.retypecheck``'s warm edit chains (``incremental = True``);
 * ``export_state`` / ``restore_state`` and the side-file declarations
   (``side_field``, ``side_strip_fields``) plug the engine into the
   artifact cache: blob sections are keyed by engine name and side files
@@ -78,8 +76,6 @@ class Engine:
     #: ``compute_tables`` / ``merge_tables`` are implemented); the only
     #: engines ``Session.route(..., shardable=True)`` resolves to.
     shardable: bool = False
-    #: ``Session.retypecheck`` can diff this engine's tables.
-    incremental: bool = False
     #: Accepts the forward engine's ``max_tuple`` escape hatch.
     accepts_max_tuple: bool = False
     #: Compiles a per-pair schema context (``build_schema``); the
@@ -97,9 +93,6 @@ class Engine:
     #: Artifact-blob fields relocated to side files by ``publish`` (the
     #: blob ships them empty so it never grows per served transducer).
     side_strip_fields: Tuple[str, ...] = ()
-    #: ``stats["retypecheck"]["reason"]`` when retypecheck falls back to a
-    #: schema-warm (non-incremental) run of this engine.
-    no_incremental_reason: str = "engine has no incremental tables"
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -234,29 +227,6 @@ class Engine:
         raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     # ------------------------------------------------------------------
-    # Incremental re-typechecking (incremental engines)
-    # ------------------------------------------------------------------
-    def cached_tables(self, session, table_key: str):
-        """A stored base snapshot for an equal-content transducer."""
-        return None
-
-    def store_tables(self, session, table_key: str, tables) -> None:
-        """Retain a complete snapshot under the transducer's hash."""
-
-    def incremental_tables(
-        self, session, plain, base_plain, base_tables, *,
-        max_tuple, max_product_nodes,
-    ):
-        """``(tables, info)`` diffed from the base snapshot, or ``None``
-        when the delta path does not apply to this edit."""
-        return None
-
-    def saturate_tables(self, session, plain, *, max_product_nodes):
-        """A from-scratch complete snapshot to warm a cold chain link, or
-        ``None`` for engines whose plain run already stores tables."""
-        return None
-
-    # ------------------------------------------------------------------
     # Persistence (persistent engines)
     # ------------------------------------------------------------------
     def export_state(self, session):
@@ -339,9 +309,6 @@ def method_table_markdown() -> str:
     rendering, so the registry is the single source of truth for the
     documented method surface.
     """
-    incrementals = " and ".join(
-        engine.name for engine in _ENGINES.values() if engine.incremental
-    )
     rows = [
         "| method | algorithm | applies to |",
         "|---|---|---|",
@@ -355,12 +322,10 @@ def method_table_markdown() -> str:
             f"| `{engine.name}` | {engine.algorithm} | {engine.applies_to} |"
         )
     rows.append(
-        "| *incremental* | `session.retypecheck(T', T)`: diffs the edited "
-        "rule set against an already-checked base, keeps every fixpoint "
-        "cell that does not depend on the touched rules, recomputes the "
-        f"rest ({incrementals} variants; verdicts bit-identical to "
-        "from-scratch; other engines re-run against their already-compiled "
-        "schema, reported `warmed`) | any edit of a previously checked "
-        "transducer on a warm session |"
+        "| *edit re-check* | `session.retypecheck(T', T)`: a plain warm "
+        "query of `T'` — the compiled schema and the per-transducer "
+        "result caches carry over, so a link back to an already-checked "
+        "transducer is a cache hit | any edit of a transducer on a warm "
+        "session |"
     )
     return "\n".join(rows)

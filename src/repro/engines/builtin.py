@@ -34,7 +34,6 @@ class ForwardEngineDef(Engine):
     algorithm = "Lemma 14 forward accumulation (Theorem 15)"
     applies_to = "`T^{C,K}_trac` + DTDs"
     shardable = True
-    incremental = True
     accepts_max_tuple = True
     persistent = True
     side_field = "tables"
@@ -100,29 +99,6 @@ class ForwardEngineDef(Engine):
 
         return merge_forward_tables(snapshots)
 
-    def cached_tables(self, session, table_key):
-        return self.schema(session).cached_tables(table_key)
-
-    def store_tables(self, session, table_key, tables):
-        self.schema(session).store_tables(table_key, tables)
-
-    def incremental_tables(
-        self, session, plain, base_plain, base_tables, *,
-        max_tuple, max_product_nodes,
-    ):
-        from repro.core.forward import incremental_forward_tables
-
-        din, dout = session._dtd_pair()
-        return incremental_forward_tables(
-            plain, base_plain, din, dout, base_tables,
-            max_tuple=max_tuple, max_product_nodes=max_product_nodes,
-            schema=self.schema(session),
-        )
-
-    # The forward cold link stores its own tables (typecheck_forward
-    # snapshots successful runs), so there is no saturate_tables: a cold
-    # link warms the *next* edit by construction.
-
     def export_state(self, session):
         ctx = self.peek_schema(session)
         if ctx is None:
@@ -167,7 +143,6 @@ class BackwardEngineDef(Engine):
     applies_to = "**any** deterministic top-down transducer + DTDs"
     routable = True
     shardable = True
-    incremental = True
     persistent = True
     side_field = "result"
     side_strip_fields = ("transducer_results",)
@@ -235,41 +210,6 @@ class BackwardEngineDef(Engine):
         from repro.backward import merge_backward_tables
 
         return merge_backward_tables(snapshots)
-
-    def cached_tables(self, session, table_key):
-        return self.schema(session).cached_tables(table_key)
-
-    def store_tables(self, session, table_key, tables):
-        self.schema(session).store_tables(table_key, tables)
-
-    def incremental_tables(
-        self, session, plain, base_plain, base_tables, *,
-        max_tuple, max_product_nodes,
-    ):
-        from repro.backward.engine import incremental_backward_tables
-
-        din, dout = session._dtd_pair()
-        return incremental_backward_tables(
-            plain, base_plain, din, dout, base_tables,
-            max_product_nodes=max_product_nodes,
-            schema=self.schema(session),
-        )
-
-    def saturate_tables(self, session, plain, *, max_product_nodes):
-        # The plain backward run is early-exit and stores no tables, so a
-        # cold chain link saturates once to give the next edit a base.
-        from repro.backward.engine import (
-            backward_check_keys,
-            compute_backward_tables,
-        )
-
-        din, dout = session._dtd_pair()
-        schema = self.schema(session)
-        return compute_backward_tables(
-            plain, din, dout,
-            backward_check_keys(plain, din, schema),
-            max_product_nodes=max_product_nodes, schema=schema,
-        )
 
     def export_state(self, session):
         ctx = self.peek_schema(session)
@@ -357,10 +297,6 @@ class DelrelabEngineDef(Engine):
     applies_to = "`T_del-relab` + DTAc or DTDs"
     persistent = True
     explain_stat_keys = ("product_states", "violating_output")
-    no_incremental_reason = (
-        "engine has no incremental tables (Theorem 20 recomputes the "
-        "image automaton per transducer)"
-    )
 
     def func(self):
         from repro.core.delrelab import typecheck_delrelab
@@ -422,7 +358,6 @@ class BruteforceEngineDef(Engine):
     algorithm = "enumeration oracle up to a node budget"
     applies_to = "tiny instances (testing)"
     has_schema = False
-    no_incremental_reason = "engine compiles no schema artifacts"
 
     def func(self):
         from repro.core.bruteforce import typecheck_bruteforce

@@ -6,8 +6,8 @@ A :class:`QueryReport` does: which engine ran and its measured ms,
 cache provenance per stage, the shard plan with measured per-shard
 walls, the query's own kernel counters (captured with
 :class:`repro.obs.metrics.DeltaScope` around the run — the global
-counters are snapshotted, never forked), the retypecheck mode, and
-counterexample shape.  Reports are plain-data
+counters are snapshotted, never forked), and the counterexample
+shape.  Reports are plain-data
 (:meth:`QueryReport.to_dict` is JSON-safe), ship over the wire as an
 optional ``explain`` response field, and render human-readable with
 :func:`render_report` (the CLI ``--explain`` view).
@@ -86,8 +86,9 @@ class QueryReport:
     """One query's attribution record (see module docstring).
 
     ``engines`` maps the engine that ran to its ``measured_ms``;
-    sections that do not apply to the query (``shards`` on an unsharded run,
-    ``retypecheck`` on a plain typecheck) are ``None``.
+    sections that do not apply to the query (``shards`` on an unsharded
+    run) are ``None``.  A ``retypecheck`` query is a plain typecheck of the
+    edited transducer and reports exactly like one.
     """
 
     kind: str  # typecheck | typecheck_sharded | retypecheck
@@ -100,7 +101,6 @@ class QueryReport:
     cache: Dict[str, Any] = field(default_factory=dict)
     kernel: Dict[str, int] = field(default_factory=dict)
     shards: Optional[Dict[str, Any]] = None
-    retypecheck: Optional[Dict[str, Any]] = None
     counterexample: Optional[Dict[str, Any]] = None
     engine_stats: Dict[str, Any] = field(default_factory=dict)
 
@@ -122,8 +122,6 @@ class QueryReport:
         }
         if self.shards is not None:
             data["shards"] = _json_safe(self.shards)
-        if self.retypecheck is not None:
-            data["retypecheck"] = _json_safe(self.retypecheck)
         if self.counterexample is not None:
             data["counterexample"] = _json_safe(self.counterexample)
         return data
@@ -214,7 +212,6 @@ def build_report(
         cache=cache,
         kernel=kernel,
         shards=shards,
-        retypecheck=stats.get("retypecheck"),
         counterexample=counterexample,
         engine_stats=engine_stats,
     )
@@ -270,15 +267,6 @@ def render_report(data: Mapping[str, Any]) -> str:
     if kernel:
         rendered = " ".join(f"{key}={value}" for key, value in kernel.items())
         lines.append(f"  kernel: {rendered}")
-    retypecheck = data.get("retypecheck")
-    if retypecheck:
-        mode = retypecheck.get("mode", "?")
-        rest = ", ".join(
-            f"{key}={value}"
-            for key, value in retypecheck.items()
-            if key != "mode"
-        )
-        lines.append(f"  retypecheck: {mode}" + (f" ({rest})" if rest else ""))
     counterexample = data.get("counterexample")
     if counterexample:
         rendered = ", ".join(

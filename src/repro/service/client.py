@@ -223,9 +223,9 @@ class ServiceClient:
         dout: Textable,
         method: str = "auto",
     ) -> Dict[str, object]:
-        """Typecheck ``transducer`` as an edit of ``base`` (incremental
-        when the serving worker holds ``base``'s warm tables); the verdict
-        dict is identical to :meth:`typecheck` of ``transducer`` alone."""
+        """Typecheck ``transducer`` as an edit of ``base``: a plain warm
+        query, so the verdict dict is identical to :meth:`typecheck` of
+        ``transducer`` alone."""
         return self.call(
             "retypecheck",
             din=_dtd_text(din),
@@ -323,8 +323,8 @@ class PairHandle:
         """Typecheck an edit of ``base`` against the pinned pair.
 
         Bare framing ships only the two transducer sections; the pair's
-        affine worker holds the warm tables of any ``base`` it already
-        checked, so sticky edit chains stay on the incremental path.
+        affine worker keeps its warm schema and result cache, so a link
+        back to a transducer it already checked is a cache hit.
         """
         self._ensure_pinned()
         return self._client.call(

@@ -690,9 +690,9 @@ class WorkerPool:
     def retypecheck(
         self, sin, sout, transducer, base, method: str = "auto", **kwargs
     ):
-        """One edited instance on the pair's affine worker — that worker
-        holds ``base``'s warm tables whenever it checked ``base``, so the
-        incremental path engages exactly when routing kept the pair hot."""
+        """One edited instance on the pair's affine worker, checked as a
+        plain warm query there (``Session.retypecheck``): the worker's
+        compiled schema and result cache carry over from link to link."""
         ticket = self.submit(
             "retypecheck",
             (

@@ -38,10 +38,10 @@ Ops
     ``"method"``, ``"explain"`` and ``"shards"`` (shard the fixpoint of
     this single query across the pool).
 ``retypecheck``
-    Like ``typecheck`` plus a ``"base"`` transducer section: the edited
-    ``"transducer"`` is checked incrementally against ``base``'s warm
-    fixpoint tables (``Session.retypecheck``) — same verdict as a cold
-    ``typecheck``, and the result's stats carry the reuse detail.
+    Like ``typecheck`` plus a required ``"base"`` transducer section
+    naming the link the edit came from: the edited ``"transducer"`` is
+    re-checked as a plain warm query (``Session.retypecheck``), so the
+    answer is the ``typecheck`` answer for ``"transducer"``.
 ``typecheck_many``
     ``"transducers": [text, ...]``; items fan out across the worker pool
     and the result is a list in input order.

@@ -8,9 +8,10 @@ and Rusinowitch ("Rewrite based Verification of XML Updates"): an edit
 script is *schema-safe* for a pair ``(din, dout)`` exactly when its
 compiled transducer typechecks, so every engine in the repo (forward,
 backward, auto, sharded, the service) answers update-validation queries
-unchanged — and a chain of successive script revisions is exactly the
-edit-chain workload :meth:`repro.core.session.Session.retypecheck`
-accelerates.
+unchanged.  A chain of successive script revisions is re-checked link
+by link with :meth:`repro.core.session.Session.retypecheck`, a plain warm
+query of each revision: the session's compiled schema and result cache
+make every link after the first cheap.
 
 >>> from repro.updates import Rename, DeleteNode, compile_script
 >>> script = (Rename("para", "p"), DeleteNode("note", under="sec"))

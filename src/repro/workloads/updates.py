@@ -8,9 +8,9 @@ Three generators back the ``repro.updates`` scenario class:
   title), for demos and the service round-trip tests.
 * :func:`edit_arm_pair` / :func:`edit_arm_transducer` — the *edit-arm*
   family: ``arms`` independent processing states over disjoint input
-  branches, so a single-rule edit dirties exactly one arm's fixpoint
-  cells and an incremental re-check reuses the other ``arms - 1`` —
-  the ``BENCH_incremental.json`` family.
+  branches, so a single-rule edit changes exactly one arm's rules —
+  the ``BENCH_incremental.json`` family, which times a warm re-check of
+  such an edit against a fresh session's compile and check.
 * :func:`random_edit_chain` — seeded chains of single-rule mutations
   over the shared :func:`~repro.workloads.random_instances.seeded_instance`
   derivation, for the 200-seed ``retypecheck``-vs-cold differential.
@@ -199,7 +199,7 @@ def _mutate(
     """One random single-rule edit (replace, delete or add a rule).
 
     The alphabet and state set stay fixed — the shape an interactive
-    edit loop produces, and the shape the incremental engines accept.
+    edit loop produces.
     Mutations may leave every tractability class or break the root-rule
     shape; the differential checks *parity* (same verdict or same
     exception type as a cold check), not success.

@@ -10,6 +10,7 @@ import pytest
 from repro.core.forward import ForwardEngine
 from repro.schemas import DTD
 from repro.transducers import TreeTransducer
+from repro.trees.dag import unfold_tree
 from repro.trees.generate import enumerate_trees
 from repro.trees.tree import hedge_top
 
@@ -93,7 +94,7 @@ class TestBehaviorTables:
         dfa = engine.out_dfa("out")
         table = engine.tree_vals[("out", "m", ("p", "p"))]
         for tau in list(table)[:10]:
-            tree = engine.build_tree("out", "m", ("p", "p"), tau)
+            tree = unfold_tree(engine.build_dag_tree("out", "m", ("p", "p"), tau))
             assert din.with_start("m").accepts(tree)
             word = hedge_top(transducer.apply_state("p", tree))
             for (ell, r) in tau:

@@ -1,7 +1,7 @@
 """The engine registry: protocol invariants, the all-engines
 differential (so a future fifth engine is cross-checked by
-construction), schema-warm retypecheck for non-incremental engines, and
-the README method table pinned to the registry rendering."""
+construction), retypecheck as a plain warm query on the compiled
+schema, and the README method table pinned to the registry rendering."""
 
 from pathlib import Path
 
@@ -164,44 +164,46 @@ def test_all_applicable_engines_agree_on_replus_pairs(typechecks):
 
 
 # ----------------------------------------------------------------------
-# Schema-warm retypecheck for non-incremental engines
+# Retypecheck is a plain warm query against the compiled schema
 # ----------------------------------------------------------------------
 def test_retypecheck_replus_reuses_the_compiled_schema():
     transducer, din, dout, expected = replus_family(3)
     session = repro.compile(din, dout)
     base = session.typecheck(transducer, method="replus")
     assert base.typechecks == expected
+    schema = get_engine("replus").peek_schema(session)
+    assert schema is not None and schema.compiled
     rechecked = session.retypecheck(transducer, transducer, method="replus")
     assert rechecked.typechecks == expected
-    assert rechecked.stats["retypecheck_mode"] == "warmed"
-    info = rechecked.stats["retypecheck"]
-    assert info["method"] == "replus"
-    assert "incremental" in info["reason"]
+    assert get_engine("replus").peek_schema(session) is schema
 
 
 def test_retypecheck_auto_on_replus_pair_reports_warmed():
-    """Auto resolves to the grammar engine on RE⁺ pairs; with the schema
-    warm the retypecheck is schema-warm, not cold (the old behavior)."""
+    """Auto resolves to the grammar engine on RE⁺ pairs, and the
+    retypecheck runs against the RE⁺ schema ``warm()`` compiled."""
     transducer, din, dout, expected = replus_family(3)
     session = repro.compile(din, dout)  # warm() compiles the RE⁺ schema
+    schema = get_engine("replus").peek_schema(session)
+    assert schema is not None
     rechecked = session.retypecheck(transducer, transducer)
     assert rechecked.typechecks == expected
     assert rechecked.stats["auto_method"] == "replus"
-    assert rechecked.stats["retypecheck_mode"] == "warmed"
+    assert get_engine("replus").peek_schema(session) is schema
 
 
 def test_retypecheck_delrelab_cold_until_compiled_then_warmed():
+    engine = get_engine("delrelab")
     transducer, din, dout, expected = relabeling_family(4)
     session = repro.compile(din, dout, eager=False)
+    assert engine.peek_schema(session, True) is None
     first = session.retypecheck(transducer, transducer, method="delrelab")
     assert first.typechecks == expected
-    assert first.stats["retypecheck_mode"] == "cold"
-    assert first.stats["retypecheck"]["reason"] == "schema not compiled"
-    # The cold run compiled the del-relab context; the next edit is warm.
+    # The first link compiled the del-relab context; the next one reuses it.
+    schema = engine.peek_schema(session, True)
+    assert schema is not None
     second = session.retypecheck(transducer, transducer, method="delrelab")
     assert second.typechecks == expected
-    assert second.stats["retypecheck_mode"] == "warmed"
-    assert "Theorem 20" in second.stats["retypecheck"]["reason"]
+    assert engine.peek_schema(session, True) is schema
 
 
 def test_delrelab_warm_and_default_typecheck_share_one_context():
@@ -215,19 +217,6 @@ def test_delrelab_warm_and_default_typecheck_share_one_context():
     assert session._delrelab == {True: warmed}
     session.typecheck(transducer, method="delrelab", check_output_class=False)
     assert set(session._delrelab) == {True, False}
-
-
-def test_retypecheck_bruteforce_stays_cold_with_its_reason():
-    transducer, din, dout, expected = relabeling_family(3)
-    session = repro.compile(din, dout, eager=False)
-    result = session.retypecheck(
-        transducer, transducer, method="bruteforce", max_nodes=6
-    )
-    assert result.stats["retypecheck_mode"] == "cold"
-    assert (
-        result.stats["retypecheck"]["reason"]
-        == "engine compiles no schema artifacts"
-    )
 
 
 # ----------------------------------------------------------------------

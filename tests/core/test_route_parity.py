@@ -122,7 +122,7 @@ def test_every_entry_point_reads_the_route(group):
         if base is not None:
             session.typecheck(base)
         redone = session.retypecheck(transducer, base or transducer)
-        assert redone.stats["retypecheck"]["method"] == engine, name
+        assert redone.stats["auto_method"] == engine, name
         assert redone.typechecks == result.typechecks, name
 
         report = (

@@ -1,10 +1,10 @@
 """ProductBFS state survives a pickle round trip mid-exploration.
 
-The incremental retypecheck path re-drains persisted frontiers from
-surviving fixpoint cells, so an engine pickled with *pending* work must
-resume in another process exactly where it stopped — same parents map,
-same frontier order, and continuing must match an engine that was never
-serialized."""
+The forward engine's shared σ-independent fixpoint cells keep their
+product graphs, frontiers included, and ship them in the artifact cache,
+so an engine pickled with *pending* work must resume in another process
+exactly where it stopped — same parents map, same frontier order, and
+continuing must match an engine that was never serialized."""
 
 import pickle
 

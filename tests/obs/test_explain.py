@@ -159,8 +159,8 @@ class TestQueryReport:
         result = session.retypecheck(transducer, transducer, explain=True)
         report = result.report
         assert report.kind == "retypecheck"
-        assert report.retypecheck is not None
-        assert "mode" in report.retypecheck
+        plain = session.typecheck(transducer, explain=True).report
+        assert (report.engine, report.verdict) == (plain.engine, plain.verdict)
 
     def test_query_scope_restores_kernel_metering(self):
         was = m.kernel_metrics_enabled()

@@ -133,7 +133,7 @@ class TestSlowQueryLog:
             e for e in _slow_entries(slow_file) if e.get("op") == "retypecheck"
         ]
         assert entries
-        assert entries[-1]["explain"]["retypecheck"]["mode"]
+        assert entries[-1]["explain"]["kind"] == "retypecheck"
 
 
 class TestWindowedTelemetry:

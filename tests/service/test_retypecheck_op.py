@@ -1,5 +1,6 @@
 """The ``retypecheck`` wire op: v1 framing, v2 bare framing over a pinned
-pair, pool object API, and its error contract."""
+pair, pool object API, its error contract, and the result cache that a
+chain link back to an answered transducer hits, in process and served."""
 
 import asyncio
 import contextlib
@@ -7,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.core.session import Session
 from repro.errors import ProtocolError
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer
@@ -81,7 +83,6 @@ def test_v1_retypecheck_round_trip(client):
     result = client.retypecheck(edited, base, din, dout)
     assert result["typechecks"] is False
     assert result["counterexample"] is not None
-    assert result["stats"]["retypecheck_mode"] in ("incremental", "warmed", "cold")
     # Same verdict as a plain typecheck of the edited transducer.
     plain = client.typecheck(edited, din, dout)
     assert plain["typechecks"] is False
@@ -98,7 +99,6 @@ def test_v2_bare_retypecheck_on_pinned_pair(client):
         method="forward",
     )
     assert safe["typechecks"] is True
-    assert safe["stats"]["retypecheck_mode"] == "incremental"
     assert pair.pair_id is not None  # genuinely rode the bare framing
 
     unsafe = pair.retypecheck(
@@ -133,4 +133,26 @@ def test_pool_object_api(shared_pool):
         method="forward",
     )
     assert not result.typechecks
-    assert result.stats["retypecheck_mode"] in ("incremental", "warmed", "cold")
+
+
+def test_chain_link_back_to_an_answered_transducer_hits_the_cache(client):
+    """An edit chain ``base -> edited -> base``: the last link re-checks a
+    transducer the session already answered, so in process and served
+    alike it is a result-cache hit with the cold verdict."""
+    din, dout = edit_arm_pair(6)
+    base = edit_arm_transducer(6)
+    edited = edit_arm_transducer(6, edited=2, variant="unsafe")
+
+    session = Session(din, dout)
+    assert session.typecheck(base).typechecks is True
+    assert session.retypecheck(edited, base).typechecks is False
+    back = session.retypecheck(base, edited)
+    assert back.typechecks is True
+    assert back.stats.get("table_cache") == "hit"
+
+    pair = client.pair(din, dout)
+    assert pair.typecheck(base)["typechecks"] is True
+    assert pair.retypecheck(edited, base)["typechecks"] is False
+    served = pair.retypecheck(base, edited)
+    assert served["typechecks"] is True
+    assert served["stats"].get("table_cache") == "hit"

@@ -2,8 +2,9 @@
 
 200 seeded chains of single-rule edits (``random_edit_chain``), each
 checked step by step two ways: a warm session following the chain with
-:meth:`Session.retypecheck` (incremental / warmed / cold as the guards
-decide) and plain :meth:`Session.typecheck` of each link in isolation.
+:meth:`Session.retypecheck` (a plain warm query whose schema artifacts
+and result cache carry over from link to link) and a second session
+that checks each link with :meth:`Session.typecheck`.
 Verdicts, exception types, and counterexample *validity* must agree at
 every link, across the forward, backward, and auto engines.
 """
@@ -79,10 +80,11 @@ def test_edit_chain_matches_cold(seed):
 
 
 @pytest.mark.parametrize("method", ["forward", "backward"])
-def test_explicit_engines_diff_on_replus_pairs(method):
+def test_explicit_engines_recheck_replus_pairs_from_cache(method):
     """RE⁺ pairs are DTD pairs: an explicit forward or backward
-    retypecheck takes the delta path there too (auto routes them to
-    ``replus``, which re-runs warmed)."""
+    retypecheck runs there too (auto routes them to ``replus``), and a
+    link back to the checked transducer is answered from the engine's
+    per-transducer cache."""
     from repro.workloads.families import nd_bc_family, replus_family
 
     for family in (nd_bc_family, replus_family):
@@ -92,65 +94,4 @@ def test_explicit_engines_diff_on_replus_pairs(method):
             warm.typecheck(transducer, method=method)
             result = warm.retypecheck(transducer, transducer, method=method)
             assert result.typechecks == expected
-            assert result.stats["retypecheck_mode"] != "cold"
-
-
-def test_chains_exercise_every_retypecheck_mode():
-    """Sanity on the harness itself: across a slice of seeds the warm
-    sessions must actually hit the incremental path (otherwise the
-    differential above would only ever compare cold against cold)."""
-    modes = set()
-    for seed in range(40):
-        din, dout, chain = random_edit_chain(seed, length=CHAIN_EDITS)
-        warm = Session(din, dout)
-        try:
-            warm.typecheck(chain[0], method="auto")
-        except ReproError:
-            continue
-        for prev, edited in zip(chain, chain[1:]):
-            try:
-                result = warm.retypecheck(edited, prev, method="auto")
-            except ReproError:
-                continue
-            modes.add(result.stats.get("retypecheck_mode"))
-    assert "incremental" in modes or "warmed" in modes, modes
-    assert "cold" in modes, modes
-
-
-def test_incremental_tables_retain_sigma_independent_cells():
-    """Every σ-independent (empty-P) cell of the base snapshot must ride
-    into the incremental run's published tables.
-
-    Those cells are skipped by the dirty-reachability pre-walk (the
-    schema's shared region owns their evaluation), but a *reused* cell's
-    recorded witness can recurse into one that no dirty cell requests in
-    the new run — and the new snapshot is the next link's base.  Dropping
-    them left counterexample extraction with dangling references
-    (``KeyError: (None, 's0', ())`` under some hash orders).
-    """
-    from repro.workloads.updates import edit_arm_pair, edit_arm_transducer
-
-    arms = 6
-    din, dout = edit_arm_pair(arms)
-    session = Session(din, dout)
-    base = edit_arm_transducer(arms)
-    assert session.typecheck(base, method="forward").typechecks
-    schema = session.forward_schema()
-
-    prev = base
-    for i in range(arms):
-        edited = edit_arm_transducer(arms, edited=i, variant="unsafe")
-        result = session.retypecheck(edited, prev, method="forward")
-        assert result.stats["retypecheck_mode"] == "incremental"
-        assert result.typechecks is False
-
-        base_tables = schema.cached_tables(prev.content_hash())
-        new_tables = schema.cached_tables(edited.content_hash())
-        assert base_tables is not None and new_tables is not None
-        for kind in ("hedge", "tree"):
-            missing = [
-                key for key in base_tables[kind]
-                if not key[2] and key not in new_tables[kind]
-            ]
-            assert not missing, f"{kind} cells dropped: {missing}"
-        prev = edited
+            assert result.stats["table_cache"] == "hit"
