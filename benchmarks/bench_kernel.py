@@ -23,20 +23,15 @@ The *backward* family (PR 5) races the inverse-type-inference engine
 the same workload families plus the wide-copy/small-output family built
 for it, asserting verdict parity on both polarities of every row, and
 writes ``BENCH_backward.json``; the smoke gate bounds the backward
-engine's slowdown on the forward-friendly family and requires it to beat
-forward on the wide-copy family.
-
-The *auto* family (PR 6) scores the ``method="auto"`` router: the
-schema-class ladder resolves an engine per instance (``backward`` on
-every DTD pair in the sharded view) and the routed engine races both
-explicit engines; ``BENCH_auto.json`` records the choice and the
-over-best ratio, and the smoke gate fails if auto loses more than ~1.2x
-to the better engine on ``nd_bc`` or ``wide_copy``.
+engine at 1.2x of forward on the forward-friendly family and requires it
+to beat forward on the wide-copy family.  ``method="auto"`` sends every
+non-RE⁺ DTD pair to ``backward`` without pricing forward, so these gates
+guard that route's premise.
 
 The *service* family (PR 3) measures the multi-process worker pool on the
 ``nd_bc_batch`` workload — batch throughput with 1/2/4 workers against the
-in-process session baseline, the per-transducer table-cache repeat, and a
-sharded single query — and writes ``BENCH_service.json``.  Multi-worker
+in-process session baseline, the per-transducer table-cache repeat, and
+sticky-pair request bytes — and writes ``BENCH_service.json``.  Multi-worker
 speedups are hardware-bound: the file records ``cpu_count`` and the smoke
 gate adapts (on a single-CPU runner it only asserts bounded pool overhead
 and correctness; with >= 2 CPUs it requires a real 2-worker speedup).
@@ -135,18 +130,15 @@ SERVICE_SMOKE_MIN_RATIO_1CPU = 0.3
 # below the same queries sent with inline schemas (locally ~0.6x).
 STICKY_SMOKE_MAX_BYTES_RATIO = 0.8
 # Backward-engine gates: verdict parity with forward is asserted on every
-# row; the timing gates bound the inverse-type-inference engine at a
-# generous slowdown on the forward-friendly smoke family (locally ~0.3x,
-# i.e. backward actually wins there too) and require it to *beat* the
-# forward engine on the wide-copy/small-output family built for it
-# (locally ~0.002x).
-BACKWARD_SMOKE_MAX_RATIO = 3.0
+# row; the timing gates bound the inverse-type-inference engine at 1.2x of
+# forward on the forward-friendly smoke family (locally ~0.3x, i.e.
+# backward wins there too) and require it to *beat* the forward engine on
+# the wide-copy/small-output family built for it (locally ~0.002x).  Auto
+# routes every non-RE⁺ DTD pair to backward without pricing the
+# alternatives, so these gates guard that design's premise: backward is
+# never far behind forward.
+BACKWARD_SMOKE_MAX_RATIO = 1.2
 BACKWARD_WIDE_COPY_MAX_RATIO = 0.5
-# Auto-routing gate: the routed engine must land within this factor of the
-# faster explicit engine on every gated family.  Auto routes every DTD
-# pair to backward without pricing the alternatives, so this gate guards
-# that design's premise: backward is never far behind forward.
-AUTO_SMOKE_MAX_OVER_BEST = 1.2
 # Observability gate: the disabled telemetry path (null-span check plus
 # the unmetered kernel drain) must cost no more than 5% over a build with
 # the span seam patched out entirely — the hooks are supposed to be free
@@ -174,7 +166,7 @@ COMPILE_SMOKE_MAX_RATIO = 8.0
 # re-runs (forward/dfa/nta share BENCH_kernel.json, service covers every
 # service-* group).
 FAMILIES = (
-    "forward", "dfa", "nta", "compile", "backward", "auto", "session",
+    "forward", "dfa", "nta", "compile", "backward", "session",
     "service", "incremental", "obs",
 )
 
@@ -317,57 +309,6 @@ def bench_backward(results, sizes, repeat: int) -> None:
                 "forward_s": forward_s,
                 "backward_s": backward_s,
                 "backward_over_forward": backward_s / forward_s,
-            }
-        )
-
-
-def bench_auto(results, sizes, repeat: int) -> None:
-    """The ``method="auto"`` router's choice vs both complete engines.
-
-    For each family ``Session.route(T, shardable=True)`` — the ladder
-    ``typecheck_sharded(method="auto")`` runs, which sends every DTD pair
-    to backward — resolves an engine; the row records the choice, the
-    route's own price (``routing_s``), the actual wall time of both
-    explicit engines, and the routed engine's time.  ``auto_over_best``
-    is the router's figure of merit: 1.0 means it picked the winner, and
-    the smoke gate bounds it at :data:`AUTO_SMOKE_MAX_OVER_BEST` on both
-    gated families.
-
-    Timings race the *raw* engines on purpose: a session's per-transducer
-    table cache would serve every repeat in ~40µs and flatter whichever
-    path went through it.
-    """
-    for name, family, n in sizes:
-        transducer, din, dout, expected = family(n)
-        session = Session(din, dout, eager=False)
-        chosen = session.route(transducer, shardable=True)
-        routing_s = best_of(
-            lambda: session.route(transducer, shardable=True), repeat
-        )
-        forward_r = typecheck_forward(transducer, din, dout)
-        backward_r = typecheck_backward(transducer, din, dout)
-        assert forward_r.typechecks == backward_r.typechecks == expected, (
-            name, n,
-        )
-        forward_s = best_of(
-            lambda: typecheck_forward(transducer, din, dout), repeat
-        )
-        backward_s = best_of(
-            lambda: typecheck_backward(transducer, din, dout), repeat
-        )
-        auto_s = forward_s if chosen == "forward" else backward_s
-        results.append(
-            {
-                "group": "auto",
-                "name": f"{name}({n})",
-                "family": name,
-                "n": n,
-                "chosen": chosen,
-                "routing_s": routing_s,
-                "forward_s": forward_s,
-                "backward_s": backward_s,
-                "auto_s": auto_s,
-                "auto_over_best": auto_s / min(forward_s, backward_s),
             }
         )
 
@@ -739,140 +680,6 @@ def bench_service_sticky(results, n: int, k: int, repeat: int) -> None:
     )
 
 
-def _skewed_shard_instance(width: int, arms: int):
-    """An instance whose root-check cells have wildly uneven seed counts.
-
-    Input symbols ``a_i`` map to output nodes carrying 3 copies of the
-    state for even ``i`` and 1 copy for odd ``i`` — predicted cell costs
-    ``n_out^3`` vs ``n_out^1`` — so a blind round-robin split clusters the
-    heavy cells while the LPT planner spreads them.
-    """
-    from repro.schemas.dtd import DTD
-    from repro.transducers.transducer import TreeTransducer
-
-    chain = " ".join(f"c{j}" for j in range(width))
-    din_rules = {"root": " ".join(f"a{i}" for i in range(arms)), "b": ""}
-    dout_rules = {"root": "t*", "t": chain}
-    for i in range(arms):
-        din_rules[f"a{i}"] = "b b*"
-    for j in range(width):
-        dout_rules[f"c{j}"] = ""
-    din = DTD(din_rules, start="root")
-    dout = DTD(dout_rules, start="root")
-    rules = {("q", "root"): "root(" + " ".join("q" for _ in range(1)) + ")"}
-    for i in range(arms):
-        copies = 3 if i % 2 == 0 else 1
-        rules[("q", f"a{i}")] = "t(" + " ".join("q" for _ in range(copies)) + ")"
-    rules[("q", "b")] = " ".join(f"c{j}" for j in range(width))
-    alphabet = set(din.alphabet) | set(dout.alphabet)
-    transducer = TreeTransducer({"q"}, alphabet, "q", rules)
-    return transducer, din, dout
-
-
-def bench_shard_plan(results, width: int, arms: int, repeat: int, shards: int) -> None:
-    """Planned (LPT) vs round-robin shard balance on a skewed instance.
-
-    Sequential in-process shard execution (no pool), so the recorded
-    per-shard wall times measure *work per shard*, not scheduling noise —
-    the spread (max/min) is the planner's figure of merit.
-    """
-    from repro.core.forward import compute_forward_tables, ForwardSchema
-
-    transducer, din, dout = _skewed_shard_instance(width, arms)
-
-    def compute(partitions, method="forward"):
-        return [
-            compute_forward_tables(
-                transducer, din, dout, partition,
-                schema=ForwardSchema(din, dout),
-            )
-            for partition in partitions
-        ]
-
-    def spread_of(planned: bool):
-        best = None
-        for _ in range(repeat):
-            session = Session(din, dout, eager=False)
-            if planned:
-                result = session.typecheck_sharded(
-                    transducer, compute, shards=shards
-                )
-                walls = result.stats["shard_wall_s"]
-                costs = result.stats["shard_costs"]
-            else:
-                # The blind positional split, built here for comparison
-                # (the library only plans by predicted cost).
-                keys = session.check_keys(transducer)
-                snapshots = compute(
-                    [keys[index::shards] for index in range(shards)]
-                )
-                walls = [snapshot["elapsed_s"] for snapshot in snapshots]
-                costs = None
-            row = {
-                "wall_s": walls,
-                "spread": max(walls) / max(min(walls), 1e-9),
-                "costs": costs,
-            }
-            # keep the fastest (least noisy) round, judged by total wall —
-            # picking by min spread would flatter the blind partitioner
-            if best is None or sum(walls) < sum(best["wall_s"]):
-                best = row
-        return best
-
-    planned = spread_of(True)
-    rr = spread_of(False)
-    results.append(
-        {
-            "group": "service-shard-plan",
-            "name": f"shard_plan(width={width}, arms={arms}, shards={shards})",
-            "family": "shard_plan",
-            "width": width,
-            "arms": arms,
-            "shards": shards,
-            "planned_wall_s": planned["wall_s"],
-            "planned_spread_max_over_min": planned["spread"],
-            "planned_costs": planned["costs"],
-            "round_robin_wall_s": rr["wall_s"],
-            "round_robin_spread_max_over_min": rr["spread"],
-        }
-    )
-
-
-def bench_service_shard(results, n: int, repeat: int, shards: int) -> None:
-    """A single query with its forward fixpoint sharded across the pool."""
-    import os
-
-    from repro.service.pool import WorkerPool
-
-    transducer, din, dout, expected = nd_bc_family(n)
-    unsharded = best_of(
-        lambda: typecheck_forward(transducer, din, dout), repeat
-    )
-    pool = WorkerPool(shards)
-    try:
-        def sharded():
-            result = pool.typecheck_sharded(din, dout, transducer, shards=shards)
-            assert result.typechecks == expected
-
-        sharded()  # warm worker sessions (and the parent merge session)
-        sharded_s = best_of(sharded, repeat)
-    finally:
-        pool.close()
-    results.append(
-        {
-            "group": "service-shard",
-            "name": f"nd_bc({n}) sharded x{shards}",
-            "family": "nd_bc_shard",
-            "n": n,
-            "shards": shards,
-            "cpu_count": os.cpu_count() or 1,
-            "unsharded_s": unsharded,
-            "sharded_s": sharded_s,
-            "speedup": unsharded / sharded_s,
-        }
-    )
-
-
 def bench_incremental(results, sizes, repeat: int) -> None:
     """Warm ``Session.retypecheck`` vs a fresh session on single-rule edits.
 
@@ -1102,8 +909,6 @@ def main(argv=None) -> int:
                         default=REPO_ROOT / "BENCH_service.json")
     parser.add_argument("--output-backward", type=Path,
                         default=REPO_ROOT / "BENCH_backward.json")
-    parser.add_argument("--output-auto", type=Path,
-                        default=REPO_ROOT / "BENCH_auto.json")
     parser.add_argument("--output-incremental", type=Path,
                         default=REPO_ROOT / "BENCH_incremental.json")
     parser.add_argument("--output-obs", type=Path,
@@ -1128,7 +933,6 @@ def main(argv=None) -> int:
     session_results: list = []
     service_results: list = []
     backward_results: list = []
-    auto_results: list = []
     incremental_results: list = []
     obs_results: list = []
     if args.smoke:
@@ -1139,13 +943,6 @@ def main(argv=None) -> int:
         if want("backward"):
             bench_backward(
                 backward_results,
-                [("nd_bc", nd_bc_family, SMOKE_FAMILY[1]),
-                 ("wide_copy", wide_copy_family, 8)],
-                repeat,
-            )
-        if want("auto"):
-            bench_auto(
-                auto_results,
                 [("nd_bc", nd_bc_family, SMOKE_FAMILY[1]),
                  ("wide_copy", wide_copy_family, 8)],
                 repeat,
@@ -1164,9 +961,6 @@ def main(argv=None) -> int:
                 worker_counts=(1, 2),
             )
             bench_service_sticky(service_results, 12, 10, min(repeat, 3))
-            bench_shard_plan(
-                service_results, width=16, arms=8, repeat=2, shards=2
-            )
         if want("incremental"):
             bench_incremental(incremental_results, [8], repeat)
         if want("obs"):
@@ -1198,18 +992,6 @@ def main(argv=None) -> int:
                 ],
                 repeat,
             )
-        if want("auto"):
-            bench_auto(
-                auto_results,
-                [
-                    ("nd_bc", nd_bc_family, 16),
-                    ("nd_bc", nd_bc_family, 64),
-                    ("filtering", filtering_family, 32),
-                    ("wide_copy", wide_copy_family, 8),
-                    ("wide_copy", wide_copy_family, 16),
-                ],
-                repeat,
-            )
         if want("dfa"):
             bench_dfa(results, [16, 48, 96], repeat)
         if want("nta"):
@@ -1225,14 +1007,7 @@ def main(argv=None) -> int:
                 service_results, [(24, 24), (48, 16)], min(repeat, 3),
                 worker_counts=(1, 2, 4),
             )
-            bench_service_shard(service_results, 48, min(repeat, 3), shards=4)
             bench_service_sticky(service_results, 24, 24, min(repeat, 3))
-            bench_shard_plan(
-                service_results, width=16, arms=8, repeat=3, shards=2
-            )
-            bench_shard_plan(
-                service_results, width=16, arms=8, repeat=3, shards=4
-            )
         if want("incremental"):
             bench_incremental(incremental_results, [8, 16], repeat)
         if want("obs"):
@@ -1307,21 +1082,6 @@ def main(argv=None) -> int:
             "best_backward_over_forward": best["backward_over_forward"],
         }
 
-    def auto_summary(rows):
-        worst = max(rows, key=lambda r: r["auto_over_best"])
-        return {
-            "note": (
-                "auto_over_best is the routed engine's wall time over the "
-                "faster explicit engine's: 1.0 means the schema-class "
-                "ladder (backward on every DTD pair in the sharded view) "
-                "picked the winner; the smoke gate bounds it at "
-                f"{AUTO_SMOKE_MAX_OVER_BEST}x on nd_bc and wide_copy.  The "
-                "route prices nothing (routing_s is its whole cost)"
-            ),
-            "worst_family": worst["name"],
-            "worst_auto_over_best": worst["auto_over_best"],
-        }
-
     def incremental_summary(rows):
         worst = max(rows, key=lambda r: r["incremental_over_cold"])
         return {
@@ -1363,7 +1123,6 @@ def main(argv=None) -> int:
         (args.output_service, service_results, min(repeat, 3),
          service_summary),
         (args.output_backward, backward_results, repeat, backward_summary),
-        (args.output_auto, auto_results, repeat, auto_summary),
         (args.output_incremental, incremental_results, repeat,
          incremental_summary),
         (args.output_obs, obs_results, repeat, obs_summary),
@@ -1375,7 +1134,7 @@ def main(argv=None) -> int:
     service_batches = [r for r in service_results if r["group"] == "service"]
     all_rows = (
         results + compile_results + session_results + service_results
-        + backward_results + auto_results + incremental_results + obs_results
+        + backward_results + incremental_results + obs_results
     )
     width = max((len(r["name"]) for r in all_rows), default=0)
     for r in results:
@@ -1397,13 +1156,6 @@ def main(argv=None) -> int:
             f"  bwd    {r['backward_s'] * 1e3:8.2f} ms"
             f"  b/f    {r['backward_over_forward']:6.2f}x"
         )
-    for r in auto_results:
-        print(
-            f"{r['name']:<{width}}  auto={r['chosen']:<8s}"
-            f"  routed {r['auto_s'] * 1e3:8.2f} ms"
-            f"  best {min(r['forward_s'], r['backward_s']) * 1e3:8.2f} ms"
-            f"  over-best {r['auto_over_best']:5.2f}x"
-        )
     for r in session_results:
         print(
             f"{r['name']:<{width}}  cold     {r['cold_s'] * 1e3:8.2f} ms"
@@ -1423,27 +1175,12 @@ def main(argv=None) -> int:
             f"  table-cache repeat {r['table_cache_speedup']:.1f}x"
         )
     for r in service_results:
-        if r["group"] != "service-shard":
-            continue
-        print(
-            f"{r['name']:<{width}}  unsharded {r['unsharded_s'] * 1e3:7.2f} ms"
-            f"  sharded {r['sharded_s'] * 1e3:8.2f} ms"
-            f"  speedup {r['speedup']:6.2f}x"
-        )
-    for r in service_results:
         if r["group"] == "service-sticky":
             print(
                 f"{r['name']:<{width}}  v1 {r['v1_request_bytes']:>9} B"
                 f"  sticky {r['sticky_request_bytes']:>9} B"
                 f"  ({r['bytes_ratio']:.2f}x bytes,"
                 f" {r['latency_speedup']:.2f}x latency)"
-            )
-        elif r["group"] == "service-shard-plan":
-            print(
-                f"{r['name']:<{width}}"
-                f"  planned spread {r['planned_spread_max_over_min']:6.2f}"
-                f"  round-robin spread"
-                f" {r['round_robin_spread_max_over_min']:6.2f}"
             )
     for r in incremental_results:
         print(
@@ -1551,18 +1288,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             failed = True
-        for row in auto_results:
-            if row["auto_over_best"] > AUTO_SMOKE_MAX_OVER_BEST:
-                print(
-                    f"SMOKE FAILURE: auto routed {row['name']} to "
-                    f"{row['chosen']} at {row['auto_s'] * 1e3:.2f} ms vs the "
-                    f"better engine's "
-                    f"{min(row['forward_s'], row['backward_s']) * 1e3:.2f} ms "
-                    f"({row['auto_over_best']:.2f}x > "
-                    f"{AUTO_SMOKE_MAX_OVER_BEST}x)",
-                    file=sys.stderr,
-                )
-                failed = True
         wide_copy = next(
             (r for r in backward_results if r["family"] == "wide_copy"),
             None,

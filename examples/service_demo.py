@@ -12,9 +12,7 @@ for its ready line, then drives it with the thin client:
    transducer payloads fanned out across the workers;
 3. the same query twice — the repeat is served from the worker's
    per-transducer fixpoint-table cache (watch ``stats.table_cache``);
-4. a single query with its forward fixpoint *sharded* across the pool
-   (keys LPT-packed by their predicted cell costs);
-5. a counterexample, parsed back into a tree.
+4. a counterexample, parsed back into a tree.
 
 Run:  python examples/service_demo.py
 """
@@ -122,10 +120,6 @@ def main() -> int:
                     f"({client.last_response['elapsed_ms']} ms)"
                 )
             print()
-
-            print("sharded single query (fixpoint split across workers):")
-            result = pair.typecheck(variants[0], shards=2)
-            print(f"  typechecks={result['typechecks']} (shards=2)\n")
 
             print("counterexample for a leaking variant:")
             witness = pair.counterexample(variants[1])

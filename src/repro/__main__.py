@@ -45,7 +45,7 @@ Options::
                        the checked transducer is the script compiled over
                        the input alphabet
     --trace FILE       append JSON-lines trace spans (compile, fixpoint,
-                       shard_plan, merge, ...) to FILE; each instance is
+                       ...) to FILE; each instance is
                        checked under its own trace ID (see repro.obs.trace)
     --explain          print each instance's query attribution report after
                        its verdict: the engine that ran with its measured
@@ -85,7 +85,7 @@ metrics registry in Prometheus text format on a second port — with
 turns on the kernel counters.  ``--slow-query-log FILE`` appends one
 JSON line per single-instance request slower than ``--slow-ms N``
 (default 100): wire identifiers, trace ID, and the query's full explain
-report, so one log entry reconstructs a slow sharded query; loggable ops
+report, so one log entry reconstructs a slow query; loggable ops
 then always run with explain on (the log's documented overhead).  It
 speaks the JSON-lines protocol of :mod:`repro.service.protocol` (v2
 sticky pairs included); drive it with

@@ -15,12 +15,6 @@ from repro.backward.engine import (
     BACKWARD_TABLE_LIMIT,
     BackwardEngine,
     BackwardSchema,
-    WitnessCycleError,
-    backward_check_keys,
-    backward_key_costs,
-    compute_backward_tables,
-    hydrate_backward_tables,
-    merge_backward_tables,
     typecheck_backward,
 )
 from repro.backward.preimage import preimage_product_nta
@@ -29,12 +23,6 @@ __all__ = [
     "BACKWARD_TABLE_LIMIT",
     "BackwardEngine",
     "BackwardSchema",
-    "WitnessCycleError",
-    "backward_check_keys",
-    "backward_key_costs",
-    "compute_backward_tables",
-    "hydrate_backward_tables",
-    "merge_backward_tables",
     "preimage_product_nta",
     "typecheck_backward",
 ]

@@ -69,9 +69,8 @@ unfolds into a concrete ``t ∈ L(din)`` with ``T(t) ∉ L(dout)``.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict, deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import BudgetExceededError, ClassViolationError
 from repro.kernel.interning import Interner
@@ -438,36 +437,10 @@ class BackwardEngine:
                 self._dirty.append(a)
                 self._dirty_set.add(a)
 
-    def closure_symbols(self, symbols: Iterable[str]) -> Set[str]:
-        """The downward dependency closure of ``symbols``.
-
-        A symbol's cell consumes the derived Φs of its live child symbols,
-        so evaluating a restricted symbol set to *its* fixpoint needs
-        exactly this closure registered — the shape a shard computes.
-        """
-        seen: Set[str] = set()
-        stack = list(symbols)
-        while stack:
-            a = stack.pop()
-            if a in seen:
-                continue
-            seen.add(a)
-            _idfa, _mask, child_syms = self.schema.in_kernel_info(a)
-            stack.extend(c for c, _c_sym in child_syms if c not in seen)
-        return seen
-
-    def run(self, symbols: Optional[Iterable[str]] = None) -> None:
-        """Chaotic iteration over the per-symbol product cells.
-
-        ``symbols`` restricts the evaluation to the downward dependency
-        closure of the given input symbols (a shard's slice of the
-        per-symbol cells); by default every ``din``-reachable symbol is
-        registered — the complete fixpoint.
-        """
-        if symbols is None:
-            symbols = self.din.reachable_symbols()
-        else:
-            symbols = self.closure_symbols(symbols)
+    def run(self) -> None:
+        """Chaotic iteration over the per-symbol product cells of every
+        ``din``-reachable symbol — the complete fixpoint."""
+        symbols = self.din.reachable_symbols()
         if not symbols:
             return
         for a in sorted(symbols, key=repr):
@@ -600,28 +573,6 @@ class BackwardEngine:
             )
 
     # ------------------------------------------------------------------
-    # Cross-process Φ values
-    # ------------------------------------------------------------------
-    # Interned behavior/map ints are private to one engine instance; the
-    # shard fan-out ships Φs between processes as *externalized values*:
-    # the plain tuple-of-behavior-tuples they intern.  The components are
-    # engine-independent by construction — the domain/σ orders are sorted
-    # and the transformation entries are kernel DFA state indices, whose
-    # numbering is deterministic from the DTD content (already load-bearing
-    # for the forward table merge).
-    def externalize(self, phi_int: int) -> Tuple:
-        """The engine-independent value of an interned Φ."""
-        return tuple(
-            self._abs.value(v) for v in self._maps.value(phi_int)
-        )
-
-    def internalize(self, phi_value: Tuple) -> int:
-        """Intern an externalized Φ into this engine's tables."""
-        return self._maps.intern(
-            tuple(self._abs.intern(b) for b in phi_value)
-        )
-
-    # ------------------------------------------------------------------
     # Witness extraction
     # ------------------------------------------------------------------
     def build_tree(self, pair: PairKey) -> Tree:
@@ -631,204 +582,19 @@ class BackwardEngine:
         immutable), so the construction is linear in the number of
         distinct pairs even when the unfolded tree repeats subtrees.
 
-        A single engine's witness words reference only pairs derived
-        strictly earlier, so the recursion is well-founded; *merged* shard
-        tables interleave different derivation schedules, where a cycle is
-        theoretically possible on mutually recursive symbols — the guard
-        raises :class:`WitnessCycleError` (and ``typecheck_backward``
-        falls back to a local extraction run) instead of recursing forever.
+        A witness word references only pairs derived strictly earlier, so
+        the recursion is well-founded.
         """
         memo: Dict[PairKey, Tree] = {}
-        in_progress: Set[PairKey] = set()
 
         def build(p: PairKey) -> Tree:
             tree = memo.get(p)
             if tree is None:
-                if p in in_progress:
-                    raise WitnessCycleError(
-                        f"witness references cycle through pair {p!r}"
-                    )
-                in_progress.add(p)
                 tree = Tree(p[0], [build(child) for child in self.witness[p]])
-                in_progress.discard(p)
                 memo[p] = tree
             return tree
 
         return build(pair)
-
-
-class WitnessCycleError(RuntimeError):
-    """Merged shard witnesses formed a cycle (see ``build_tree``)."""
-
-
-# ----------------------------------------------------------------------
-# Shard fan-out: the per-input-symbol cells as picklable data
-# ----------------------------------------------------------------------
-# The backward fixpoint partitions naturally along its chaotic-iteration
-# unit, the per-input-symbol product cell: a shard evaluates its assigned
-# symbols (plus their downward dependency closure) to the complete least
-# fixpoint and exports the derived Φs and witness words of the *assigned*
-# symbols only — externalized (see BackwardEngine.externalize), so the
-# values survive the process boundary.  Partitions cover the reachable
-# symbols disjointly, so the merged tables carry every symbol's complete
-# derived list and ``typecheck_backward(tables=merged)`` re-internalizes
-# them into a fresh engine whose run() is skipped entirely.  Fixpoint
-# confluence makes the merged derived *sets* — and hence the verdict —
-# bit-identical to an unsharded run.
-
-
-def backward_check_keys(
-    transducer: TreeTransducer,
-    din: DTD,
-    schema: Optional[BackwardSchema] = None,
-) -> List[str]:
-    """The backward fan-out's check keys: the reachable input symbols.
-
-    One key per per-symbol product cell, in the deterministic order the
-    unsharded ``run()`` registers them (``schema`` is accepted for
-    signature parity with :func:`~repro.core.forward.forward_check_keys`;
-    the keys depend on ``din`` alone).
-    """
-    return sorted(din.reachable_symbols(), key=repr)
-
-
-def backward_key_costs(
-    keys: Sequence[str],
-    schema: BackwardSchema,
-    transducer: TreeTransducer,
-) -> List[float]:
-    """Predicted fixpoint cost of each per-symbol cell.
-
-    The cell explores (input content DFA of ``a``) × (behavior-map
-    tracker); the tracker's size follows the transition monoids of the
-    tracked output content DFAs, so the model charges
-    ``n_in_states × (1 + Σ_tracked n_out_states)`` per symbol — the
-    measurable-shape counterpart of the forward ``n_out^m`` seed model.
-    """
-    out_alphabet = frozenset(transducer.alphabet | schema.dout.alphabet)
-    tracked: Set[str] = set()
-    for rhs in transducer.rules.values():
-        for _path, node in iter_rhs_nodes(rhs):
-            if isinstance(node, (RhsState, RhsCall)):
-                continue
-            if any(
-                isinstance(child, (RhsState, RhsCall))
-                for child in node.children
-            ):
-                tracked.add(node.label)
-    monoid = 1 + sum(
-        schema.out_kernel(sigma, out_alphabet).n_states
-        for sigma in sorted(tracked)
-    )
-    costs: List[float] = []
-    for a in keys:
-        idfa, _mask, _child_syms = schema.in_kernel_info(a)
-        costs.append(float(max(1, idfa.n_states) * monoid))
-    return costs
-
-
-def compute_backward_tables(
-    transducer: TreeTransducer,
-    din: DTD,
-    dout: DTD,
-    keys: Iterable[str],
-    *,
-    max_product_nodes: int = 500_000,
-    schema: Optional[BackwardSchema] = None,
-) -> Dict[str, object]:
-    """One shard of the backward fixpoint: the cells of ``keys``.
-
-    Saturates the downward dependency closure of the assigned input
-    symbols (``early_exit=False`` — the merge needs complete derived
-    lists) and exports the assigned symbols' Φs and witness words in
-    externalized, picklable form.  A service worker calls this against
-    its warm session's schema; the parent merges the shards with
-    :func:`merge_backward_tables` and finishes via
-    ``typecheck_backward(..., tables=merged)``.
-    """
-    if transducer.uses_calls():
-        from repro.xpath.compile import compile_calls
-
-        transducer = compile_calls(transducer)
-    if schema is None:
-        schema = BackwardSchema(din, dout)
-    keys = list(keys)
-    engine = BackwardEngine(
-        transducer, din, dout, max_product_nodes,
-        schema=schema, early_exit=False,
-    )
-    start = time.perf_counter()
-    with _trace.span("fixpoint", engine="backward") as fix_span:
-        engine.run(symbols=keys)
-        fix_span.set(keys=len(keys), work=engine.work)
-    assigned = set(keys)
-    ext_memo: Dict[int, Tuple] = {}
-
-    def ext(phi_int: int) -> Tuple:
-        value = ext_memo.get(phi_int)
-        if value is None:
-            value = engine.externalize(phi_int)
-            ext_memo[phi_int] = value
-        return value
-
-    derived = {
-        a: [ext(phi) for phi in engine.derived.get(a, ())] for a in assigned
-    }
-    witness = {
-        (a, ext(phi)): tuple((c, ext(p)) for c, p in word)
-        for (a, phi), word in engine.witness.items()
-        if a in assigned
-    }
-    return {
-        "derived": derived,
-        "witness": witness,
-        "work": engine.work,
-        "elapsed_s": time.perf_counter() - start,
-    }
-
-
-def merge_backward_tables(
-    shards: Iterable[Dict[str, object]],
-) -> Dict[str, object]:
-    """Union shard snapshots into one backward table set.
-
-    Partitions are disjoint, so per-symbol derived lists concatenate
-    trivially (first copy wins on overlap); ``work`` accumulates for
-    stats."""
-    merged: Dict[str, object] = {"derived": {}, "witness": {}, "work": 0}
-    derived: Dict = merged["derived"]
-    witness: Dict = merged["witness"]
-    for shard in shards:
-        merged["work"] = int(merged["work"]) + int(shard.get("work", 0))
-        for a, phis in shard["derived"].items():
-            derived.setdefault(a, list(phis))
-        witness.update(shard["witness"])
-    return merged
-
-
-def hydrate_backward_tables(
-    engine: BackwardEngine, tables: Dict[str, object]
-) -> None:
-    """Install merged shard tables into a fresh engine, replacing run().
-
-    Externalized Φ values re-intern into the hydrating engine's own
-    tables; the violation scan and witness unfolding then read the engine
-    exactly as after a converged run."""
-    for a, phis in tables["derived"].items():
-        ints = [engine.internalize(value) for value in phis]
-        engine.derived[a] = ints
-        for phi in ints:
-            engine._derived_set.add((a, phi))
-    for (a, phi_value), word in tables["witness"].items():
-        engine.witness[(a, engine.internalize(phi_value))] = tuple(
-            (c, engine.internalize(value)) for c, value in word
-        )
-    engine.work = int(tables.get("work", 0))
-    start = engine.din.start
-    for phi in engine.derived.get(start, ()):
-        if engine.bad(phi):
-            engine.violation = (start, phi)
-            break
 
 
 # ----------------------------------------------------------------------
@@ -861,7 +627,6 @@ def typecheck_backward(
     max_product_nodes: int = 500_000,
     want_counterexample: bool = True,
     schema: Optional[BackwardSchema] = None,
-    tables: Optional[Dict[str, object]] = None,
 ) -> TypecheckResult:
     """Sound and complete typechecking by inverse type inference.
 
@@ -879,12 +644,6 @@ def typecheck_backward(
     which also enables the per-transducer result cache (an equal-content
     transducer seen before is answered from its stored snapshot,
     ``stats["table_cache"]``).
-
-    ``tables`` injects merged shard tables (see
-    :func:`compute_backward_tables` / :func:`merge_backward_tables`): the
-    engine hydrates instead of running, the result cache is bypassed, and
-    the verdict is bit-identical to an unsharded run by fixpoint
-    confluence.
     """
     if transducer.uses_calls():
         from repro.xpath.compile import compile_calls
@@ -943,10 +702,9 @@ def typecheck_backward(
         )
 
     # Per-transducer result cache (session-shared schemas only — a
-    # one-shot private schema is discarded with its cache; injected shard
-    # tables carry their own answer and bypass the cache entirely).
+    # one-shot private schema is discarded with its cache).
     table_key = None
-    if shared_schema and tables is None:
+    if shared_schema:
         table_key = transducer.content_hash()
         snapshot = schema.cached_result(table_key)
         if snapshot is not None:
@@ -959,12 +717,9 @@ def typecheck_backward(
     engine = BackwardEngine(
         transducer, din, dout, max_product_nodes, schema=schema
     )
-    if tables is None:
-        with _trace.span("fixpoint", engine="backward") as fix_span:
-            engine.run()
-            fix_span.set(work=engine.work)
-    else:
-        hydrate_backward_tables(engine, tables)
+    with _trace.span("fixpoint", engine="backward") as fix_span:
+        engine.run()
+        fix_span.set(work=engine.work)
     stats["product_nodes"] = engine.work
     stats["derived_pairs"] = len(engine.witness)
     stats["behaviors"] = len(engine._abs)
@@ -986,18 +741,7 @@ def typecheck_backward(
         }
     else:
         reason = engine.describe(engine.violation[1])
-        try:
-            counterexample = engine.build_tree(engine.violation)
-        except (WitnessCycleError, KeyError):
-            # Merged cross-shard witness schedules can (in theory) cycle
-            # on mutually recursive symbols; the verdict stands, so rerun
-            # a private engine purely for witness extraction.
-            local = typecheck_backward(
-                transducer, din, dout, max_product_nodes,
-                want_counterexample=True,
-            )
-            counterexample = local.counterexample
-            stats["witness_fallback"] = "local"
+        counterexample = engine.build_tree(engine.violation)
         result = TypecheckResult(False, "backward", reason=reason, stats=stats)
         if want_counterexample:
             result.counterexample = counterexample

@@ -45,9 +45,7 @@ def preimage_product_nta(
     """The reachable pre-image × ``din`` product as an explicit NTA.
 
     Saturates the backward fixpoint (no early exit) with edge recording
-    on — the full ``engine.run()``, never the sharded
-    ``run(symbols=...)`` restriction: the export needs every reachable
-    cell's product graph, not one shard's assigned symbols — then
+    on — the export needs every reachable cell's product graph — then
     assembles the automaton from the engine's tables.  Unlike
     :func:`repro.backward.typecheck_backward` this export performs no
     Definition 5 root-shape check — the rule induction is total over

@@ -53,7 +53,7 @@ from repro.util import stable_digest
 #: cache (closure-free HedgeEntry).  3: the key is the schema pair alone
 #: (no options fingerprint) and side files always name their engine.
 #: 4: DFAs memoize their completeness (a new slot) and the forward and
-#: backward artifacts no longer carry shard profiles.  5: content DFAs
+#: backward artifacts no longer carry per-key cost profiles.  5: content DFAs
 #: store moves only on the symbols their model mentions, completions are
 #: views with an implicit ``sink`` (a new slot), and interned DFA kernels
 #: grew the ``alphabet``/``other`` column fields.

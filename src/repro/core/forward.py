@@ -36,10 +36,9 @@ blows up — that is the paper's intractability frontier showing itself.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import BudgetExceededError, ClassViolationError
 from repro.kernel.product import ProductBFS
@@ -70,20 +69,6 @@ TupleKey = Tuple[str, str, Tuple[str, ...]]  # (σ, input symbol, P)
 
 #: How many per-transducer table snapshots a ForwardSchema retains (LRU).
 TRANSDUCER_TABLE_LIMIT = 64
-
-
-def canonical_cell_key(
-    sigma: Optional[str], symbol: str, P: Tuple[str, ...]
-) -> TupleKey:
-    """The one canonicalization of fixpoint cell keys.
-
-    Shared by :meth:`ForwardEngine.key_for` and :func:`forward_check_keys`
-    — the shard partitioner must produce exactly the keys the root-check
-    scan will look up, so the rule lives in one place.
-    """
-    if not P:
-        return (None, symbol, P)
-    return (sigma, symbol, P)
 
 
 def input_dfa_useful(din: DTD, a: str, cache: Dict[str, Tuple]) -> Tuple:
@@ -173,7 +158,7 @@ class HedgeEntry:
     shared ProductBFS cells used to be rebuilt per process).  Interners
     assign indices deterministically, so a pickled cell's int tables remain
     valid against the equal automata any other process compiles — the basis
-    of both the per-transducer table cache and the service's shard fan-out.
+    of the per-transducer table cache and the on-disk artifact cache.
     """
 
     __slots__ = (
@@ -462,7 +447,9 @@ class ForwardEngine:
         ``P = ()``, which collapses the (σ, input symbol) product to a
         single chain.
         """
-        return canonical_cell_key(sigma, symbol, P)
+        if not P:
+            return (None, symbol, P)
+        return (sigma, symbol, P)
 
     def decomposition(
         self, state: str, symbol: str
@@ -730,7 +717,7 @@ class ForwardEngine:
                 budget_message="hedge product exceeded {max_nodes} nodes",
             )
             # Closure-free decode descriptor: interners as data, so the
-            # whole cell pickles (table cache, shard fan-out).
+            # whole cell pickles (table cache, artifact side files).
             entry.decoder = HedgeDecoder(idfa_in.states, idfa_out.states)
 
         parents = engine.parents
@@ -876,13 +863,12 @@ class ForwardEngine:
 
 
 # ----------------------------------------------------------------------
-# Fixpoint tables as data: snapshot / hydrate / shard / merge
+# Fixpoint tables as data: snapshot / hydrate
 # ----------------------------------------------------------------------
 # The engine's least fixpoint is an ordinary value: a map from cell keys to
 # (closure-free, picklable) cell contents.  These helpers move that value
-# around — into the per-transducer table cache, across process boundaries
-# for the service's shard fan-out, and back into a fresh engine whose
-# ``run()`` is then skipped entirely.
+# into the per-transducer table cache (and its on-disk side files) and
+# back into a fresh engine whose ``run()`` is then skipped entirely.
 
 
 def export_forward_tables(engine: ForwardEngine) -> Dict[str, object]:
@@ -904,7 +890,6 @@ def export_forward_tables(engine: ForwardEngine) -> Dict[str, object]:
             )
             for key in engine.tree_vals
         },
-        "work": engine.work,
     }
 
 
@@ -913,10 +898,8 @@ def hydrate_forward_tables(engine: ForwardEngine, tables: Dict[str, object]) -> 
 
     The engine must not have registered any cells yet; after hydration the
     root-check scan and the recursive counterexample construction read the
-    tables exactly as they would after a converged ``run()``.  The
-    snapshot's accumulated ``work`` carries over so sharded runs report
-    the product nodes their workers actually explored (table-cache hits
-    reset it to 0 — nothing was computed for *that* call).
+    tables exactly as they would after a converged ``run()``.  The engine's
+    ``work`` stays 0: nothing was computed for *this* call.
     """
     engine.hedge_vals.update(tables["hedge"])
     for key, (vals, int_table, order, index) in tables["tree"].items():
@@ -924,214 +907,6 @@ def hydrate_forward_tables(engine: ForwardEngine, tables: Dict[str, object]) -> 
         engine._tree_int[key] = int_table
         engine._tree_order[key] = order
         engine._tree_index[key] = index
-    engine.work = int(tables.get("work", 0))
-
-
-def forward_check_keys(
-    transducer: TreeTransducer,
-    din: DTD,
-    schema: ForwardSchema,
-) -> List[TupleKey]:
-    """The canonical hedge-cell keys of every root check of ``T``.
-
-    This is the unit of shard partitioning: each key's fixpoint (with its
-    dependency closure) can be computed independently and the resulting
-    cell tables merged — cells are functions of their dependencies alone,
-    so per-shard least fixpoints agree wherever closures overlap.
-    """
-    if transducer.uses_calls():
-        from repro.xpath.compile import compile_calls
-
-        transducer = compile_calls(transducer)
-    pairs = reachable_pairs(
-        transducer, din,
-        usable_cache=schema.usable_cache, word_cache=schema.word_cache,
-    )
-    keys: List[TupleKey] = []
-    seen: Set[TupleKey] = set()
-    for (q, a) in pairs:
-        rhs = transducer.rules.get((q, a))
-        if rhs is None:
-            continue
-        for _path, node in iter_rhs_nodes(rhs):
-            if not isinstance(node, RhsSym):
-                continue
-            P = top_states(node.children)
-            key = canonical_cell_key(node.label, a, P)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    return keys
-
-
-# The shard planner's cost model
-# ------------------------------
-# A hedge cell ``(σ, a, P)`` explores the product of the input content DFA
-# of ``a`` with one copy of the (complete) output content DFA of σ per
-# behavior slot: its BFS is seeded with ``n_out^m`` identity vectors, where
-# ``n_out`` is the output DFA's state count and ``m = |P|`` — the very
-# quantity the engine's seed-count guard compares against
-# ``max_product_nodes`` (see ``ForwardEngine._eval_hedge``).  The seed count is
-# the dominant *per-key* factor, but a shard does not evaluate its keys in
-# isolation: each key's fixpoint pulls in the whole σ-independent
-# dependency closure below its input symbol (the shared ``P = ()`` chain
-# cells), and a plan that prices those closures at zero systematically
-# underloads the shards that have to build them.  ``forward_key_costs``
-# therefore charges ``seeds + closure``, with each closure cell's weight
-# (its input content DFA size) amortized across every key in the batch
-# whose closure contains it — shards that share a closure split its bill.
-# ``plan_forward_shards`` LPT-packs the keys into balanced shards, so the
-# balance does not depend on the key *order*.
-
-
-def forward_key_costs(
-    keys: Sequence[TupleKey],
-    schema: ForwardSchema,
-    out_alphabet: frozenset,
-) -> List[float]:
-    """Predicted fixpoint cost of each hedge-cell key.
-
-    ``seeds + closure``: the ``n_out^m`` behavior-seed count of the key's
-    own product BFS, plus the input-DFA sizes of the σ-independent cells
-    in the key's downward dependency closure, each amortized over the
-    keys of this batch that share it (see the model note above).
-
-    ``out_alphabet`` is the engine's output alphabet for the transducer
-    being sharded (``transducer.alphabet | dout.alphabet``) — the alphabet
-    the completed output content DFAs are built over.
-    """
-    closure_memo: Dict[str, frozenset] = {}
-
-    def closure(a: str) -> frozenset:
-        cached = closure_memo.get(a)
-        if cached is None:
-            seen = {a}
-            stack = [a]
-            while stack:
-                _idfa, _mask, child_syms = schema.in_kernel_info(stack.pop())
-                for c, _index in child_syms:
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-            cached = frozenset(seen)
-            closure_memo[a] = cached
-        return cached
-
-    closures = [closure(a) for (_sigma, a, _P) in keys]
-    refcount: Dict[str, int] = {}
-    for symbols in closures:
-        for c in symbols:
-            refcount[c] = refcount.get(c, 0) + 1
-    costs: List[float] = []
-    for (sigma, _a, P), symbols in zip(keys, closures):
-        if P:
-            n_out = len(schema.out_dfa(sigma, out_alphabet).states)
-            seeds = float(max(1, n_out) ** len(P))
-        else:
-            seeds = 0.0
-        shared = sum(
-            len(schema.in_dfa_useful(c)[0].states) / refcount[c]
-            for c in symbols
-        )
-        costs.append(max(1.0, seeds + shared))
-    return costs
-
-
-def plan_forward_shards(
-    keys: Sequence[TupleKey],
-    costs: Sequence[int],
-    shards: int,
-) -> Tuple[List[List[TupleKey]], List[int]]:
-    """LPT bin-packing of check keys into ``shards`` balanced partitions.
-
-    Longest-processing-time-first: keys are placed heaviest-first onto the
-    currently lightest shard (ties broken by shard index, so the plan is
-    deterministic).  Returns ``(partitions, loads)`` — every partition is
-    non-empty when ``len(keys) >= shards``, and the loads are the predicted
-    per-shard cost sums recorded in the sharded call's stats.
-    """
-    shards = max(1, min(int(shards), max(1, len(keys))))
-    order = sorted(range(len(keys)), key=lambda i: (-costs[i], i))
-    partitions: List[List[TupleKey]] = [[] for _ in range(shards)]
-    loads = [0] * shards
-    for i in order:
-        target = min(range(shards), key=lambda b: (loads[b], b))
-        partitions[target].append(keys[i])
-        loads[target] += costs[i]
-    return partitions, loads
-
-
-def compute_forward_tables(
-    transducer: TreeTransducer,
-    din: DTD,
-    dout: DTD,
-    keys: Iterable[TupleKey],
-    *,
-    max_tuple: Optional[int] = None,
-    max_product_nodes: int = 500_000,
-    schema: Optional[ForwardSchema] = None,
-) -> Dict[str, object]:
-    """One shard of the forward fixpoint: the cells rooted at ``keys``.
-
-    Runs the chaotic iteration over exactly the dependency closure of the
-    given hedge-cell keys and snapshots the result.  A service worker calls
-    this against its warm session's schema; the parent merges the shards
-    with :func:`merge_forward_tables` and finishes via
-    ``typecheck_forward(..., tables=merged)``.
-    """
-    if transducer.uses_calls():
-        from repro.xpath.compile import compile_calls
-
-        transducer = compile_calls(transducer)
-    if schema is None:
-        schema = ForwardSchema(din, dout)
-    if max_tuple is None:
-        analysis = analyze(transducer)
-        if analysis.deletion_path_width is None:
-            raise ClassViolationError(
-                "transducer has unbounded deletion path width (not in any "
-                "T^{C,K}_trac); pass max_tuple to run the general engine"
-            )
-        max_tuple = max(1, analysis.copying_width * analysis.deletion_path_width)
-    engine = ForwardEngine(
-        transducer, din, dout, max_tuple, max_product_nodes, schema=schema
-    )
-    keys = list(keys)
-    start = time.perf_counter()
-    with _trace.span("fixpoint", engine="forward") as fix_span:
-        try:
-            for key in keys:
-                engine.request_hedge(*key)
-            engine.run()
-        except BaseException:
-            schema.reset_shared()
-            raise
-        fix_span.set(keys=len(keys), work=engine.work)
-    tables = export_forward_tables(engine)
-    # Shard wall time, measured where the work actually ran (a service
-    # worker) — the shard planner's balance is judged on these.
-    tables["elapsed_s"] = time.perf_counter() - start
-    return tables
-
-
-def merge_forward_tables(shards: Iterable[Dict[str, object]]) -> Dict[str, object]:
-    """Union shard snapshots into one table set.
-
-    Every shard evaluated its cells to their complete least fixpoint
-    (dependencies included), so where closures overlap the cells carry the
-    same accepted sets — the merge keeps the first copy and unions at cell
-    granularity.  ``work`` accumulates for stats.
-    """
-    merged: Dict[str, object] = {"hedge": {}, "tree": {}, "work": 0}
-    hedge: Dict = merged["hedge"]
-    tree: Dict = merged["tree"]
-    for shard in shards:
-        merged["work"] = int(merged["work"]) + int(shard.get("work", 0))
-        for key, entry in shard["hedge"].items():
-            hedge.setdefault(key, entry)
-        for key, cell in shard["tree"].items():
-            tree.setdefault(key, cell)
-    return merged
 
 
 def _chain_top_level(
@@ -1156,7 +931,6 @@ def typecheck_forward(
     max_product_nodes: int = 500_000,
     want_counterexample: bool = True,
     schema: Optional[ForwardSchema] = None,
-    tables: Optional[Dict[str, object]] = None,
 ) -> TypecheckResult:
     """Sound and complete typechecking of ``T`` w.r.t. DTDs (Theorem 15).
 
@@ -1179,15 +953,10 @@ def typecheck_forward(
     without running the engine (complete tables carry the verdict
     regardless of the per-call budgets, so a hit bypasses
     ``max_product_nodes``).
-
-    ``tables`` injects precomputed forward tables directly (the merged
-    result of a service shard fan-out, see :func:`compute_forward_tables` /
-    :func:`merge_forward_tables`): the fixpoint is skipped and the
-    root-check scan plus counterexample construction run against them.
     """
     return _typecheck_with(
         ForwardEngine, transducer, din, dout, max_tuple, max_product_nodes,
-        want_counterexample, schema, tables,
+        want_counterexample, schema,
     )
 
 
@@ -1200,7 +969,6 @@ def _typecheck_with(
     max_product_nodes: int,
     want_counterexample: bool,
     schema: Optional[ForwardSchema],
-    tables: Optional[Dict[str, object]],
 ) -> TypecheckResult:
     """:func:`typecheck_forward` around a given fixpoint engine class: the
     preamble, the root-check scan, the violation search and the
@@ -1297,18 +1065,15 @@ def _typecheck_with(
     # private schema is discarded with its cache).  A hit reuses
     # the complete least fixpoint of a previous run of an equal-content
     # transducer, so no fixpoint work happens at all.
-    table_key = None
-    if tables is None and shared_schema and engine_cls.shares_schema_cells:
+    table_key = tables = None
+    if shared_schema and engine_cls.shares_schema_cells:
         table_key = transducer.content_hash()
         tables = schema.cached_tables(table_key)
-        if tables is not None:
-            stats["table_cache"] = "hit"
-            _table_cache_metric("hit")
 
     if tables is not None:
+        stats["table_cache"] = "hit"
+        _table_cache_metric("hit")
         hydrate_forward_tables(engine, tables)
-        if stats.get("table_cache") == "hit":
-            engine.work = 0  # served from cache: this call computed nothing
     else:
         with _trace.span("fixpoint", engine="forward") as fix_span:
             for _pair, _path, _sigma, _segments, _P, key in checks:

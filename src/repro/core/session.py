@@ -59,7 +59,6 @@ from repro.engines import (
     Engine,
     get_engine,
     persistent_engines,
-    shardable_engines,
 )
 from repro.schemas.dtd import DTD
 from repro.transducers.analysis import TransducerAnalysis, analyze
@@ -390,12 +389,10 @@ class Session:
         transducer: Optional[TreeTransducer],
         method: str = "auto",
         max_tuple: Optional[int] = None,
-        *,
-        shardable: bool = False,
     ) -> str:
         """The engine a query of ``T`` runs on this pair — the one routing
-        policy behind :meth:`typecheck`, :meth:`retypecheck`,
-        :meth:`typecheck_sharded`, the explain reports and :meth:`warm`.
+        policy behind :meth:`typecheck`, :meth:`retypecheck`, the explain
+        reports and :meth:`warm`.
 
         A fixed ladder by schema class, first match wins:
 
@@ -412,28 +409,16 @@ class Session:
            (Theorem 20);
         6. otherwise :class:`~repro.errors.ClassViolationError`.
 
-        Only rung 5 reads the transducer.  ``shardable=True`` is the
-        sharded fan-out's view: the rungs whose engine cannot shard are
-        skipped, so RE⁺ pairs go to ``backward`` and automaton pairs are
-        refused.  ``transducer=None`` names the one slot :meth:`warm`
-        compiles.
+        Only rung 5 reads the transducer.  ``transducer=None`` names the
+        one slot :meth:`warm` compiles.
         """
         if method != "auto":
-            if shardable:
-                names = [engine.name for engine in shardable_engines()]
-                if method not in names:
-                    raise ValueError(
-                        f"unknown shard method {method!r}; valid: auto, "
-                        + ", ".join(names)
-                    )
             get_engine(method)
             return method
         if self._dtd_pair_value is not None:
-            if self._replus_pair and not shardable:  # replus cannot shard
+            if self._replus_pair:
                 return "replus"
             return "forward" if max_tuple is not None else "backward"
-        if shardable:
-            self._dtd_pair()  # every shardable engine needs DTDs
         if transducer is None:
             return "delrelab"
         with self._lock:
@@ -508,168 +493,6 @@ class Session:
     ) -> Optional[Tree]:
         """A counterexample input tree, or ``None`` when ``T`` typechecks."""
         return self.typecheck(transducer, method=method, **kwargs).counterexample
-
-    # ------------------------------------------------------------------
-    # Sharded forward fixpoint (the service's single-query fan-out)
-    # ------------------------------------------------------------------
-    def check_keys(
-        self, transducer: TreeTransducer, method: str = "forward"
-    ) -> List:
-        """The shard units of ``T`` under ``method``'s engine (the keys
-        the shard planner partitions across workers)."""
-        engine = get_engine(method)
-        with self._lock:
-            return engine.check_keys(self, transducer)
-
-    def compute_shard_tables(
-        self,
-        transducer: TreeTransducer,
-        keys,
-        method: str = "forward",
-        *,
-        max_tuple: Optional[int] = None,
-        max_product_nodes: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """One shard of ``T``'s fixpoint under ``method``'s engine.
-
-        Service workers call this for their partition of
-        :meth:`check_keys`; the returned tables are picklable and merge
-        with the engine's ``merge_tables``.  This is the single worker
-        entry point for every shardable engine — the pool never branches
-        on the method.
-
-        When kernel metrics are enabled in this process the shard's own
-        kernel counters ride back as ``tables["kernel_counters"]`` — the
-        mergers ignore unknown keys, and ``typecheck_sharded`` pops them
-        into the explain report's per-shard kernel section.
-        """
-        engine = get_engine(method)
-        with self._lock:
-            if not _metrics.kernel_metrics_enabled():
-                return engine.compute_tables(
-                    self, transducer, keys,
-                    max_tuple=max_tuple, max_product_nodes=max_product_nodes,
-                )
-            with _metrics.registry.delta_scope() as scope:
-                tables = engine.compute_tables(
-                    self, transducer, keys,
-                    max_tuple=max_tuple, max_product_nodes=max_product_nodes,
-                )
-            tables["kernel_counters"] = _explain.kernel_section(
-                scope.counters, scope.gauges
-            )
-            return tables
-
-    def typecheck_sharded(
-        self,
-        transducer: TreeTransducer,
-        compute_shards,
-        shards: int = 2,
-        max_tuple: Optional[int] = None,
-        method: str = "forward",
-        explain: bool = False,
-        **kwargs,
-    ) -> TypecheckResult:
-        """Typecheck ``T`` with its fixpoint sharded across workers.
-
-        ``explain=True`` attaches a :class:`repro.obs.explain.QueryReport`
-        as ``result.report`` — the shard section carries the plan
-        (predicted loads, measured per-shard walls, spread) and, when the
-        workers run with kernel metrics enabled, each shard's own kernel
-        counters (``shard_kernel``); the top-level kernel section covers
-        the serving process (plan + merge + final scan).
-
-        ``method`` picks the engine to shard: ``"forward"`` (default, the
-        original fan-out) partitions the hedge-cell check keys,
-        ``"backward"`` partitions the per-input-symbol product cells, and
-        ``"auto"`` resolves through ``route(T, shardable=True)`` — the
-        typecheck ladder without its unshardable rungs, so RE⁺ pairs
-        shard on ``backward`` like every other DTD pair.  The resolved engine
-        is ``stats["shard_method"]``.  ``compute_shards(partitions,
-        method)`` maps a list of key partitions to the list of their
-        table snapshots under the resolved ``method`` — the worker pool
-        fans the partitions out across processes (each holding a warm
-        session for this pair); tests pass a sequential implementation.
-        The merged tables then drive the root-check scan and
-        counterexample construction here, so the verdict is exactly the
-        unsharded engine's — the shards compute complete per-cell least
-        fixpoints and the merge unions disjoint cells.  Partitioning never
-        affects the verdict, only the balance.
-
-        Keys are LPT-packed by their predicted cell cost (forward: tuple
-        seeds plus amortized closure DFA sizes, see
-        :func:`repro.core.forward.forward_key_costs`; backward:
-        ``n_in_states × behavior-monoid``, see
-        :func:`repro.backward.backward_key_costs`).  The predicted
-        per-shard loads come back in ``result.stats["shard_costs"]`` and
-        each snapshot's measured worker wall time in
-        ``stats["shard_wall_s"]`` (with their max/min ``shard_spread``),
-        so the balance is observable.
-        """
-        def run() -> TypecheckResult:
-            return self._typecheck_sharded_impl(
-                transducer, compute_shards, shards, max_tuple, method,
-                **kwargs
-            )
-
-        if not explain:
-            return run()
-        return self._explained("typecheck_sharded", method, run)
-
-    def _typecheck_sharded_impl(
-        self,
-        transducer: TreeTransducer,
-        compute_shards,
-        shards: int = 2,
-        max_tuple: Optional[int] = None,
-        method: str = "forward",
-        **kwargs,
-    ) -> TypecheckResult:
-        from repro.core.forward import plan_forward_shards
-
-        with _trace.span("shard_plan") as plan_span:
-            method = self.route(transducer, method, max_tuple, shardable=True)
-            engine = get_engine(method)
-            if not engine.accepts_max_tuple:
-                _reject_max_tuple(method, max_tuple)
-            keys = self.check_keys(transducer, method)
-            with self._lock:
-                costs = engine.key_costs(self, transducer, keys)
-            partitions, loads = plan_forward_shards(keys, costs, shards)
-            plan_span.set(method=method, keys=len(keys), shards=len(partitions))
-        engine.validate_kwargs(kwargs)
-        snapshots = compute_shards(partitions, method)
-        # Per-shard kernel counters ride the snapshots under a key the
-        # mergers ignore; pop them before merging so the explain report
-        # can attribute work shard by shard.
-        shard_kernel = [
-            snapshot.pop("kernel_counters", None) for snapshot in snapshots
-        ]
-        shard_wall = [
-            float(snapshot["elapsed_s"])
-            for snapshot in snapshots
-            if "elapsed_s" in snapshot
-        ]
-        with _trace.span("merge", method=method, shards=len(partitions)):
-            tables = engine.merge_tables(snapshots)
-            with self._lock:
-                self.stats["calls"] = int(self.stats["calls"]) + 1
-                result = engine.typecheck(
-                    self, transducer, max_tuple, kwargs, tables=tables
-                )
-        result.stats["shards"] = len(partitions)
-        result.stats["shard_method"] = method
-        result.stats["shard_costs"] = list(loads)
-        if shard_wall:
-            result.stats["shard_wall_s"] = [round(s, 6) for s in shard_wall]
-            result.stats["shard_spread"] = round(
-                max(shard_wall) / max(min(shard_wall), 1e-9), 3
-            )
-        if any(shard_kernel):
-            result.stats["shard_kernel"] = [
-                counters or {} for counters in shard_kernel
-            ]
-        return result
 
     def counterexample_nta(
         self, transducer: TreeTransducer, max_tuple: Optional[int] = None

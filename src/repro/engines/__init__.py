@@ -16,7 +16,6 @@ from repro.engines.base import (
     persistent_engines,
     register,
     routable_engines,
-    shardable_engines,
 )
 from repro.engines import builtin as _builtin  # noqa: F401 - registers engines
 
@@ -30,5 +29,4 @@ __all__ = [
     "persistent_engines",
     "register",
     "routable_engines",
-    "shardable_engines",
 ]

@@ -13,11 +13,6 @@ NTA(NFA) backward lift, macro tree transducers) is one subclass plus one
 * ``supports(sin, sout)`` gates applicability per schema pair (``True``
   or a human-readable reason), consulted by the all-engines
   differential suite and the cache hydration path;
-* ``check_keys`` / ``key_costs`` / ``compute_tables`` / ``merge_tables``
-  make an engine shardable (``shardable = True``) — the worker pool and
-  ``Session.typecheck_sharded`` are engine-generic, and the sharded view
-  of the routing policy (``Session.route(..., shardable=True)``) skips
-  every rung whose engine is not shardable;
 * ``routable = True`` marks the engines ``Session.route`` — the one
   ``method="auto"`` routing function — answers a DTD pair with when no
   ``max_tuple`` pins ``forward``: ``replus`` on RE⁺ pairs, ``backward``
@@ -42,13 +37,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 #: Positional/managed parameters of the ``typecheck_*`` functions that are
 #: not per-call options: the instance itself, ``max_tuple`` (an explicit
-#: ``typecheck`` parameter), the session-managed compiled-schema context,
-#: and injected shard tables (a service-layer mechanism, not a user
-#: option).
+#: ``typecheck`` parameter) and the session-managed compiled-schema
+#: context.
 NON_OPTION_PARAMS = frozenset(
     {
         "transducer", "din", "dout", "sin", "sout", "ain", "aout",
-        "max_tuple", "schema", "tables",
+        "max_tuple", "schema",
     }
 )
 
@@ -59,7 +53,7 @@ class Engine:
     Subclasses override the declarations (class attributes) and the hooks
     relevant to their capabilities; the base class implements the generic
     plumbing — memoized kwarg validation, schema-slot access, default
-    shard/persistence behavior for engines that opt out.
+    persistence behavior for engines that opt out.
     """
 
     #: Registry key; also the ``typecheck(method=...)`` spelling, the
@@ -72,10 +66,6 @@ class Engine:
     #: ``max_tuple`` (routable engines must be complete on every instance
     #: they support).
     routable: bool = False
-    #: Participates in the shard fan-out (``check_keys`` /
-    #: ``compute_tables`` / ``merge_tables`` are implemented); the only
-    #: engines ``Session.route(..., shardable=True)`` resolves to.
-    shardable: bool = False
     #: Accepts the forward engine's ``max_tuple`` escape hatch.
     accepts_max_tuple: bool = False
     #: Compiles a per-pair schema context (``build_schema``); the
@@ -194,37 +184,13 @@ class Engine:
     # ------------------------------------------------------------------
     # Typechecking
     # ------------------------------------------------------------------
-    def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
+    def typecheck(self, session, transducer, max_tuple, kwargs):
         """Run the engine against the session's warm pair.
 
         ``kwargs`` may be mutated (defaults applied, engine-managed
-        options popped).  ``tables`` injects merged shard tables for
-        shardable engines' final scan.
+        options popped).
         """
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Sharding (shardable engines)
-    # ------------------------------------------------------------------
-    def check_keys(self, session, transducer) -> List:
-        """The engine's shard units for ``T`` (caller holds the lock)."""
-        raise NotImplementedError(f"engine {self.name!r} is unshardable")
-
-    def key_costs(self, session, transducer, keys) -> List[float]:
-        """Predicted cost per check key (the LPT shard planner's
-        weights)."""
-        raise NotImplementedError(f"engine {self.name!r} is unshardable")
-
-    def compute_tables(
-        self, session, transducer, keys, *,
-        max_tuple=None, max_product_nodes=None,
-    ) -> Dict[str, object]:
-        """One shard's complete per-cell fixpoint (picklable tables)."""
-        raise NotImplementedError(f"engine {self.name!r} is unshardable")
-
-    def merge_tables(self, snapshots) -> Dict[str, object]:
-        """Union the disjoint per-shard tables into one snapshot."""
-        raise NotImplementedError(f"engine {self.name!r} is unshardable")
 
     # ------------------------------------------------------------------
     # Persistence (persistent engines)
@@ -289,12 +255,6 @@ def routable_engines() -> List[Engine]:
     """Engines ``Session.route`` answers a DTD pair with when no
     ``max_tuple`` pins ``forward``."""
     return [engine for engine in _ENGINES.values() if engine.routable]
-
-
-def shardable_engines() -> List[Engine]:
-    """Engines the shard fan-out can partition (and the sharded route can
-    resolve to)."""
-    return [engine for engine in _ENGINES.values() if engine.shardable]
 
 
 def persistent_engines() -> List[Engine]:

@@ -33,7 +33,6 @@ class ForwardEngineDef(Engine):
     name = "forward"
     algorithm = "Lemma 14 forward accumulation (Theorem 15)"
     applies_to = "`T^{C,K}_trac` + DTDs"
-    shardable = True
     accepts_max_tuple = True
     persistent = True
     side_field = "tables"
@@ -55,49 +54,13 @@ class ForwardEngineDef(Engine):
 
         return ForwardSchema(*session._dtd_pair())
 
-    def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
+    def typecheck(self, session, transducer, max_tuple, kwargs):
         din, dout = session._dtd_pair()
         kwargs.setdefault("max_product_nodes", session.max_product_nodes)
-        if tables is not None:
-            kwargs = dict(kwargs, tables=tables)
         return self.func()(
             transducer, din, dout, max_tuple,
             schema=self.schema(session), **kwargs,
         )
-
-    def check_keys(self, session, transducer):
-        from repro.core.forward import forward_check_keys
-
-        din, _dout = session._dtd_pair()
-        return forward_check_keys(transducer, din, self.schema(session))
-
-    def key_costs(self, session, transducer, keys):
-        from repro.core.forward import forward_key_costs
-
-        _din, dout = session._dtd_pair()
-        out_alphabet = frozenset(transducer.alphabet | dout.alphabet)
-        return list(
-            forward_key_costs(keys, self.schema(session), out_alphabet)
-        )
-
-    def compute_tables(
-        self, session, transducer, keys, *,
-        max_tuple=None, max_product_nodes=None,
-    ):
-        from repro.core.forward import compute_forward_tables
-
-        din, dout = session._dtd_pair()
-        return compute_forward_tables(
-            transducer, din, dout, keys,
-            max_tuple=max_tuple,
-            max_product_nodes=max_product_nodes or session.max_product_nodes,
-            schema=self.schema(session),
-        )
-
-    def merge_tables(self, snapshots):
-        from repro.core.forward import merge_forward_tables
-
-        return merge_forward_tables(snapshots)
 
     def export_state(self, session):
         ctx = self.peek_schema(session)
@@ -142,13 +105,12 @@ class BackwardEngineDef(Engine):
     )
     applies_to = "**any** deterministic top-down transducer + DTDs"
     routable = True
-    shardable = True
     persistent = True
     side_field = "result"
     side_strip_fields = ("transducer_results",)
     explain_stat_keys = (
         "product_nodes", "derived_pairs", "behaviors", "tracked_sigmas",
-        "tracked_states", "witness_fallback", "table_cache",
+        "tracked_states", "table_cache",
     )
 
     def func(self):
@@ -164,52 +126,13 @@ class BackwardEngineDef(Engine):
 
         return BackwardSchema(*session._dtd_pair())
 
-    def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
+    def typecheck(self, session, transducer, max_tuple, kwargs):
         din, dout = session._dtd_pair()
         kwargs.setdefault("max_product_nodes", session.max_product_nodes)
-        if tables is not None:
-            kwargs = dict(kwargs, tables=tables)
         plain, _analysis = session._compiled_transducer(transducer)
         return self.func()(
             plain, din, dout, schema=self.schema(session), **kwargs
         )
-
-    def check_keys(self, session, transducer):
-        from repro.backward import backward_check_keys
-
-        din, _dout = session._dtd_pair()
-        plain, _analysis = session._compiled_transducer(transducer)
-        return backward_check_keys(plain, din, self.schema(session))
-
-    def key_costs(self, session, transducer, keys):
-        from repro.backward import backward_key_costs
-
-        plain, _analysis = session._compiled_transducer(transducer)
-        return list(backward_key_costs(keys, self.schema(session), plain))
-
-    def compute_tables(
-        self, session, transducer, keys, *,
-        max_tuple=None, max_product_nodes=None,
-    ):
-        from repro.backward import compute_backward_tables
-
-        if max_tuple is not None:
-            raise TypeError(
-                "option 'max_tuple' is not supported by method 'backward' "
-                "(it bounds the forward engine's behavior tuples)"
-            )
-        din, dout = session._dtd_pair()
-        plain, _analysis = session._compiled_transducer(transducer)
-        return compute_backward_tables(
-            plain, din, dout, keys,
-            max_product_nodes=max_product_nodes or session.max_product_nodes,
-            schema=self.schema(session),
-        )
-
-    def merge_tables(self, snapshots):
-        from repro.backward import merge_backward_tables
-
-        return merge_backward_tables(snapshots)
 
     def export_state(self, session):
         ctx = self.peek_schema(session)
@@ -257,7 +180,7 @@ class ReplusEngineDef(Engine):
 
         return ReplusSchema(*session._dtd_pair())
 
-    def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
+    def typecheck(self, session, transducer, max_tuple, kwargs):
         din, dout = session._dtd_pair()
         return self.func()(
             transducer, din, dout, schema=self.schema(session), **kwargs
@@ -316,7 +239,7 @@ class DelrelabEngineDef(Engine):
 
         return DelrelabSchema(session.sin, session.sout, bool(variant))
 
-    def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
+    def typecheck(self, session, transducer, max_tuple, kwargs):
         check = bool(kwargs.pop("check_output_class", True))
         return self.func()(
             transducer, session.sin, session.sout,
@@ -367,7 +290,7 @@ class BruteforceEngineDef(Engine):
     def supports(self, sin, sout) -> Union[bool, str]:
         return True if _is_dtd_pair(sin, sout) else _NEEDS_DTD
 
-    def typecheck(self, session, transducer, max_tuple, kwargs, tables=None):
+    def typecheck(self, session, transducer, max_tuple, kwargs):
         din, dout = session._dtd_pair()
         return self.func()(transducer, din, dout, **kwargs)
 

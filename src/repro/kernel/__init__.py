@@ -44,8 +44,7 @@ emptiness or inclusion.  This package is that primitive, implemented once:
 The public modules (:mod:`repro.strings.dfa`, :mod:`repro.tree_automata`,
 :mod:`repro.core.reachability`, :mod:`repro.core.forward`) keep their seed
 APIs as thin adapters over these kernels; new scaling work (batch APIs,
-parallel sharding, cache layers) should target this package, not the
-adapters.
+cache layers) should target this package, not the adapters.
 """
 
 from repro.kernel.interning import Interner, iter_bits, mask_of, popcount

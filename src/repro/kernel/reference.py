@@ -453,7 +453,7 @@ def typecheck_forward_object(
     counterexample construction; ``stats["engine"] == "object"``)."""
     result = _typecheck_with(
         ObjectForwardEngine, transducer, din, dout, max_tuple,
-        max_product_nodes, want_counterexample, schema, None,
+        max_product_nodes, want_counterexample, schema,
     )
     result.stats["engine"] = "object"
     return result

@@ -11,9 +11,9 @@ Two small services for the compiled-session and service layers:
     per-transducer fixpoint tables) unpicklable — the reason shared
     ProductBFS cells used to be rebuilt per process.  ``HedgeDecoder`` is
     the closure replaced by data: it stores the interners as plain
-    attributes, so hedge entries, shard snapshots and per-transducer table
-    caches all round-trip through ``pickle`` and can cross process
-    boundaries (:mod:`repro.service`).
+    attributes, so hedge entries and per-transducer table caches
+    round-trip through ``pickle`` (the on-disk artifact cache,
+    :mod:`repro.cache`).
 
 ``dumps`` / ``loads``
     Versioned pickling of kernel-bearing artifacts.  Every interned

@@ -3,8 +3,7 @@
 PR 8's metrics are process-cumulative and its spans need a trace file;
 neither answers "what did *this* query cost and why" at the call site.
 A :class:`QueryReport` does: which engine ran and its measured ms,
-cache provenance per stage, the shard plan with measured per-shard
-walls, the query's own kernel counters (captured with
+cache provenance per stage, the query's own kernel counters (captured with
 :class:`repro.obs.metrics.DeltaScope` around the run — the global
 counters are snapshotted, never forked), and the counterexample
 shape.  Reports are plain-data
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -29,16 +28,6 @@ __all__ = [
     "build_report",
     "render_report",
 ]
-
-#: Shard-plan stats keys copied verbatim into the report's shard section.
-_SHARD_STAT_KEYS = (
-    "shards",
-    "shard_method",
-    "shard_costs",
-    "shard_wall_s",
-    "shard_spread",
-    "shard_kernel",
-)
 
 #: Kernel metric names → short report keys.
 _KERNEL_SHORT = {
@@ -85,13 +74,13 @@ def kernel_section(
 class QueryReport:
     """One query's attribution record (see module docstring).
 
-    ``engines`` maps the engine that ran to its ``measured_ms``;
-    sections that do not apply to the query (``shards`` on an unsharded
-    run) are ``None``.  A ``retypecheck`` query is a plain typecheck of the
+    ``engines`` maps the engine that ran to its ``measured_ms``; a
+    section that does not apply to the query (``counterexample`` on a
+    passing one) is ``None``.  A ``retypecheck`` query is a plain typecheck of the
     edited transducer and reports exactly like one.
     """
 
-    kind: str  # typecheck | typecheck_sharded | retypecheck
+    kind: str  # typecheck | retypecheck
     method: str  # the requested method ("auto" included)
     engine: Optional[str]  # the engine that actually ran
     verdict: Dict[str, Any]
@@ -100,7 +89,6 @@ class QueryReport:
     engines: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache: Dict[str, Any] = field(default_factory=dict)
     kernel: Dict[str, int] = field(default_factory=dict)
-    shards: Optional[Dict[str, Any]] = None
     counterexample: Optional[Dict[str, Any]] = None
     engine_stats: Dict[str, Any] = field(default_factory=dict)
 
@@ -120,8 +108,6 @@ class QueryReport:
             "kernel": dict(self.kernel),
             "engine_stats": _json_safe(self.engine_stats),
         }
-        if self.shards is not None:
-            data["shards"] = _json_safe(self.shards)
         if self.counterexample is not None:
             data["counterexample"] = _json_safe(self.counterexample)
         return data
@@ -148,17 +134,16 @@ def build_report(
     measured_ms: float,
     scope=None,
     session_source: Optional[str] = None,
-    shard_kernel: Optional[List[Dict[str, int]]] = None,
 ) -> QueryReport:
     """Assemble a :class:`QueryReport` from a finished run.
 
     Reads only the result's ``stats`` (every engine already records its
-    routing/cache/shard facts there) plus the delta ``scope`` captured
+    routing and cache facts there) plus the delta ``scope`` captured
     around the run, so building a report never re-enters an engine.
     """
     stats: Mapping[str, Any] = result.stats
 
-    engine = stats.get("shard_method") or stats.get("auto_method")
+    engine = stats.get("auto_method")
     if engine is None:
         engine = method if method != "auto" else str(result.algorithm)
 
@@ -173,14 +158,6 @@ def build_report(
     kernel: Dict[str, int] = {}
     if scope is not None:
         kernel = kernel_section(scope.counters, scope.gauges)
-
-    shards: Optional[Dict[str, Any]] = None
-    if "shards" in stats:
-        shards = {
-            key: stats[key] for key in _SHARD_STAT_KEYS if key in stats
-        }
-        if shard_kernel is not None:
-            shards["shard_kernel"] = shard_kernel
 
     counterexample: Optional[Dict[str, Any]] = None
     cex = result.counterexample
@@ -211,7 +188,6 @@ def build_report(
         engines=engines,
         cache=cache,
         kernel=kernel,
-        shards=shards,
         counterexample=counterexample,
         engine_stats=engine_stats,
     )
@@ -245,24 +221,6 @@ def render_report(data: Mapping[str, Any]) -> str:
     if cache:
         rendered = ", ".join(f"{key}={value}" for key, value in cache.items())
         lines.append(f"  cache: {rendered}")
-    shards = data.get("shards")
-    if shards:
-        lines.append(
-            f"  shards: {shards.get('shards')} × {shards.get('shard_method')}"
-        )
-        if shards.get("shard_wall_s"):
-            lines.append(
-                f"    walls_s: {shards['shard_wall_s']}"
-                + (
-                    f" spread={shards['shard_spread']}"
-                    if "shard_spread" in shards
-                    else ""
-                )
-            )
-        if shards.get("shard_costs"):
-            lines.append(f"    predicted_loads: {shards['shard_costs']}")
-        if shards.get("shard_kernel"):
-            lines.append(f"    kernel_per_shard: {shards['shard_kernel']}")
     kernel = data.get("kernel") or {}
     if kernel:
         rendered = " ".join(f"{key}={value}" for key, value in kernel.items())

@@ -12,7 +12,7 @@ so concurrent processes interleave whole lines, never bytes.
 Span record schema (one JSON object per line)::
 
     {"trace": "<16-hex>", "span": "<8-hex>", "parent": "<8-hex>"|null,
-     "name": "wire|dispatch|compile|fixpoint|shard_plan|shard_exec|merge|...",
+     "name": "wire|dispatch|pinned|compile|fixpoint|...",
      "ts": <epoch seconds at start>, "dur_ms": <float>, "pid": <int>,
      "attrs": {...}}
 

@@ -1,4 +1,4 @@
-"""``repro.service`` — the sharded multi-process typechecking service.
+"""``repro.service`` — the multi-process typechecking service.
 
 The deployment shape the compiled-session API (PR 2) was built for, turned
 into an actual long-lived service: the schema pair is fixed and resident
@@ -10,13 +10,10 @@ documents arrive as requests.
 * :mod:`~repro.service.pool` — a ``multiprocessing`` worker pool: each
   worker owns warm :class:`~repro.core.session.Session` objects hydrated
   from the shared artifact cache, requests route by schema-pair content
-  hash, crashed workers are respawned and their in-flight requests retried
-  on healthy ones;
-* single-query **shard fan-out** — the forward fixpoint's hedge cells
-  partitioned across workers and the accepted sets merged
-  (``WorkerPool.typecheck_sharded`` on top of
-  ``Session.typecheck_sharded``; closure-free
-  :class:`~repro.core.forward.HedgeEntry` makes the cells portable);
+  hash, batches fan out across the workers, and crashed workers are
+  respawned and their in-flight requests retried on healthy ones.  One
+  query runs on one worker: after the pair is compiled its fixpoint is
+  small, so parallelism pays across queries, not inside one;
 * :mod:`~repro.service.server` — an asyncio JSON-lines TCP front-end with
   backpressure and per-request timing (``python -m repro serve``);
 * :mod:`~repro.service.client` — a thin synchronous client.

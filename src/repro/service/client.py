@@ -175,7 +175,6 @@ class ServiceClient:
         din: Textable,
         dout: Textable,
         method: str = "auto",
-        shards: Optional[int] = None,
         explain: bool = False,
     ) -> Dict[str, object]:
         """Typecheck one instance; returns the JSON verdict dict.
@@ -189,8 +188,6 @@ class ServiceClient:
             "dout": _dtd_text(dout),
             "method": method,
         }
-        if shards:
-            fields["shards"] = int(shards)
         if explain:
             fields["explain"] = True
         return self.call("typecheck", **fields)
@@ -293,17 +290,13 @@ class PairHandle:
         self,
         transducer: Textable,
         method: str = "auto",
-        shards: Optional[int] = None,
     ) -> Dict[str, object]:
         """Typecheck one transducer against the pinned pair."""
         self._ensure_pinned()
-        fields: Dict[str, object] = {
-            "transducer": _transducer_text(transducer),
-            "method": method,
-        }
-        if shards:
-            fields["shards"] = int(shards)
-        return self._client.call("typecheck", v=2, **fields)
+        return self._client.call(
+            "typecheck", v=2, transducer=_transducer_text(transducer),
+            method=method,
+        )
 
     def typecheck_many(
         self, transducers: Sequence[Textable], method: str = "auto"

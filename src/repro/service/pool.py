@@ -10,9 +10,9 @@ instead of recompiling them — so a pair's kernels compile at most once per
 worker, usually once per *machine*.
 
 Routing: single-instance requests hash their schema pair onto a fixed
-worker (the pair stays warm in one place); batch requests and shard
-fan-outs take the workers in turn — the two hot paths that exercise
-true parallelism.  Every query the TCP server forwards is one ``pinned``
+worker (the pair stays warm in one place); batch requests take the
+workers in turn — parallelism pays across queries, not inside one
+fixpoint.  Every query the TCP server forwards is one ``pinned``
 op: the pair digest plus transducer text, with the pair's schemas riding
 along when the request carried them inline (the worker pins on receipt).
 The worker parses each text once per pin (then the session's
@@ -40,7 +40,7 @@ The pool is also the in-process embedding API (no sockets involved)::
 
     with WorkerPool(workers=4) as pool:
         results = pool.typecheck_batch(din, dout, transducers)
-        result = pool.typecheck_sharded(din, dout, transducer, shards=4)
+        result = pool.typecheck(din, dout, transducer)
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
+import multiprocessing.queues
 
 from repro.errors import (
     ProtocolError,
@@ -62,7 +63,6 @@ from repro.errors import (
     UnknownPairError,
     WorkerCrashError,
 )
-from repro.engines import get_engine
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.schemas.dtd import DTD
@@ -89,6 +89,22 @@ def _wire_schema(schema):
 DEFAULT_CACHE_BYTES = 512 * 1024 * 1024
 
 _SENTINEL = None
+
+
+class _ReplyQueue(multiprocessing.queues.Queue):
+    """A worker's reply queue that never drops a reply.
+
+    Replies are pickled in the queue's feeder thread, after ``put`` has
+    returned; a value that cannot be pickled (say, a tree too deep for
+    the pickler's recursion) would only print a traceback there and leave
+    its ticket waiting forever.  This re-queues it as the typed error
+    reply of the same request (the stdlib ``ProcessPoolExecutor``
+    guards its call queue the same way).
+    """
+
+    def _on_queue_feeder_error(self, e, obj):
+        req_id, index = obj[0], obj[1]
+        self.put((req_id, index, False, protocol.error_info(e)))
 
 
 # ----------------------------------------------------------------------
@@ -221,12 +237,6 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
     if op == "analysis":
         sin, sout, transducer = args
         return warm_session(sin, sout).analysis(transducer)
-    if op == "compute_tables":
-        sin, sout, transducer, keys, opts = args
-        opts = dict(opts)
-        session = warm_session(sin, sout)
-        method = opts.pop("method", "forward")
-        return session.compute_shard_tables(transducer, keys, method, **opts)
     if op == "pin":
         pair_key, sin, sout = args
         _pin_pair(pair_key, sin, sout)
@@ -261,10 +271,6 @@ def _worker_execute(op: str, args, config: Dict[str, object]):
             explain=bool(payload.get("explain", False)),
         )
     raise ProtocolError(f"unknown worker op {op!r}")
-
-
-#: Worker-side span names per pool op (anything else spans as the op name).
-_WORKER_SPAN_NAMES = {"compute_tables": "shard_exec"}
 
 
 def _worker_main(index: int, inq, outq, config: Dict[str, object]) -> None:
@@ -310,9 +316,7 @@ def _worker_main(index: int, inq, outq, config: Dict[str, object]) -> None:
                 attrs = {"op": op, "worker": index}
                 if trace.get("retry"):
                     attrs["retry"] = trace["retry"]
-                with _trace.activate(trace), _trace.span(
-                    _WORKER_SPAN_NAMES.get(op, op), **attrs
-                ):
+                with _trace.activate(trace), _trace.span(op, **attrs):
                     value = _worker_execute(op, args, config)
             else:
                 value = _worker_execute(op, args, config)
@@ -440,7 +444,7 @@ class WorkerPool:
         # and a SIGTERM landing between a feeder's send and its write-lock
         # release wedged every other worker's replies permanently.
         inq = self._context.Queue()
-        outq = self._context.Queue()
+        outq = _ReplyQueue(ctx=self._context)
         process = self._context.Process(
             target=_worker_main,
             args=(index, inq, outq, self.config),
@@ -746,57 +750,6 @@ class WorkerPool:
             else:
                 results.append(ticket.result())
         return results
-
-    def typecheck_sharded(
-        self,
-        sin,
-        sout,
-        transducer,
-        shards: Optional[int] = None,
-        max_tuple: Optional[int] = None,
-        method: str = "auto",
-        **kwargs,
-    ):
-        """One instance with its fixpoint sharded across workers.
-
-        The parent's warm session resolves the engine
-        (``Session.route(T, method, max_tuple, shardable=True)``) and
-        plans the key partitions (LPT over predicted cell costs — see
-        ``Session.typecheck_sharded``); each worker
-        computes its partition's fixpoint closure against its own warm
-        session and ships the (picklable) tables back; the parent merges
-        and finishes.  Verdicts are identical to the unsharded engine,
-        and the result's stats carry per-shard worker wall times plus the
-        chosen engine (``stats["shard_method"]``).
-        """
-        import repro
-
-        session = repro.compile(
-            sin, sout, eager=False, cache_dir=self.config["cache_dir"]
-        )
-        wire_sin, wire_sout = _wire_schema(sin), _wire_schema(sout)
-
-        def compute_shards(partitions: List[List[Tuple]], method: str):
-            opts: Dict[str, object] = {"method": method}
-            if get_engine(method).accepts_max_tuple:
-                opts["max_tuple"] = max_tuple
-            tickets = [
-                self.submit(
-                    "compute_tables",
-                    (wire_sin, wire_sout, transducer, partition, opts),
-                )
-                for partition in partitions
-            ]
-            return [ticket.result() for ticket in tickets]
-
-        return session.typecheck_sharded(
-            transducer,
-            compute_shards,
-            shards=shards or self.workers,
-            max_tuple=max_tuple,
-            method=method,
-            **kwargs,
-        )
 
     def worker_stats(self, timeout: Optional[float] = 30.0) -> List[Dict[str, object]]:
         """Per-worker introspection round trip: session-registry detail

@@ -35,8 +35,9 @@ Ops
     different than the same texts sent inline.
 ``typecheck`` / ``counterexample`` / ``analysis``
     One instance: ``"transducer"`` section text plus optional
-    ``"method"``, ``"explain"`` and ``"shards"`` (shard the fixpoint of
-    this single query across the pool).
+    ``"method"`` and ``"explain"``.  One query runs on one worker; a
+    request that still sends the removed ``"shards"`` field is refused
+    with a :class:`~repro.errors.ProtocolError`.
 ``retypecheck``
     Like ``typecheck`` plus a required ``"base"`` transducer section
     naming the link the edit came from: the edited ``"transducer"`` is
@@ -529,6 +530,11 @@ def validate_request(message: Dict[str, object]) -> str:
     op = message.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; valid: {', '.join(sorted(OPS))}")
+    if "shards" in message:
+        raise ProtocolError(
+            "the 'shards' field was removed: one query runs on one worker "
+            "(use 'typecheck_many' to spread a batch across the pool)"
+        )
     return op
 
 

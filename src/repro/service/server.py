@@ -31,7 +31,7 @@ Pool hops: the event-loop thread queues each pool request itself and
 awaits the ticket's future (``asyncio.wrap_future``), which the pool's
 supervisor thread settles, so no thread is parked per request.  The
 executor runs only work that is itself synchronous: inline instance
-parsing, the sharded plan/fan-out/merge, and pin waits.
+parsing and pin waits.
 
 Every response records ``elapsed_ms`` (queue wait + worker time) — the
 per-request timing the ops story needs — and ``stats`` exposes pool
@@ -342,7 +342,7 @@ class ServiceServer:
                     trace_id = raw_trace
                 elif self._slow_sink is not None:
                     # Untraced client: mint the ID server-side so a slow
-                    # entry still joins its spans and shard attribution.
+                    # entry still joins its spans.
                     trace_id = _trace.new_trace_id()
                 op = protocol.validate_request(message)
                 result = await self._dispatch(op, message, conn, trace_id)
@@ -412,8 +412,6 @@ class ServiceServer:
         if isinstance(message, dict):
             if message.get("method") is not None:
                 entry["method"] = message["method"]
-            if message.get("shards"):
-                entry["shards"] = message["shards"]
         if response.get("ok"):
             result = response.get("result")
             if isinstance(result, dict):
@@ -426,20 +424,6 @@ class ServiceServer:
         self._slow_sink.emit(entry)
 
     # ------------------------------------------------------------------
-    async def _blocking_result(self, work, trace=None):
-        """Run synchronous request work (the sharded plan/fan-out/merge)
-        in the executor under the server-global inflight gate, with the
-        wire trace active on that thread so its session spans and shard
-        submissions join the request's trace."""
-        loop = asyncio.get_running_loop()
-
-        def run():
-            with _trace.activate(trace):
-                return work()
-
-        async with self._inflight_gate:
-            return await loop.run_in_executor(None, run)
-
     #: How often a pinned request is retried after re-pinning its pair.
     #: One retry covered worker respawns; with the bounded worker pair
     #: LRU an aggressively small ``worker_pair_limit`` can evict the
@@ -614,12 +598,6 @@ class ServiceServer:
         digest = pin.pair[:_PAIR_LABEL_CHARS]
         _metrics.counter("repro.server.pair_requests", digest=digest).inc()
         self.pair_window.inc(digest)
-        shards = message.get("shards")
-        if op == "typecheck" and shards:
-            count = int(shards)  # type: ignore[arg-type]
-            return await self._blocking_result(
-                lambda: self._typecheck_sharded(pin, payload, count), trace
-            )
         return await self._pinned_call(pin, op, payload, trace)
 
     def _server_stats(self, connections: int, inflight: int) -> Dict[str, object]:
@@ -704,22 +682,6 @@ class ServiceServer:
             ]
             results.extend(await asyncio.gather(*chunk))
         return results
-
-    def _typecheck_sharded(
-        self, pin: _Pin, payload: Dict[str, object], shards: int
-    ):
-        transducer = protocol.parse_transducer_section(
-            protocol.split_sections(payload["transducer"])[0],  # type: ignore[arg-type]
-            pin.din.alphabet,
-        )
-        method = payload.get("method", "auto")
-        if not isinstance(method, str):
-            raise ProtocolError("'method' must be a string")
-        result = self.pool.typecheck_sharded(
-            pin.din, pin.dout, transducer, shards=shards, method=method,
-            explain=bool(payload.get("explain", False)),
-        )
-        return protocol.result_to_json(result)
 
 
 async def serve(

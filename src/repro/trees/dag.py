@@ -313,8 +313,8 @@ def dag_equal(a: "DagTree | Tree", b: "DagTree | Tree") -> bool:
     """Structural equality of the *unfoldings* of two dags (or plain trees).
 
     Memoized on identity pairs: aligned shared subdags are compared once,
-    so same-construction dags (e.g. sharded vs unsharded witnesses over
-    identical cells) compare in DAG size, not unfolded size.
+    so same-construction dags (e.g. witnesses rebuilt from identical
+    cells) compare in DAG size, not unfolded size.
     """
     proven: set[Tuple[int, int]] = set()
 

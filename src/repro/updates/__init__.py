@@ -7,7 +7,7 @@ form, following the rewrite-based update verification line of Jacquemard
 and Rusinowitch ("Rewrite based Verification of XML Updates"): an edit
 script is *schema-safe* for a pair ``(din, dout)`` exactly when its
 compiled transducer typechecks, so every engine in the repo (forward,
-backward, auto, sharded, the service) answers update-validation queries
+backward, auto, the service) answers update-validation queries
 unchanged.  A chain of successive script revisions is re-checked link
 by link with :meth:`repro.core.session.Session.retypecheck`, a plain warm
 query of each revision: the session's compiled schema and result cache

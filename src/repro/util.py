@@ -51,7 +51,7 @@ def lru_store(mapping, key: Hashable, value, limit: int) -> None:
     """Insert (or refresh) ``key`` in an ``OrderedDict``-backed LRU.
 
     The one bounded-LRU-with-touch idiom used by the per-transducer
-    caches (forward tables, shard profiles, backward result snapshots,
+    caches (forward tables, backward result snapshots,
     the session's analysis and route memos) and the service workers'
     pinned-pair registry with its parsed texts: newest entries live at
     the end, eviction pops from the front once ``limit`` is exceeded.

@@ -16,7 +16,6 @@ from repro.engines import (
     method_table_markdown,
     register,
     routable_engines,
-    shardable_engines,
 )
 from repro.errors import ClassViolationError
 from repro.workloads.families import relabeling_family, replus_family
@@ -34,7 +33,6 @@ def test_registration_order_is_the_documented_method_surface():
         "bruteforce",
     )
     assert [e.name for e in routable_engines()] == ["backward", "replus"]
-    assert [e.name for e in shardable_engines()] == ["forward", "backward"]
 
 
 def test_get_engine_rejects_unknown_methods():

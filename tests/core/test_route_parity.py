@@ -1,9 +1,8 @@
 """One routing policy: every entry point resolves through ``Session.route``.
 
-``typecheck``, ``retypecheck``, the explain reports and the sharded
-fan-out must all land on the engine that ``session.route(T)`` names
-(sharded runs on ``route(T, shardable=True)``, which skips the rungs whose
-engine cannot shard).  The instance set is the 200 differential seeds,
+``typecheck``, ``retypecheck``, the explain reports and the embedded
+worker pool must all land on the engine that ``session.route(T)`` names.
+The instance set is the 200 differential seeds,
 every workload family at the sizes the end-to-end benchmark uses (both
 polarities), the edit-arm bases with their one-arm edits, and del-relab
 transducers over NTA/DTAc schema pairs.
@@ -23,8 +22,8 @@ import pytest
 
 import repro
 from repro.core.session import Session
-from repro.engines import get_engine
-from repro.errors import ClassViolationError
+import repro.engines
+from repro.engines import Engine
 from repro.schemas.dtd import DTD
 from repro.service import WorkerPool, protocol
 from repro.service.client import ServiceClient
@@ -100,16 +99,6 @@ GROUPS = {
 }
 
 
-def _sequential_shards(session, transducer):
-    def compute(partitions, method):
-        return [
-            session.compute_shard_tables(transducer, partition, method)
-            for partition in partitions
-        ]
-
-    return compute
-
-
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_every_entry_point_reads_the_route(group):
     for name, transducer, din, dout, base in GROUPS[group]():
@@ -132,21 +121,12 @@ def test_every_entry_point_reads_the_route(group):
         )
         assert report.engine == engine, name
 
-        if get_engine(engine).shardable:
-            session = Session(din, dout, eager=False)
-            sharded = session.typecheck_sharded(
-                transducer, _sequential_shards(session, transducer),
-                shards=2, method="auto",
-            )
-            assert sharded.stats["shard_method"] == engine, name
-            assert sharded.typechecks == result.typechecks, name
 
-
-def _ladder(din, dout, shardable):
+def _ladder(din, dout):
     """The engine the schema-class ladder names for an auto query."""
     if not isinstance(din, DTD):
         return "delrelab"
-    if din.kind == dout.kind == "RE+" and not shardable:
+    if din.kind == dout.kind == "RE+":
         return "replus"
     return "backward"
 
@@ -154,48 +134,12 @@ def _ladder(din, dout, shardable):
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_auto_routes_by_schema_class_alone(group):
     """Every instance of the set routes by its schema class: RE⁺ pairs
-    to ``replus`` (``backward`` in the sharded view, since replus cannot
-    shard), every other DTD pair to ``backward`` in both views, and the
+    to ``replus``, every other DTD pair to ``backward``, and the
     del-relab transducers over automaton pairs to ``delrelab``, whatever
     the transducer."""
     for name, transducer, din, dout, _base in GROUPS[group]():
         session = Session(din, dout, eager=False)
-        assert session.route(transducer) == _ladder(din, dout, False), name
-        if isinstance(din, DTD):
-            assert session.route(transducer, shardable=True) == _ladder(
-                din, dout, True
-            ), name
-
-
-def test_sharded_replus_pairs_route_backward():
-    """RE⁺ pairs route to ``replus`` unsharded; the sharded view skips
-    that rung (``replus`` cannot shard) and runs ``backward``."""
-    checked = 0
-    for name, transducer, din, dout, _ in _families():
-        if not (din.kind == dout.kind == "RE+"):
-            continue
-        session = Session(din, dout, eager=False)
-        assert session.route(transducer) == "replus", name
-        assert session.route(transducer, shardable=True) == "backward", name
-        sharded = session.typecheck_sharded(
-            transducer, _sequential_shards(session, transducer),
-            shards=2, method="auto",
-        )
-        assert sharded.stats["shard_method"] == "backward", name
-        checked += 1
-    assert checked >= 10
-
-
-def test_sharded_view_refuses_tree_automata():
-    transducer, din, dout, _ = families.relabeling_family(2)
-    session = Session(
-        repro.dtd_to_nta(din), repro.dtd_to_dtac(dout), eager=False
-    )
-    assert session.route(transducer) == "delrelab"
-    with pytest.raises(ClassViolationError, match="needs DTD schemas"):
-        session.route(transducer, shardable=True)
-    with pytest.raises(ValueError, match="unknown shard method"):
-        session.route(transducer, method="replus", shardable=True)
+        assert session.route(transducer) == _ladder(din, dout), name
 
 
 def test_session_tests_the_schema_classes_only_inside_route():
@@ -223,8 +167,59 @@ def test_session_tests_the_schema_classes_only_inside_route():
     visit(tree, None)
     assert offenders == []
     for gone in ("shard_method", "_resolve_auto", "_auto_choice",
-                 "_predicted_costs", "_run_auto", "_auto_routes"):
+                 "_predicted_costs", "_run_auto", "_auto_routes",
+                 "typecheck_sharded", "check_keys", "compute_shard_tables"):
         assert not hasattr(Session, gone), gone
+
+
+def test_single_query_sharding_is_gone():
+    """One query runs on one engine in one process: no shard hooks on the
+    engine protocol, no shardable registry view, no second routing view."""
+    assert not hasattr(repro.engines, "shardable_engines")
+    for hook in ("check_keys", "key_costs", "compute_tables", "merge_tables",
+                 "shardable"):
+        assert not hasattr(Engine, hook), hook
+    assert not hasattr(WorkerPool, "typecheck_sharded")
+    transducer, din, dout, _ = families.nd_bc_family(4)
+    with pytest.raises(TypeError):
+        Session(din, dout, eager=False).route(transducer, shardable=True)
+
+
+def test_max_tuple_pins_forward_and_unknown_methods_fail():
+    """``max_tuple`` on a non-RE⁺ DTD pair pins ``forward`` (the RE⁺ rung
+    comes first), an unknown explicit method is a ``ValueError``, and
+    neither compiles anything."""
+    for build, pinned in (
+        (families.nd_bc_family, "replus"),
+        (families.filtering_family, "forward"),
+    ):
+        transducer, din, dout, _ = build(6)
+        session = Session(din, dout, eager=False)
+        assert session.route(transducer, max_tuple=4) == pinned
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
+            session.route(transducer, method="magic")
+        assert session._schemas == {} and len(session._analyses) == 0
+
+
+def test_wide_chain_routes_without_compiling():
+    """Routing reads the schema class only: a 400-wide chain routes
+    without building any engine's schema or analysing ``T``."""
+    width = 400
+    chain = " ".join(f"a{i}" for i in range(width))
+    rules = {"r": chain}
+    for i in range(width):
+        rules[f"a{i}"] = ""
+    din = DTD(rules, start="r")
+    transducer = TreeTransducer(
+        {"q"}, set(din.alphabet), "q",
+        dict(
+            [(("q", "r"), "r(q)")]
+            + [(("q", f"a{i}"), f"a{i}") for i in range(width)]
+        ),
+    )
+    session = Session(din, din, eager=False)
+    assert session.route(transducer) == "replus"
+    assert session._schemas == {} and len(session._analyses) == 0
 
 
 # ----------------------------------------------------------------------
@@ -239,15 +234,13 @@ def pool():
 @pytest.mark.parametrize("family,n", [
     ("filtering", 8), ("wide_copy", 5), ("nd_bc", 8), ("replus", 4),
 ])
-def test_pool_sharded_auto_matches_the_route(pool, family, n):
+def test_pool_auto_matches_the_route(pool, family, n):
     transducer, din, dout, expected = getattr(families, f"{family}_family")(
         n, False
     )
-    engine = Session(din, dout, eager=False).route(
-        transducer, shardable=True
-    )
-    result = pool.typecheck_sharded(din, dout, transducer, shards=2)
-    assert result.stats["shard_method"] == engine
+    engine = Session(din, dout, eager=False).route(transducer)
+    result = pool.typecheck(din, dout, transducer)
+    assert result.stats["auto_method"] == engine
     assert result.typechecks == expected
 
 

@@ -125,32 +125,6 @@ class TestQueryReport:
         assert set(report.engines) == {"backward"}
         assert set(report.engines["backward"]) == {"measured_ms"}
 
-    def test_sharded_explain_carries_plan_and_per_shard_kernel(self):
-        clear_registry()
-        transducer, din, dout, _ = nd_bc_family(8, typechecks=True)
-        session = Session(din, dout, eager=False)
-
-        def compute(partitions, method):
-            return [
-                session.compute_shard_tables(transducer, part, method)
-                for part in partitions
-            ]
-
-        result = session.typecheck_sharded(
-            transducer, compute, shards=3, method="forward", explain=True
-        )
-        shards = result.report.shards
-        assert shards["shards"] == 3
-        assert shards["shard_method"] == "forward"
-        assert len(shards["shard_wall_s"]) == 3
-        assert len(shards["shard_costs"]) == 3
-        # The workers ran inside the parent's query scope here, so each
-        # shard's own kernel counters came back with its snapshot.
-        kernel = shards["shard_kernel"]
-        assert len(kernel) == 3
-        assert all(entry.get("node_expansions", 0) > 0 for entry in kernel)
-        json.dumps(result.report.to_dict())
-
     def test_retypecheck_explain_reports_mode(self):
         clear_registry()
         transducer, din, dout, _ = nd_bc_family(5)

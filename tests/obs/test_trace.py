@@ -53,11 +53,11 @@ class TestSink:
 
     def test_nested_spans_parent_correctly(self, sink):
         with t.root("trace0"):
-            with t.span("shard_plan"):
+            with t.span("dispatch"):
                 with t.span("fixpoint"):
                     pass
         inner, outer = _spans(sink)  # inner closes (and writes) first
-        assert inner["name"] == "fixpoint" and outer["name"] == "shard_plan"
+        assert inner["name"] == "fixpoint" and outer["name"] == "dispatch"
         assert inner["trace"] == outer["trace"] == "trace0"
         assert inner["parent"] == outer["span"]
 
@@ -77,14 +77,14 @@ class TestSink:
         assert inner["parent"] == outer["span"] and outer["name"] == "fixpoint"
 
     def test_orphan_span_mints_a_trace_id(self, sink):
-        with t.span("merge"):
+        with t.span("fixpoint"):
             pass
         (record,) = _spans(sink)
         assert record["trace"] and len(record["trace"]) == 16
 
     def test_error_recorded_as_attribute(self, sink):
         with pytest.raises(ValueError):
-            with t.span("shard_plan"):
+            with t.span("dispatch"):
                 raise ValueError("boom")
         (record,) = _spans(sink)
         assert record["attrs"]["error"] == "ValueError"
@@ -108,7 +108,7 @@ class TestContextTransport:
         }
         # ... shipped across a process/queue boundary, then:
         with t.activate(context):
-            with t.span("shard_exec"):
+            with t.span("pinned"):
                 pass
         child = _spans(sink)[-1]
         assert child["trace"] == "feedbeef00000000"

@@ -68,18 +68,14 @@ def _slow_entries(path):
 
 
 class TestSlowQueryLog:
-    def test_sharded_auto_query_reconstructable_from_one_entry(
-        self, observed_server
-    ):
+    def test_auto_query_reconstructable_from_one_entry(self, observed_server):
         """The acceptance criterion: one slow-query-log line carries the
-        trace ID, the chosen engine with its measured ms, the shard plan
-        with per-shard walls, and per-query kernel counters."""
+        trace ID, the chosen engine with its measured ms, and the query's
+        own kernel counters."""
         service, pool, slow_file = observed_server
         transducer, din, dout, expected = filtering_family(5)
         with ServiceClient(port=service.port) as client:
-            result = client.typecheck(
-                transducer, din, dout, method="auto", shards=2
-            )
+            result = client.typecheck(transducer, din, dout, method="auto")
         assert result["typechecks"] == expected
         # The response itself carries the report (the server forces
         # explain on while the slow log is armed).
@@ -87,29 +83,21 @@ class TestSlowQueryLog:
         entries = [
             e for e in _slow_entries(slow_file) if e.get("op") == "typecheck"
         ]
-        assert entries, "no slow-query entry for the sharded query"
+        assert entries, "no slow-query entry for the query"
         entry = entries[-1]
-        # Wire identifiers: threshold, trace ID (tracing was on).
+        # Wire identifiers: threshold, method, trace ID (tracing was on).
         assert entry["elapsed_ms"] >= entry["slow_ms"] == 0.0
+        assert entry["method"] == "auto"
         assert entry.get("trace_id")
         explain = entry["explain"]
-        assert explain["kind"] == "typecheck_sharded"
+        assert explain["kind"] == "typecheck"
         assert explain["trace_id"] == entry["trace_id"]
         # Engine choice and its measurement.
         assert explain["engine"] == "backward"
         assert explain["engines"]["backward"]["measured_ms"] > 0
-        # Shard plan: measured per-shard walls and predicted loads.
-        shards = explain["shards"]
-        assert shards["shards"] == 2
-        assert len(shards["shard_wall_s"]) == 2
-        assert len(shards["shard_costs"]) == 2
-        assert shards["shard_spread"] >= 1.0
-        # Per-shard kernel counters came back from the workers.
-        kernel_per_shard = shards["shard_kernel"]
-        assert len(kernel_per_shard) == 2
-        assert all(
-            entry.get("node_expansions", 0) > 0 for entry in kernel_per_shard
-        )
+        # The query's own kernel counters, measured in the worker.
+        assert explain["kernel"].get("node_expansions", 0) > 0
+        assert explain["cache"]["table_cache"] == "miss"
 
     def test_explain_request_field_works_without_slow_log_forcing(
         self, observed_server

@@ -65,38 +65,6 @@ def traced_server(tmp_path):
 
 
 class TestEndToEndTrace:
-    def test_sharded_query_spans_share_one_trace_id(self, traced_server):
-        """The acceptance criterion: client wire -> server dispatch ->
-        per-worker shard_exec -> merge, all under ONE trace ID, with the
-        verdict identical to the in-process engine."""
-        service, pool, trace_file = traced_server
-        transducer, din, dout, expected = nd_bc_family(6, typechecks=False)
-        local = repro.typecheck(transducer, din, dout, method="forward")
-        with ServiceClient(port=service.port) as client:
-            result = client.typecheck(
-                transducer, din, dout, method="forward", shards=2
-            )
-        assert result["typechecks"] == local.typechecks == expected
-        time.sleep(0.3)  # let worker span writes land
-
-        spans = _spans(trace_file)
-        by_name = {}
-        for record in spans:
-            by_name.setdefault(record["name"], []).append(record)
-        for name in ("wire", "dispatch", "shard_plan", "shard_exec", "merge"):
-            assert name in by_name, f"missing span {name!r}"
-        query_trace = by_name["shard_plan"][0]["trace"]
-        for name in ("wire", "dispatch", "shard_plan", "merge"):
-            assert all(r["trace"] == query_trace for r in by_name[name]), name
-        shard_execs = [
-            r for r in by_name["shard_exec"] if r["trace"] == query_trace
-        ]
-        assert len(shard_execs) == 2
-        # shard_exec spans come from the worker processes, not the server
-        import os
-
-        assert all(r["pid"] != os.getpid() for r in shard_execs)
-
     def test_pinned_queries_share_one_trace_id(self, traced_server):
         """Bare v2 requests: each query's client wire span, server dispatch
         span and worker pinned span carry the query's one trace ID."""

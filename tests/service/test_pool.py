@@ -8,7 +8,12 @@ import time
 import pytest
 
 import repro
-from repro.errors import ClassViolationError, ReproError, WorkerCrashError
+from repro.errors import (
+    ClassViolationError,
+    ProtocolError,
+    ReproError,
+    WorkerCrashError,
+)
 from repro.service.pool import PoolTicket, WorkerPool
 from repro.workloads.families import nd_bc_batch, nd_bc_family
 from repro.workloads.random_instances import seeded_instance
@@ -86,42 +91,35 @@ class TestCrashRecovery:
             # the pool stays fully serviceable afterwards
             assert [p["pong"] for p in pool.ping()] == [True, True]
 
-    def test_shard_retries_on_healthy_worker_mid_typecheck_sharded(self):
-        """Kill a worker while its shard of a ``typecheck_sharded`` fan-out
-        is queued behind a sleeper: the shard must retry on the healthy
-        worker and the verdict stay bit-identical to unsharded (previously
-        only whole-request retry was exercised)."""
+    def test_query_retries_on_healthy_worker_mid_typecheck(self):
+        """Kill the pair's worker while the query sits in its queue behind
+        a sleeper: the query must retry on the healthy worker and answer
+        exactly as in process (verdict, violations and counterexample)."""
         from repro.core.forward import typecheck_forward
 
         transducer, din, dout, expected = nd_bc_family(8, typechecks=False)
-        unsharded = typecheck_forward(transducer, din, dout)
+        local = typecheck_forward(transducer, din, dout)
         with WorkerPool(2, cache_max_bytes=None) as pool:
-            # Occupy worker 0 so the shard submitted to it sits in its
-            # queue, then kill worker 0 while the fan-out is in flight.
-            sleeper = pool.submit("sleep", 2.0, slot=0)
-            killer = None
+            slot = pool.route_slot(din, dout)
+            sleeper = pool.submit("sleep", 2.0, slot=slot)
 
             def kill_soon():
                 time.sleep(0.4)
-                pool._slots[0].process.terminate()
-
-            import threading
+                pool._slots[slot].process.terminate()
 
             killer = threading.Thread(target=kill_soon, daemon=True)
             killer.start()
-            # pin the forward fan-out: the unsharded baseline above is the
-            # forward engine (auto would route this family backward)
-            result = pool.typecheck_sharded(
-                din, dout, transducer, shards=2, method="forward"
-            )
+            # pin forward: the in-process baseline above is the forward
+            # engine (auto would route this family to replus)
+            result = pool.typecheck(din, dout, transducer, method="forward")
             killer.join(timeout=10)
-            # the sleeper retried too (proves worker 0 really died busy)
+            # the sleeper retried too (proves the worker really died busy)
             assert sleeper.result(timeout=30) == {"slept": 2.0}
             stats = pool.pool_stats()
             assert stats["respawns"] >= 1 and stats["retries"] >= 1
-        assert result.typechecks == unsharded.typechecks == expected
-        assert result.stats.get("violations") == unsharded.stats.get("violations")
-        assert result.counterexample == unsharded.counterexample
+        assert result.typechecks == local.typechecks == expected
+        assert result.stats.get("violations") == local.stats.get("violations")
+        assert result.counterexample == local.counterexample
         assert result.verify(transducer, din.accepts, dout.accepts)
 
     def test_poison_request_gives_up_cleanly(self):
@@ -132,6 +130,21 @@ class TestCrashRecovery:
             transducer, din, dout, expected = nd_bc_family(4)
             result = pool.typecheck(din, dout, transducer, method="forward")
             assert result.typechecks == expected
+
+    def test_unpicklable_reply_is_a_typed_error_not_a_hang(self):
+        """A reply the worker cannot pickle (backward's shared counterexample
+        tree on a 200-deep failing chain exceeds the pickler's recursion)
+        comes back as a typed error on its own ticket, and the worker goes
+        on answering."""
+        transducer, din, dout, _ = nd_bc_family(200, typechecks=False)
+        with WorkerPool(1, cache_max_bytes=None) as pool:
+            ticket = pool.submit(
+                "typecheck", (din, dout, transducer, "backward", {})
+            )
+            with pytest.raises(ProtocolError, match="RecursionError"):
+                ticket.result(timeout=30)
+            small, din8, dout8, expected = nd_bc_family(8, typechecks=True)
+            assert pool.typecheck(din8, dout8, small).typechecks == expected
 
     def test_closed_pool_rejects_submissions(self):
         pool = WorkerPool(1, cache_max_bytes=None)

@@ -164,12 +164,6 @@ class TestStickyPairs:
         served = handle.typecheck_many(transducers, method="forward")
         assert [item["typechecks"] for item in served] == expected
 
-    def test_pinned_sharded_typecheck(self, client):
-        transducer, din, dout, expected = nd_bc_family(6, typechecks=False)
-        handle = client.pair(din, dout)
-        result = handle.typecheck(transducer, shards=2)
-        assert result["typechecks"] == expected
-
     def test_bare_request_without_pin_is_rejected(self, client):
         with pytest.raises(ProtocolError, match="no schema pair pinned"):
             client.call("typecheck", v=2, transducer="initial q states q")

@@ -235,20 +235,6 @@ def test_inline_batch_parses_its_schemas_once(client, monkeypatch):
     assert digests[0].alphabet != digests[1].alphabet
 
 
-def test_sharded_typecheck_agrees(client, case):
-    expected = case.session.typecheck(case.transducer).typechecks
-    answers = [
-        client.call("typecheck", shards=2, **form)
-        for form in case.inline_forms()
-    ]
-    answers.append(client.pair(case.din, case.dout).typecheck(
-        case.transducer, shards=2
-    ))
-    assert {answer["typechecks"] for answer in answers} == {expected}
-    assert len({answer["counterexample"] for answer in answers}) == 1
-    assert len({answer["stats"]["shard_method"] for answer in answers}) == 1
-
-
 def test_inline_requests_leave_the_connection_pin_alone(client):
     pinned_case = _Case(nd_bc_family, 5, True)
     inline_case = _Case(wide_copy_family, 4, False)

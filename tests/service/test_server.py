@@ -74,10 +74,15 @@ class TestOps:
         info = client.analysis(transducer, din, dout)
         assert info["in_trac"] is True
 
-    def test_sharded_typecheck_over_the_wire(self, client):
+    def test_removed_shards_field_is_a_typed_error(self, client):
+        """One query runs on one worker: a request still asking to shard
+        it is refused by name instead of the field being ignored."""
         transducer, din, dout, expected = nd_bc_family(6, typechecks=False)
-        result = client.typecheck(transducer, din, dout, shards=2)
-        assert result["typechecks"] == expected
+        text = protocol.instance_to_text(transducer, din, dout)
+        with pytest.raises(ProtocolError, match="'shards' field was removed"):
+            client.call("typecheck", text=text, shards=2)
+        # the connection keeps serving
+        assert client.call("typecheck", text=text)["typechecks"] == expected
 
     def test_typecheck_text_instance(self, client):
         transducer, din, dout, expected = nd_bc_family(4)
